@@ -18,35 +18,21 @@ inline std::uint64_t site_now_ns() {
 }
 }  // namespace
 
-void charge_seq_call(Node& nd, Schema callee_schema) {
-  const CostModel& c = nd.costs();
-  switch (callee_schema) {
-    case Schema::NonBlocking: nd.charge(c.c_call + c.nb_call_extra); break;
-    case Schema::MayBlock: nd.charge(c.c_call + c.mb_call_extra); break;
-    case Schema::ContinuationPassing: nd.charge(c.c_call + c.cp_call_extra); break;
-  }
-}
-
-bool acquire_implicit_lock(Node& nd, const MethodInfo& mi, MethodId m, GlobalRef target) {
-  if (!mi.locks_self || !target.valid()) return false;
+void take_implicit_lock(Node& nd, MethodId m, GlobalRef target) {
   nd.objects().lock(target);
   nd.verifier.record_lock_acquire(m, target.pack());
   nd.charge(nd.costs().lock_check);
-  return true;
-}
-
-bool acquire_implicit_lock(Node& nd, const DispatchEntry& de, MethodId m, GlobalRef target) {
-  if (!de.locks_self || !target.valid()) return false;
-  nd.objects().lock(target);
-  nd.verifier.record_lock_acquire(m, target.pack());
-  nd.charge(nd.costs().lock_check);
-  return true;
 }
 
 void release_implicit_lock(Node& nd, GlobalRef target) {
   nd.objects().unlock(target);
   nd.verifier.record_lock_release(target.pack());
   nd.charge(nd.costs().lock_check);
+}
+
+void nb_callee_fell_back(Node& nd, MethodId callee) {
+  CONCERT_UNREACHABLE("non-blocking callee " + nd.registry().info(callee).name +
+                      " returned a fallback context");
 }
 
 MaterializedCont materialize_continuation(Node& nd, const CallerInfo& ci) {
@@ -111,10 +97,6 @@ void remote_invoke(Node& nd, MethodId callee, GlobalRef target, const Value* arg
 // Frame (caller side of a sequential version)
 // ---------------------------------------------------------------------------
 
-Frame::Frame(Node& nd, MethodId my_method, GlobalRef self, const CallerInfo& my_ci,
-             const Value* args, std::size_t nargs)
-    : nd_(nd), method_(my_method), self_(self), ci_(my_ci), args_(args), nargs_(nargs) {}
-
 Context& Frame::materialize() {
   if (ctx_ != nullptr) return *ctx_;
   nd_.verifier.record_block(method_);
@@ -129,25 +111,23 @@ Context& Frame::materialize() {
 }
 
 void Frame::go_parallel(MethodId callee, GlobalRef target, const Value* args,
-                        std::size_t nargs, SlotId slot, std::size_t nret, bool remote) {
+                        std::size_t nargs, SlotId slot, std::size_t nret) {
   Context& me = materialize();
   for (std::size_t i = 0; i < nret; ++i) me.expect(static_cast<SlotId>(slot + i));
   nd_.charge(nd_.costs().future_expect);
   const Continuation k{me.ref(), slot, false};
   // A locally-forwarded (migrated) target resolves to its new home first.
   target = resolve_forwarding(nd_, target);
-  remote = target.valid() && target.node != nd_.id();
-  if (remote) {
+  if (target.valid() && target.node != nd_.id()) {
     remote_invoke(nd_, callee, target, args, nargs, k);
   } else {
     heap_invoke_local(nd_, callee, target, args, nargs, k);
   }
 }
 
-bool Frame::call(MethodId callee, GlobalRef target, const Value* args, std::size_t nargs,
-                 SlotId slot, Value* out) {
+bool Frame::call_general(const DispatchEntry& de, MethodId callee, GlobalRef target,
+                         const Value* args, std::size_t nargs, SlotId slot, Value* out) {
   nd_.verifier.record_call(method_, callee);
-  const DispatchEntry& de = nd_.dispatch(callee);
   Schema schema = de.schema;
   // Call-site specialization (concert-analyze): this specific edge was proved
   // site-NB by the registry's per-edge refinement, so the site binds the NB
@@ -180,7 +160,7 @@ bool Frame::call(MethodId callee, GlobalRef target, const Value* args, std::size
 
   if (!runnable_here || injected) {
     if (site != nullptr) ++site->diverts;
-    go_parallel(callee, target, args, nargs, slot, de.multi_return, is_remote);
+    go_parallel(callee, target, args, nargs, slot, de.multi_return);
     return false;
   }
 
@@ -224,8 +204,7 @@ bool Frame::call(MethodId callee, GlobalRef target, const Value* args, std::size
   // Establish the linkage per the callee's schema.
   switch (schema) {
     case Schema::NonBlocking:
-      CONCERT_UNREACHABLE("non-blocking callee " + nd_.registry().info(callee).name +
-                          " returned a fallback context");
+      nb_callee_fell_back(nd_, callee);
     case Schema::MayBlock: {
       // Fig. 6: fbk is the callee's freshly created context; insert the
       // continuation for its return value(s).
@@ -400,10 +379,22 @@ Context* Frame::yield_to_parallel(std::uint32_t resume_pc,
 // ParFrame (caller side of a parallel version)
 // ---------------------------------------------------------------------------
 
-void ParFrame::spawn(MethodId callee, GlobalRef target, const Value* args, std::size_t nargs,
-                     SlotId slot) {
+void ParFrame::go_parallel(MethodId callee, GlobalRef target, const Value* args,
+                           std::size_t nargs, SlotId slot, std::size_t nret) {
+  for (std::size_t i = 0; i < nret; ++i) ctx_.expect(static_cast<SlotId>(slot + i));
+  nd_.charge(nd_.costs().future_expect);
+  const Continuation k{ctx_.ref(), slot, false};
+  target = resolve_forwarding(nd_, target);
+  if (target.valid() && target.node != nd_.id()) {
+    remote_invoke(nd_, callee, target, args, nargs, k);
+  } else {
+    heap_invoke_local(nd_, callee, target, args, nargs, k);
+  }
+}
+
+void ParFrame::spawn_general(const DispatchEntry& de, MethodId callee, GlobalRef target,
+                             const Value* args, std::size_t nargs, SlotId slot) {
   nd_.verifier.record_call(ctx_.method, callee);
-  const DispatchEntry& de = nd_.dispatch(callee);
   const bool is_remote = target.valid() && target.node != nd_.id();
   if (is_remote) {
     ++nd_.stats.remote_invokes;
@@ -416,22 +407,14 @@ void ParFrame::spawn(MethodId callee, GlobalRef target, const Value* args, std::
     ++site->invokes;
     if (is_remote) ++site->remote;
   }
+  const std::size_t nret = de.multi_return;
 
   if (nd_.mode() == ExecMode::ParallelOnly) {
     if (site != nullptr) ++site->diverts;
     // The parallel-only runtime still performs name translation + locality
     // checks to route the invocation.
     nd_.charge(nd_.costs().name_translation + nd_.costs().locality_check);
-    const std::size_t nret_par = de.multi_return;
-    for (std::size_t i = 0; i < nret_par; ++i) ctx_.expect(static_cast<SlotId>(slot + i));
-    nd_.charge(nd_.costs().future_expect);
-    const Continuation k{ctx_.ref(), slot, false};
-    target = resolve_forwarding(nd_, target);
-    if (target.valid() && target.node != nd_.id()) {
-      remote_invoke(nd_, callee, target, args, nargs, k);
-    } else {
-      heap_invoke_local(nd_, callee, target, args, nargs, k);
-    }
+    go_parallel(callee, target, args, nargs, slot, nret);
     return;
   }
 
@@ -446,19 +429,10 @@ void ParFrame::spawn(MethodId callee, GlobalRef target, const Value* args, std::
   const bool runnable_here = nd_.local_and_unlocked(target);
   const bool injected =
       runnable_here && nd_.injector().enabled() && nd_.injector().should_block(callee);
-  const std::size_t nret = de.multi_return;
 
   if (!runnable_here || injected) {
     if (site != nullptr) ++site->diverts;
-    for (std::size_t i = 0; i < nret; ++i) ctx_.expect(static_cast<SlotId>(slot + i));
-    nd_.charge(nd_.costs().future_expect);
-    const Continuation k{ctx_.ref(), slot, false};
-    target = resolve_forwarding(nd_, target);
-    if (target.valid() && target.node != nd_.id()) {
-      remote_invoke(nd_, callee, target, args, nargs, k);
-    } else {
-      heap_invoke_local(nd_, callee, target, args, nargs, k);
-    }
+    go_parallel(callee, target, args, nargs, slot, nret);
     return;
   }
 
@@ -469,7 +443,10 @@ void ParFrame::spawn(MethodId callee, GlobalRef target, const Value* args, std::
     ++site->attempts;
     site_t0 = site_now_ns();
   }
-  CONCERT_CHECK(nret <= 8, "multi_return too wide");
+  CONCERT_CHECK(nret <= kMaxStackReturns, "multi_return too wide");
+  CONCERT_CHECK(de.variadic ? nargs >= de.arg_count : nargs == de.arg_count,
+                "call of " << nd_.registry().info(callee).name << " with " << nargs
+                           << " args, wants " << de.arg_count);
   CallerInfo ci;
   if (schema == Schema::ContinuationPassing) {
     ci.context_exists = true;
@@ -479,7 +456,7 @@ void ParFrame::spawn(MethodId callee, GlobalRef target, const Value* args, std::
     ci.context = ctx_.ref();
   }
   const bool locked_here = acquire_implicit_lock(nd_, de, callee, target);
-  Value out[8];
+  Value out[kMaxStackReturns];
   Context* fbk = de.seq(nd_, out, ci, target, args, nargs);
   if (fbk == nullptr) {
     if (locked_here) release_implicit_lock(nd_, target);
@@ -499,7 +476,7 @@ void ParFrame::spawn(MethodId callee, GlobalRef target, const Value* args, std::
   // (The fallback itself is counted at the callee's materialization site.)
   switch (schema) {
     case Schema::NonBlocking:
-      CONCERT_UNREACHABLE("non-blocking callee returned a fallback context");
+      nb_callee_fell_back(nd_, callee);
     case Schema::MayBlock:
       for (std::size_t i = 0; i < nret; ++i) ctx_.expect(static_cast<SlotId>(slot + i));
       nd_.charge(nd_.costs().future_expect + nd_.costs().linkage_install);

@@ -43,12 +43,81 @@ struct MaterializedCont {
 };
 MaterializedCont materialize_continuation(Node& nd, const CallerInfo& ci);
 
+/// Charges the per-schema sequential call cost at a call site.
+inline void charge_seq_call(Node& nd, Schema callee_schema) {
+  const CostModel& c = nd.costs();
+  switch (callee_schema) {
+    case Schema::NonBlocking: nd.charge(c.c_call + c.nb_call_extra); break;
+    case Schema::MayBlock: nd.charge(c.c_call + c.mb_call_extra); break;
+    case Schema::ContinuationPassing: nd.charge(c.c_call + c.cp_call_extra); break;
+  }
+}
+
+/// Takes the target object's lock on behalf of method `m` (the body of
+/// acquire_implicit_lock once it has decided a lock is due).
+void take_implicit_lock(Node& nd, MethodId m, GlobalRef target);
+
+/// Implicit locking (MethodDecl::locks_self): acquire the target object's
+/// lock before running method `m`. Returns whether a lock was taken. The
+/// method id feeds the verify recorder's lock-held shadow (concert-analyze);
+/// the runtime lock itself is keyed by the object alone.
+inline bool acquire_implicit_lock(Node& nd, const DispatchEntry& de, MethodId m,
+                                  GlobalRef target) {
+  if (!de.locks_self || !target.valid()) return false;
+  take_implicit_lock(nd, m, target);
+  return true;
+}
+void release_implicit_lock(Node& nd, GlobalRef target);
+
+/// The protocol violation of an NB-declared callee whose seq version
+/// returned a fallback context. Always throws ProtocolError.
+[[noreturn]] void nb_callee_fell_back(Node& nd, MethodId callee);
+
+/// True when a call of `de` may take the inline NB stack-hit path
+/// (nb_stack_hit): the callee's effective schema is NB and it takes no
+/// implicit lock, and nothing observes individual calls — the verifier,
+/// the site profiler and the block injector are all off. Every other call
+/// runs the general out-of-line path, whose charges and counters the fast
+/// path reproduces exactly.
+inline bool nb_fast_path(const Node& nd, const DispatchEntry& de) {
+  return de.schema == Schema::NonBlocking && !de.locks_self && !nd.verifier.enabled() &&
+         !nd.sites().enabled() && !nd.injector().enabled();
+}
+
+/// The NB stack-hit path shared by Frame::call and ParFrame::spawn, for a
+/// callee that passed nb_fast_path. Charges the NB sequential call and the
+/// name-translation / locality / lock checks and counts the invocation.
+/// Returns false, having run nothing, when the target is not runnable here
+/// (the caller diverts to its parallel path); otherwise runs the callee's
+/// seq version on this stack and returns true with its value(s) in `out`.
+inline bool nb_stack_hit(Node& nd, const DispatchEntry& de, MethodId callee, GlobalRef target,
+                         const Value* args, std::size_t nargs, Value* out) {
+  charge_seq_call(nd, Schema::NonBlocking);
+  if (target.valid() && target.node != nd.id()) {
+    ++nd.stats.remote_invokes;
+  } else {
+    ++nd.stats.local_invokes;
+  }
+  if (!nd.local_and_unlocked(target)) return false;
+  ++nd.stats.stack_calls;
+  CONCERT_CHECK(de.variadic ? nargs >= de.arg_count : nargs == de.arg_count,
+                "call of " << nd.registry().info(callee).name << " with " << nargs
+                           << " args, wants " << de.arg_count);
+  static constexpr CallerInfo kNoCaller = CallerInfo::none();
+  if (de.seq(nd, out, kNoCaller, target, args, nargs) != nullptr) {
+    nb_callee_fell_back(nd, callee);
+  }
+  ++nd.stats.stack_completions;
+  return true;
+}
+
 class Frame {
  public:
   /// `my_ci` is the CallerInfo this activation itself received (only
   /// meaningful when this method's schema is ContinuationPassing).
   Frame(Node& nd, MethodId my_method, GlobalRef self, const CallerInfo& my_ci,
-        const Value* args, std::size_t nargs);
+        const Value* args, std::size_t nargs)
+      : nd_(nd), method_(my_method), self_(self), ci_(my_ci), args_(args), nargs_(nargs) {}
 
   Frame(const Frame&) = delete;
   Frame& operator=(const Frame&) = delete;
@@ -64,7 +133,13 @@ class Frame {
     return call(callee, target, args.begin(), args.size(), slot, out);
   }
   bool call(MethodId callee, GlobalRef target, const Value* args, std::size_t nargs, SlotId slot,
-            Value* out);
+            Value* out) {
+    const DispatchEntry& de = nd_.dispatch(callee);
+    if (!nb_fast_path(nd_, de)) return call_general(de, callee, target, args, nargs, slot, out);
+    if (nb_stack_hit(nd_, de, callee, target, args, nargs, out)) return true;
+    go_parallel(callee, target, args, nargs, slot, de.multi_return);
+    return false;
+  }
 
   /// Tail-forwards this activation's continuation responsibility to `callee`
   /// (which must have the CP schema): local targets execute on this very
@@ -100,10 +175,15 @@ class Frame {
 
  private:
   Context& materialize();
+  /// call() for everything nb_fast_path rejects: MB and CP linkage, edge
+  /// specialization, implicit locks, site profiling, verification and
+  /// block injection.
+  bool call_general(const DispatchEntry& de, MethodId callee, GlobalRef target,
+                    const Value* args, std::size_t nargs, SlotId slot, Value* out);
   /// Common "the callee must run in parallel" path: expect `slot` (..+K-1),
   /// then send a message (remote) or enqueue a local heap context.
   void go_parallel(MethodId callee, GlobalRef target, const Value* args, std::size_t nargs,
-                   SlotId slot, std::size_t nret, bool remote);
+                   SlotId slot, std::size_t nret);
   /// This activation's own effective schema, looked up once per frame and
   /// cached (fallback() and yield_to_parallel() both consult it).
   Schema my_schema() {
@@ -140,7 +220,22 @@ class ParFrame {
     spawn(callee, target, args.begin(), args.size(), slot);
   }
   void spawn(MethodId callee, GlobalRef target, const Value* args, std::size_t nargs,
-             SlotId slot);
+             SlotId slot) {
+    const DispatchEntry& de = nd_.dispatch(callee);
+    if (nd_.mode() == ExecMode::ParallelOnly || de.multi_return > kMaxStackReturns ||
+        !nb_fast_path(nd_, de)) {
+      spawn_general(de, callee, target, args, nargs, slot);
+      return;
+    }
+    Value out[kMaxStackReturns];
+    if (!nb_stack_hit(nd_, de, callee, target, args, nargs, out)) {
+      go_parallel(callee, target, args, nargs, slot, de.multi_return);
+      return;
+    }
+    for (std::size_t i = 0; i < de.multi_return; ++i) {
+      ctx_.save(static_cast<SlotId>(slot + i), out[i]);
+    }
+  }
 
   /// Counter-based touch of everything spawned so far. True: all values
   /// present, keep executing. False: the context suspended; the parallel
@@ -162,6 +257,17 @@ class ParFrame {
   Context& ctx() { return ctx_; }
 
  private:
+  /// Widest multi_return a child can complete on the stack with.
+  static constexpr std::size_t kMaxStackReturns = 8;
+  /// spawn() for everything the inline NB stack-hit path does not take
+  /// (see Frame::call_general), plus the parallel-only mode.
+  void spawn_general(const DispatchEntry& de, MethodId callee, GlobalRef target,
+                     const Value* args, std::size_t nargs, SlotId slot);
+  /// Expects `slot` (..+nret-1) in this context, then sends the invocation
+  /// (remote) or enqueues a local heap context for it.
+  void go_parallel(MethodId callee, GlobalRef target, const Value* args, std::size_t nargs,
+                   SlotId slot, std::size_t nret);
+
   Node& nd_;
   Context& ctx_;
 };
@@ -175,16 +281,5 @@ Context& heap_invoke_local(Node& nd, MethodId callee, GlobalRef target, const Va
 /// Remote invocation: builds and sends an Invoke message.
 void remote_invoke(Node& nd, MethodId callee, GlobalRef target, const Value* args,
                    std::size_t nargs, Continuation reply_to);
-
-/// Charges the per-schema sequential call cost at a call site.
-void charge_seq_call(Node& nd, Schema callee_schema);
-
-/// Implicit locking (MethodDecl::locks_self): acquire the target object's
-/// lock before running method `m`. Returns whether a lock was taken. The
-/// method id feeds the verify recorder's lock-held shadow (concert-analyze);
-/// the runtime lock itself is keyed by the object alone.
-bool acquire_implicit_lock(Node& nd, const MethodInfo& mi, MethodId m, GlobalRef target);
-bool acquire_implicit_lock(Node& nd, const DispatchEntry& de, MethodId m, GlobalRef target);
-void release_implicit_lock(Node& nd, GlobalRef target);
 
 }  // namespace concert

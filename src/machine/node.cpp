@@ -13,20 +13,16 @@ Node::Node(NodeId id, Machine& machine)
     : rng(machine.config().seed * 0x9e3779b97f4a7c15ull + id + 1),
       id_(id),
       machine_(machine),
+      cfg_(machine.config()),
       arena_(id),
       objects_(id) {
-  verifier.set_enabled(machine.config().verify);
-  if (machine.config().metrics) metrics_ = std::make_unique<NodeMetrics>();
-  if (machine.config().flight_recorder) flight.enable(machine.config().flight_capacity);
-  if (machine.config().profile_sites) sites_.enable();
+  verifier.set_enabled(cfg_.verify);
+  if (cfg_.metrics) metrics_ = std::make_unique<NodeMetrics>();
+  if (cfg_.flight_recorder) flight.enable(cfg_.flight_capacity);
+  if (cfg_.profile_sites) sites_.enable();
 }
 
 MethodRegistry& Node::registry() { return machine_.registry(); }
-const CostModel& Node::costs() const { return machine_.config().costs; }
-ExecMode Node::mode() const { return machine_.config().mode; }
-FallbackPolicy Node::fallback_policy() const { return machine_.config().policy; }
-const FlushPolicy& Node::comms_policy() const { return machine_.config().flush_policy; }
-bool Node::futures_in_context() const { return machine_.config().futures_in_context; }
 
 void Node::init_comms(std::size_t nodes) {
   outbox_.reset(nodes);
@@ -660,17 +656,6 @@ void Node::fill_local(const Continuation& k, const Value& v) {
   if (released && ctx.status == ContextStatus::Waiting) {
     resume(ctx);
   }
-}
-
-bool Node::local_and_unlocked(const GlobalRef& ref) {
-  if (mode() != ExecMode::SeqOpt) {
-    charge(costs().name_translation + costs().locality_check);
-  }
-  if (!ref.valid()) return true;  // pure-function invocation: no object, no lock
-  if (ref.node != id_) return false;
-  if (objects_.is_forwarded(ref)) return false;  // migrated away: re-route
-  if (mode() != ExecMode::SeqOpt) charge(costs().lock_check);
-  return !objects_.locked(ref);
 }
 
 }  // namespace concert

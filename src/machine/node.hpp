@@ -24,6 +24,7 @@
 #include "core/schema.hpp"
 #include "machine/cost_model.hpp"
 #include "machine/flush_policy.hpp"
+#include "machine/machine_config.hpp"
 #include "machine/message.hpp"
 #include "machine/mpsc_queue.hpp"
 #include "machine/outbox.hpp"
@@ -125,11 +126,13 @@ class Node {
     }
     return false;
   }
-  const CostModel& costs() const;
-  ExecMode mode() const;
-  FallbackPolicy fallback_policy() const;
-  const FlushPolicy& comms_policy() const;
-  bool futures_in_context() const;  ///< Ablation A2 switch.
+  /// The machine's immutable config, bound once at construction: these
+  /// accessors are inline loads on the invoke fast path.
+  const CostModel& costs() const { return cfg_.costs; }
+  ExecMode mode() const { return cfg_.mode; }
+  FallbackPolicy fallback_policy() const { return cfg_.policy; }
+  const FlushPolicy& comms_policy() const { return cfg_.flush_policy; }
+  bool futures_in_context() const { return cfg_.futures_in_context; }  ///< Ablation A2 switch.
 
   // ---- simulated clock ----
   void charge(std::uint64_t instructions) { clock_ += instructions; }
@@ -258,7 +261,15 @@ class Node {
   LocationCache& location_cache() { return loc_cache_; }
   /// Performs the speculative-inlining checks (name translation + locality +
   /// lock), charging them unless running SeqOpt. Pure locality answer.
-  bool local_and_unlocked(const GlobalRef& ref);
+  bool local_and_unlocked(const GlobalRef& ref) {
+    const bool charged = cfg_.mode != ExecMode::SeqOpt;
+    if (charged) charge(cfg_.costs.name_translation + cfg_.costs.locality_check);
+    if (!ref.valid()) return true;  // pure-function invocation: no object, no lock
+    if (ref.node != id_) return false;
+    if (objects_.is_forwarded(ref)) return false;  // migrated away: re-route
+    if (charged) charge(cfg_.costs.lock_check);
+    return !objects_.locked(ref);
+  }
 
   // ---- test hooks ----
   BlockInjector& injector() { return injector_; }
@@ -328,6 +339,7 @@ class Node {
 
   NodeId id_;
   Machine& machine_;
+  const MachineConfig& cfg_;  ///< machine_.config(), immutable for the machine's life.
   std::uint64_t clock_ = 0;
   ContextArena arena_;
   std::deque<ContextId> ready_;  ///< FIFO of ready contexts (by id; gen checked at pop).

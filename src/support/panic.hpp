@@ -18,7 +18,9 @@ class ProtocolError : public std::logic_error {
   explicit ProtocolError(const std::string& what) : std::logic_error(what) {}
 };
 
-[[noreturn]] inline void panic_at(const char* file, int line, const std::string& msg) {
+// Cold and never inlined: the message formatting stays out of every caller.
+[[noreturn, gnu::cold, gnu::noinline]] inline void panic_at(const char* file, int line,
+                                                           const std::string& msg) {
   std::ostringstream os;
   os << file << ":" << line << ": " << msg;
   throw ProtocolError(os.str());
@@ -28,13 +30,18 @@ class ProtocolError : public std::logic_error {
 
 /// Always-on invariant check. `msg` is streamed, so `CONCERT_CHECK(x > 0, "x=" << x)` works.
 /// The unparenthesized `msg` expansion is the point — it splices a `<<` chain.
-#define CONCERT_CHECK(cond, msg)                                      \
-  do {                                                                \
-    if (!(cond)) {                                                    \
-      std::ostringstream concert_check_os_;                           \
-      concert_check_os_ << "CHECK failed: " #cond " — " << msg; /* NOLINT(bugprone-macro-parentheses) */ \
-      ::concert::panic_at(__FILE__, __LINE__, concert_check_os_.str()); \
-    }                                                                 \
+/// The failure branch is a cold, never-inlined lambda behind a predicted-false
+/// test, so a check on a hot path costs one compare-and-branch: the stream
+/// formatting (and its stack frame) stays out of the checking function.
+#define CONCERT_CHECK(cond, msg)                                        \
+  do {                                                                  \
+    if (__builtin_expect(!(cond), 0)) {                                 \
+      [&]() __attribute__((cold, noinline)) {                           \
+        std::ostringstream concert_check_os_;                           \
+        concert_check_os_ << "CHECK failed: " #cond " — " << msg; /* NOLINT(bugprone-macro-parentheses) */ \
+        ::concert::panic_at(__FILE__, __LINE__, concert_check_os_.str()); \
+      }();                                                              \
+    }                                                                   \
   } while (0)
 
 #define CONCERT_UNREACHABLE(msg) ::concert::panic_at(__FILE__, __LINE__, std::string("unreachable: ") + (msg))
