@@ -23,7 +23,7 @@
 // with per-call-site profiling and writes SITES_sor.json.
 // --postmortem-demo deliberately stalls a small run (a phantom work credit
 // the watchdog then reports) and leaves POSTMORTEM_demo.json behind — the CI
-// artifact exercising the flight-recorder dump end to end.
+// artifact exercising the postmortem dump end to end.
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -679,7 +679,7 @@ void run_sites_sor() {
 }
 
 // ---------------------------------------------------------------------------
-// Postmortem demo (--postmortem-demo): run a small SOR so the flight rings
+// Postmortem demo (--postmortem-demo): run a small SOR so the event rings
 // and health samplers hold real history, then leak one phantom work credit —
 // the threaded analogue of a lost reply on a real transport. The watchdog
 // declares a stall and dumps POSTMORTEM_demo.json (the CI artifact); the

@@ -148,4 +148,11 @@ MethodId MethodRegistry::find(const std::string& name) const {
   return kInvalidMethod;
 }
 
+std::string method_name_or_id(const std::vector<MethodInfo>& methods, MethodId m) {
+  if (m < methods.size() && !methods[m].name.empty()) return methods[m].name;
+  std::string out = "#";
+  out.append(std::to_string(m));
+  return out;
+}
+
 }  // namespace concert

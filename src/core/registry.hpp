@@ -284,4 +284,8 @@ class MethodRegistry {
   bool specialize_ = false;
 };
 
+/// `methods[m].name`, or "#m" when `m` is out of range or unnamed: the one
+/// fallback every diagnostic and artifact writer prints for a method id.
+std::string method_name_or_id(const std::vector<MethodInfo>& methods, MethodId m);
+
 }  // namespace concert

@@ -182,7 +182,7 @@ void invoke_with_continuation(Node& nd, MethodId method, GlobalRef target, const
       site->fallback_ns.record(site_now_ns() - site_t0);
     }
   };
-  nd.trace(TraceKind::StackRun, method);
+  nd.trace<TraceKind::StackRun>(method);
   // Inclusive wall latency of the stack execution (records on every return
   // path below); a no-op when metrics are off.
   ScopedInvokeLatency lat(nd.metrics(), method);

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <unordered_map>
 
+#include "support/json.hpp"
+
 namespace concert {
 
 const char* crit_kind_name(CritKind k) {
@@ -29,20 +31,12 @@ std::string method_name_of(const TraceDump& dump, MethodId m) {
   return dump.method_names[m];
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
+/// Batch-level annotations (drains, waves, parks) mark no causal step of
+/// their own. Walking through them would let a drain recorded between a send
+/// and its receive outrank the send as the receive's predecessor, hiding
+/// every network hop, so the analysis skips them.
+bool annotation(TraceKind k) {
+  return k == TraceKind::InboxDrain || k == TraceKind::WaveRun || k == TraceKind::Park;
 }
 
 }  // namespace
@@ -54,17 +48,22 @@ CritPathReport analyze_critical_path(const TraceDump& dump) {
 
   // Flatten: per-event display timestamp, per-node program-order index lists,
   // and each event's position within its node's list (its program-order
-  // predecessor is the previous entry).
+  // predecessor is the previous entry). Annotations stay out of the lists.
   std::vector<double> ts(n_ev);
   std::vector<std::vector<std::size_t>> by_node(dump.node_count);
   std::vector<std::size_t> pos(n_ev);
+  std::vector<std::size_t> live;  // non-annotation events, in dump order
+  live.reserve(n_ev);
   for (std::size_t i = 0; i < n_ev; ++i) {
     ts[i] = display_ts(dump, dump.events[i].rec);
+    if (annotation(dump.events[i].rec.kind)) continue;
+    live.push_back(i);
     const NodeId nd = dump.events[i].node;
     if (nd >= by_node.size()) by_node.resize(nd + 1);
     pos[i] = by_node[nd].size();
     by_node[nd].push_back(i);
   }
+  if (live.empty()) return rep;
 
   // Causal sources: flow id -> originating event. A recv whose send was
   // overwritten in the ring simply has no entry (the walk falls back to
@@ -80,8 +79,8 @@ CritPathReport analyze_critical_path(const TraceDump& dump) {
 
   // Terminal event: globally latest (ties broken by node then position, so
   // the walk is deterministic on deterministic traces).
-  std::size_t terminal = 0;
-  for (std::size_t i = 1; i < n_ev; ++i) {
+  std::size_t terminal = live.front();
+  for (const std::size_t i : live) {
     const bool later =
         ts[i] > ts[terminal] ||
         (ts[i] == ts[terminal] && (dump.events[i].node > dump.events[terminal].node ||
@@ -89,8 +88,8 @@ CritPathReport analyze_critical_path(const TraceDump& dump) {
                                     pos[i] > pos[terminal])));
     if (later) terminal = i;
   }
-  double t_min = ts[0];
-  for (std::size_t i = 1; i < n_ev; ++i) t_min = std::min(t_min, ts[i]);
+  double t_min = ts[terminal];
+  for (const std::size_t i : live) t_min = std::min(t_min, ts[i]);
   rep.t_min_us = t_min;
   rep.t_max_us = ts[terminal];
   rep.span_us = rep.t_max_us - t_min;
@@ -336,10 +335,13 @@ void write_critpath_chrome(const CritPathReport& r, const TraceDump& dump, std::
   for (const CritSegment& s : r.path) {
     ChromeSlice slice;
     slice.cat = crit_kind_name(s.kind);
-    slice.name = std::string(crit_kind_name(s.kind));
-    if (s.method != kInvalidMethod) slice.name += ":" + method_name_of(dump, s.method);
+    slice.name = crit_kind_name(s.kind);
+    if (s.method != kInvalidMethod) {
+      slice.name.append(":").append(method_name_of(dump, s.method));
+    }
     if (s.kind == CritKind::Network) {
-      slice.name += " " + std::to_string(s.from_node) + "->" + std::to_string(s.node);
+      slice.name.append(" ").append(std::to_string(s.from_node)).append("->");
+      slice.name.append(std::to_string(s.node));
     }
     slice.ts_us = s.t0_us;
     slice.dur_us = s.us();

@@ -16,7 +16,11 @@
 //   compute  same-node DispatchBegin -> DispatchEnd (a context step ran)
 //   network  MsgSend -> MsgRecv across the matching flow id (wire + buffer)
 //   wait     same-node Suspend -> Resume on one flow id (blocked on a reply)
-//   sched    everything else on-node (queueing, drain, flush, stack runs)
+//   sched    everything else on-node (queueing, flush, stack runs)
+//
+// InboxDrain, WaveRun and Park records are batch annotations, not causal
+// steps: the walk skips them, so a drain recorded between a send and its
+// receive cannot hide the network hop.
 //
 // Segments telescope, so compute + network + wait + sched exactly covers the
 // span from where the walk ends to the terminal event; whatever precedes the

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "verify/conformance.hpp"
 
@@ -98,9 +99,7 @@ std::string Machine::stall_report() const {
       os << " suspended=" << susp.size();
       for (const auto& [id, sc] : susp) {
         os << "\n    ctx " << n << ":" << id << " in "
-           << (sc.method < registry_.size() ? registry_.info(sc.method).name
-                                            : "#" + std::to_string(sc.method))
-           << " (flow " << sc.flow << ")";
+           << method_name_or_id(registry_.methods(), sc.method) << " (flow " << sc.flow << ")";
       }
       if (!rec.vclock().empty()) {
         os << "\n    vclock frontier:";
@@ -161,7 +160,7 @@ std::vector<MergedSite> merged_sites(const Machine& m) {
 
 std::string site_method_name(const Machine& m, MethodId id) {
   if (id == kInvalidMethod) return "(message)";
-  return id < m.registry().size() ? m.registry().info(id).name : "#" + std::to_string(id);
+  return method_name_or_id(m.registry().methods(), id);
 }
 
 }  // namespace
@@ -217,13 +216,17 @@ void export_metrics(const Machine& machine, MetricsRegistry& out) {
       {"concert_wave_runs_total", t.wave_runs},
       {"concert_wave_msgs_total", t.wave_msgs},
       {"concert_wave_max", t.wave_max},
-      {"concert_trace_records_dropped_total", t.msgs_dropped_trace},
   };
   for (const auto& [name, value] : counters) out.add_counter(name, "", value);
+  std::uint64_t dropped = 0;
+  for (NodeId nid = 0; nid < machine.node_count(); ++nid) {
+    dropped += machine.node(nid).tracer.dropped();
+  }
+  out.add_counter("concert_trace_records_dropped_total", "", dropped);
 
   // concert-insight: merged queue-depth health samples plus a load-skew
-  // gauge (max/mean of per-node mean live contexts). Empty unless the
-  // flight recorder was on and an engine took samples.
+  // gauge (max/mean of per-node mean live contexts). Empty until an engine
+  // has taken samples.
   {
     Histogram ready_h;
     Histogram outbox_h;
@@ -324,21 +327,6 @@ void export_metrics(const Machine& machine, MetricsRegistry& out) {
 }
 
 void write_sites_json(const Machine& machine, std::ostream& os) {
-  const auto esc = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-        out.push_back(c);
-      } else if (c == '\n') {
-        out += "\\n";
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  };
   const auto hist = [&os](const char* key, const Histogram& h) {
     os << "\"" << key << "\": {\"count\": " << h.count() << ", \"mean\": " << h.mean()
        << ", \"p50\": " << h.quantile(0.5) << ", \"p99\": " << h.quantile(0.99)
@@ -363,8 +351,8 @@ void write_sites_json(const Machine& machine, std::ostream& os) {
   for (const MergedSite& s : merged_sites(machine)) {
     if (!first) os << ",";
     first = false;
-    os << "\n    {\"caller\": \"" << esc(site_method_name(machine, s.caller))
-       << "\", \"callee\": \"" << esc(site_method_name(machine, s.rec.callee))
+    os << "\n    {\"caller\": \"" << json_escape(site_method_name(machine, s.caller))
+       << "\", \"callee\": \"" << json_escape(site_method_name(machine, s.rec.callee))
        << "\", \"invokes\": " << s.rec.invokes << ", \"remote\": " << s.rec.remote
        << ", \"attempts\": " << s.rec.attempts << ", \"nb_hits\": " << s.rec.nb_hits
        << ", \"fallbacks\": " << s.rec.fallbacks << ", \"diverts\": " << s.rec.diverts

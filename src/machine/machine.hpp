@@ -96,10 +96,10 @@ class Machine {
   std::string stall_report() const;
 
   // ---- concert-insight (postmortems) ----
-  /// Serializes the machine-readable postmortem: per-node queue depths,
-  /// flight-recorder rings, health aggregates, suspended-context chains and
-  /// vclock frontiers (machine/postmortem.cpp). Callable any time the nodes
-  /// are not concurrently mutating.
+  /// Serializes the machine-readable postmortem: per-node queue depths, the
+  /// newest 256 events of each node's ring, health aggregates,
+  /// suspended-context chains and vclock frontiers (machine/postmortem.cpp).
+  /// Callable any time the nodes are not concurrently mutating.
   void write_postmortem(std::ostream& os, const std::string& reason) const;
   /// Writes the postmortem to MachineConfig::postmortem_path — at most once
   /// per run (engines re-arm at run start) and a no-op when the path is
@@ -151,10 +151,10 @@ class Machine {
 class MetricsRegistry;
 
 /// Fills `out` with the machine's counters and histograms: every NodeStats
-/// field summed across nodes, plus (when MachineConfig::metrics was on) the
-/// merged invocation-latency, per-method latency, inbox-depth,
-/// context-lifetime and flush-size histograms, plus (when
-/// MachineConfig::flight_recorder was on) merged queue-depth health
+/// field summed across nodes and the trace rings' dropped-record total, plus
+/// (when MachineConfig::metrics was on) the merged invocation-latency,
+/// per-method latency, inbox-depth, context-lifetime and flush-size
+/// histograms, plus (once an engine has sampled) merged queue-depth health
 /// histograms and a load-skew gauge, plus (when MachineConfig::profile_sites
 /// was on) per-call-edge counters and latency histograms. Call after
 /// quiescence.

@@ -24,12 +24,16 @@ struct MachineConfig {
   CostModel costs = CostModel::workstation();
   ExecMode mode = ExecMode::Hybrid3;
   FallbackPolicy policy = FallbackPolicy::RevertToParallel;
-  /// Record scheduler-level events for chrome://tracing / Perfetto export.
+  /// Full-detail event ring (machine/trace.hpp): every event kind, with wall
+  /// stamps and causal flow ids, for chrome://tracing / Perfetto export. Off,
+  /// each node still keeps its always-on coarse window of the newest 256
+  /// scheduler events for POSTMORTEM.json.
   bool trace = false;
-  /// Per-node trace ring capacity, in records. When a node's ring fills, the
-  /// oldest records are overwritten and counted as dropped (surfaced in the
-  /// export metadata and NodeStats::msgs_dropped_trace) — long traced runs
-  /// keep the newest window instead of growing without bound.
+  /// Per-node full-detail ring capacity, in records. When a node's ring
+  /// fills, the oldest records are overwritten and counted as dropped
+  /// (surfaced in the export metadata and concert_trace_records_dropped_total)
+  /// — long traced runs keep the newest window instead of growing without
+  /// bound.
   std::size_t trace_capacity = std::size_t{1} << 20;
   /// concert-scope latency/queue-depth histograms: per-method invocation
   /// latency, inbox depth at drain, context lifetime, outbox flush size.
@@ -46,7 +50,6 @@ struct MachineConfig {
   /// Immediate (default) bypasses staging and reproduces the seed behaviour
   /// bit-for-bit; SizeThreshold/FlushOnIdle coalesce messages into bundles.
   FlushPolicy flush_policy = FlushPolicy::immediate();
-  std::uint64_t seed = 0x5eed;
   /// Dynamic conformance sanitizer (src/verify/): nodes record observed call
   /// edges and blocking/continuation events, checked against the registry's
   /// declared facts at quiescence. Recording is outside the cost model, so
@@ -94,19 +97,6 @@ struct MachineConfig {
   /// 0 (default) disables the watchdog; every pre-existing run, clock and
   /// paper table is bit-identical with it off.
   std::uint64_t stall_timeout = 0;
-  /// Flight recorder (concert-insight): a tiny fixed-capacity per-node ring
-  /// of coarse scheduler events (dispatch, delivery, suspend/resume, drains,
-  /// flushes, waves, parks) plus periodic queue-depth health samples — the
-  /// lightweight always-on complement to the full tracer. ON by default:
-  /// recording is one branch plus a masked store, reads no wall clock, and
-  /// stays outside the cost model, so simulated clocks and the paper tables
-  /// are bit-identical with it on or off (test-guarded) and the wall-clock
-  /// cost is within noise (CI-guarded against the throughput floors). The
-  /// ring feeds POSTMORTEM.json when a stall or panic ends the run.
-  bool flight_recorder = true;
-  /// Flight-recorder ring capacity per node, in records (rounded up to a
-  /// power of two, minimum 16).
-  std::size_t flight_capacity = 256;
   /// Per-call-site profiler (concert-insight): per declared call edge
   /// (caller method -> callee method) invocation / NB-hit / fallback /
   /// divert counters and log2 stack-latency histograms, recorded on the
@@ -116,7 +106,7 @@ struct MachineConfig {
   /// Exported through MetricsRegistry and write_sites_json (SITES_*.json).
   bool profile_sites = false;
   /// Where the stall watchdog and the engines' panic paths write the
-  /// machine-readable postmortem (flight rings, queue depths, suspended-
+  /// machine-readable postmortem (event rings, queue depths, suspended-
   /// context chains, vclock frontier) before rethrowing. One dump per run;
   /// empty disables the file without affecting the free-text stall_report()
   /// carried in the exception message. Rendered by `concert_trace postmortem`.

@@ -214,8 +214,13 @@ class MpscQueue {
     ++c.count;
   }
 
-  std::atomic<QNode*> head_;  ///< Push end (producers exchange onto it).
-  QNode* tail_;               ///< Pop end: a consumed dummy node (consumer only).
+  // Each end on its own cache line: producers' exchanges on head_ must not
+  // invalidate the line holding tail_, or whatever fields of the enclosing
+  // Node happen to share it, on every push. It also makes Node 64-byte
+  // aligned, so which of its fields share a line no longer depends on where
+  // the allocator placed it.
+  alignas(64) std::atomic<QNode*> head_;  ///< Push end (producers exchange onto it).
+  alignas(64) QNode* tail_;               ///< Pop end: a consumed dummy node (consumer only).
 };
 
 }  // namespace concert

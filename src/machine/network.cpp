@@ -6,7 +6,7 @@
 
 namespace concert {
 
-SimNetwork::SimNetwork(std::size_t nodes, const CostModel& costs)
+SimNetwork::SimNetwork(std::size_t nodes, CostModel costs)
     : costs_(costs), nnodes_(nodes), queues_(nodes), channel_last_(nodes * nodes, 0) {}
 
 void SimNetwork::inject(Message msg, std::uint64_t sender_clock) {

@@ -18,7 +18,8 @@ namespace concert {
 
 class SimNetwork {
  public:
-  SimNetwork(std::size_t nodes, const CostModel& costs);
+  /// Keeps its own copy of `costs`, so a temporary cost model is fine.
+  SimNetwork(std::size_t nodes, CostModel costs);
 
   /// Injects a message. `sender_clock` is the sender's clock *after* it paid
   /// the send overhead. Computes and stamps deliver_at.
@@ -60,7 +61,7 @@ class SimNetwork {
     }
   };
 
-  const CostModel& costs_;
+  CostModel costs_;
   std::size_t nnodes_;
   /// Per-destination min-heaps (std::push_heap/pop_heap over a plain vector,
   /// so pop can *move* the message out instead of copying off top()).

@@ -10,15 +10,13 @@
 namespace concert {
 
 Node::Node(NodeId id, Machine& machine)
-    : rng(machine.config().seed * 0x9e3779b97f4a7c15ull + id + 1),
-      id_(id),
+    : id_(id),
       machine_(machine),
       cfg_(machine.config()),
       arena_(id),
       objects_(id) {
   verifier.set_enabled(cfg_.verify);
   if (cfg_.metrics) metrics_ = std::make_unique<NodeMetrics>();
-  if (cfg_.flight_recorder) flight.enable(cfg_.flight_capacity);
   if (cfg_.profile_sites) sites_.enable();
 }
 
@@ -128,15 +126,12 @@ void Node::suspend(Context& ctx) {
   } else {
     ctx.status = ContextStatus::Waiting;
     ++stats.suspensions;
-    frec(FlightKind::Suspend, ctx.method, ctx.id);
     verifier.record_block(ctx.method);
-    if (tracer.enabled()) {
-      // A fresh flow id per suspension: the matching Resume re-records it,
-      // exporting the pair as one Perfetto flow even if the context
-      // suspends again later.
-      ctx.trace_flow = machine_.next_trace_cause();
-      trace(TraceKind::Suspend, ctx.method, ctx.trace_flow);
-    }
+    // A fresh flow id per suspension when tracing: the matching Resume
+    // re-records it, exporting the pair as one Perfetto flow even if the
+    // context suspends again later.
+    if (tracer.enabled()) ctx.trace_flow = machine_.next_trace_cause();
+    trace<TraceKind::Suspend>(ctx.method, ctx.id, ctx.trace_flow);
     // After the tracer so the entry carries this suspension's flow id; the
     // join==0 fast path above and run_one's deadlock quarantine are
     // deliberately untracked (the former resumes immediately, the latter is
@@ -147,9 +142,8 @@ void Node::suspend(Context& ctx) {
 
 void Node::resume(Context& ctx) {
   ++stats.resumptions;
-  frec(FlightKind::Resume, ctx.method, ctx.id);
   verifier.record_resume(ctx.id);
-  trace(TraceKind::Resume, ctx.method, ctx.trace_flow);
+  trace<TraceKind::Resume>(ctx.method, ctx.id, ctx.trace_flow);
   if (fallback_policy() == FallbackPolicy::AlwaysRetrySequential && ctx.reverted) {
     // Ablation A1: this policy re-runs the method on the stack at every
     // resumption; if it blocks again it pays the unwinding again. Charged as
@@ -206,8 +200,7 @@ bool Node::run_one() {
   ctx.status = ContextStatus::Running;
   charge(costs().dispatch);
   const MethodId method = ctx.method;
-  frec(FlightKind::Dispatch, method, ctx.id);
-  trace(TraceKind::DispatchBegin, method);
+  trace<TraceKind::DispatchBegin>(method, ctx.id);
   const ParStep par = dispatch(method).par;
   CONCERT_CHECK(par != nullptr, "context " << ctx.ref() << " has no parallel version");
   {
@@ -215,7 +208,7 @@ bool Node::run_one() {
     ScopedInvokeLatency lat(metrics_.get(), method);
     par(*this, ctx);
   }
-  trace(TraceKind::DispatchEnd, method);
+  trace<TraceKind::DispatchEnd>(method);
   return true;
 }
 
@@ -266,7 +259,7 @@ void Node::send(Message msg) {
     const std::uint64_t c = costs().send_cost(is_reply, msg.size_bytes());
     charge(c);
     stats.comm_instructions += c;
-    trace(TraceKind::MsgSend, msg.method, msg.cause);
+    trace<TraceKind::MsgSend>(msg.method, msg.dst, msg.cause);
     ++stats.msgs_sent;
     if (is_reply) ++stats.replies_sent;
     stats.bytes_sent += msg.size_bytes();
@@ -278,7 +271,7 @@ void Node::send(Message msg) {
   // quiescence detection stays sound in both engines.
   charge(costs().outbox_stage);
   stats.comm_instructions += costs().outbox_stage;
-  trace(TraceKind::MsgSend, msg.method, msg.cause);
+  trace<TraceKind::MsgSend>(msg.method, msg.dst, msg.cause);
   ++stats.msgs_sent;
   if (is_reply) ++stats.replies_sent;
   const NodeId dst = msg.dst;
@@ -312,8 +305,7 @@ void Node::flush_outbox(NodeId dst) {
     ++stats.bundles_sent;
     stats.msgs_coalesced += n;
   }
-  frec(FlightKind::OutboxFlush, kInvalidMethod, static_cast<std::uint32_t>(n));
-  trace(TraceKind::OutboxFlush, kInvalidMethod);
+  trace<TraceKind::OutboxFlush>(kInvalidMethod, static_cast<std::uint32_t>(n));
   machine_.route(*this, std::move(out));
   // Retire the staged elements' outstanding-work credits only after the
   // bundle's own credit exists (Dijkstra counting stays non-zero throughout).
@@ -339,7 +331,7 @@ void Node::deliver(Message& msg) {
     ++stats.bundles_received;
     for (Message& e : msg.bundle) {
       ++stats.msgs_received;
-      trace(TraceKind::MsgRecv, e.method, e.cause);
+      trace<TraceKind::MsgRecv>(e.method, e.src, e.cause);
       deliver_element(e);
     }
     return;
@@ -349,15 +341,11 @@ void Node::deliver(Message& msg) {
   charge(c);
   stats.comm_instructions += c;
   ++stats.msgs_received;
-  trace(TraceKind::MsgRecv, msg.method, msg.cause);
+  trace<TraceKind::MsgRecv>(msg.method, msg.src, msg.cause);
   deliver_element(msg);
 }
 
 void Node::deliver_element(Message& msg) {
-  // One flight record per delivered message, whether it arrived plain, in a
-  // bundle, or as the non-wave remainder of a drained batch (wave runs are
-  // recorded once as WaveRun instead).
-  frec(FlightKind::Deliver, msg.method, msg.src);
   // Delivery-order sanitizer (concert-race): join the sender's stamp into
   // this node's clock, and probe Invoke deliveries per target object for
   // unordered (concurrent-stamped) method pairs.
@@ -480,7 +468,7 @@ void Node::deliver_batch(std::vector<Message>& batch) {
       ++stats.bundles_received;
       for (Message& e : msg.bundle) {
         ++stats.msgs_received;
-        trace(TraceKind::MsgRecv, e.method, e.cause);
+        trace<TraceKind::MsgRecv>(e.method, e.src, e.cause);
         feed(e, /*accounted=*/true);
       }
       flush_run();
@@ -504,14 +492,14 @@ void Node::execute_wave(MethodId method, bool recv_accounted) {
     charge(recv);
     stats.comm_instructions += recv;
     stats.msgs_received += n;
-    for (const Message* m : wave_msgs_) trace(TraceKind::MsgRecv, method, m->cause);
+    for (const Message* m : wave_msgs_) trace<TraceKind::MsgRecv>(method, m->src, m->cause);
   }
   charge_seq_call(*this, Schema::NonBlocking);
   charge((costs().wave_member + costs().lock_check) * n);
   stats.stack_calls += n;
   stats.stack_completions += n;
   stats.record_wave(n);
-  frec(FlightKind::WaveRun, method, static_cast<std::uint32_t>(n));
+  trace<TraceKind::WaveRun>(method, static_cast<std::uint32_t>(n));
   if (sites_.enabled()) {
     // Wave members are wrapper-path executions: no declared caller, so they
     // aggregate under the "(message)" pseudo-caller. A wave only ever runs
@@ -521,7 +509,6 @@ void Node::execute_wave(MethodId method, bool recv_accounted) {
     site.attempts += n;
     site.nb_hits += n;
   }
-  trace(TraceKind::StackRun, method);
   if (metrics_) metrics_->wave_size.record(n);
   {
     // One latency bracket for the whole run (the per-message path records one
@@ -581,7 +568,7 @@ std::size_t Node::drain_inbox(std::vector<Message>& out, std::size_t max) {
   const std::size_t n = inbox_.drain(std::back_inserter(out), max);
   if (n > 0) {
     stats.record_inbox_batch(n);
-    frec(FlightKind::InboxDrain, kInvalidMethod, static_cast<std::uint32_t>(n));
+    trace<TraceKind::InboxDrain>(kInvalidMethod, static_cast<std::uint32_t>(n));
     if (metrics_) metrics_->inbox_depth.record(n);
   }
   return n;
@@ -601,7 +588,7 @@ void Node::park_inbox(std::chrono::microseconds timeout) {
     // that rides on the wake — every queued message holds its work credit.
     if (inbox_.consumer_empty()) {
       ++stats.inbox_parks;
-      frec(FlightKind::Park);
+      trace<TraceKind::Park>(kInvalidMethod);
       park_cv_.wait_for(lk, timeout);
       // Consumer-side wakeup accounting (producers must not touch another
       // node's stats): a park that ends with work waiting was a productive

@@ -32,9 +32,7 @@
 #include "objects/location_cache.hpp"
 #include "objects/object_space.hpp"
 #include "support/arena.hpp"
-#include "support/flight_recorder.hpp"
 #include "support/histogram.hpp"
-#include "support/rng.hpp"
 #include "support/site_profiler.hpp"
 #include "support/stats.hpp"
 #include "verify/recorder.hpp"
@@ -59,6 +57,25 @@ struct NodeMetrics {
     return per_method[m];
   }
   std::vector<Histogram> per_method;
+};
+
+/// Periodic queue-depth samples for one node (concert-insight). Engines call
+/// Node::sample_health from the node's owning thread — the deterministic
+/// engine every 4096 actions, the threaded engine every 1024 loop turns —
+/// outside the cost model. Histograms, so the postmortem and metrics export
+/// can report p50/p99 depth and load skew across nodes.
+struct HealthStats {
+  std::uint64_t samples = 0;
+  Histogram ready_depth;
+  Histogram outbox_depth;
+  Histogram live_ctx;
+
+  void add(std::uint64_t ready, std::uint64_t outbox, std::uint64_t live) {
+    ++samples;
+    ready_depth.record(ready);
+    outbox_depth.record(outbox);
+    live_ctx.record(live);
+  }
 };
 
 /// RAII invocation-latency probe: stamps steady_clock on entry and records
@@ -275,26 +292,23 @@ class Node {
   BlockInjector& injector() { return injector_; }
   const BlockInjector& injector() const { return injector_; }
 
-  // ---- observability (concert-scope) ----
-  /// Records one trace event when tracing is on (one branch when off),
-  /// mirroring ring overwrites into stats.msgs_dropped_trace. `cause` links
-  /// flow pairs (send/recv, suspend/resume); 0 means none.
-  void trace(TraceKind kind, MethodId method, std::uint64_t cause = 0) {
-    if (tracer.enabled() && tracer.record(clock_, kind, method, cause)) {
-      ++stats.msgs_dropped_trace;
+  // ---- observability (concert-scope, concert-insight) ----
+  /// Records one event in this node's ring: coarse kinds always, fine kinds
+  /// only when MachineConfig::trace is on (trace.hpp). The kind is a template
+  /// argument so that test folds away at compile time. `arg` is the kind's
+  /// payload; `cause` links flow pairs (send/recv, suspend/resume) and is
+  /// nonzero only when tracing. Never charges the cost model.
+  template <TraceKind K>
+  void trace(MethodId method, std::uint32_t arg = 0, std::uint64_t cause = 0) {
+    if constexpr (!trace_kind_coarse(K)) {
+      if (!tracer.enabled()) return;
     }
+    tracer.record(clock_, K, method, arg, cause);
   }
   /// Histogram recorders, or nullptr when MachineConfig::metrics is off.
   NodeMetrics* metrics() { return metrics_.get(); }
   const NodeMetrics* metrics() const { return metrics_.get(); }
 
-  // ---- observability (concert-insight) ----
-  /// Records one flight-recorder event when the ring is enabled (one branch
-  /// plus a masked store when on, one branch when off). Never charges the
-  /// cost model and reads no wall clock, so runs are bit-identical either way.
-  void frec(FlightKind kind, MethodId method = kInvalidMethod, std::uint32_t arg = 0) {
-    if (flight.enabled()) flight.record(clock_, kind, method, arg);
-  }
   /// Takes one queue-depth health sample. Engines call this periodically
   /// from whichever thread owns the node (the deterministic engine's
   /// scheduling loop, or the node's own thread in the threaded engine).
@@ -307,12 +321,11 @@ class Node {
   const SiteProfiler& sites() const { return sites_; }
 
   NodeStats stats;
-  SplitMix64 rng;
+  /// This node's event ring (coarse window always, full trace when
+  /// MachineConfig::trace) and queue-depth health samples; both feed
+  /// POSTMORTEM.json on stall/panic. Touched only by this node's thread;
+  /// read after quiescence or thread join.
   Tracer tracer;
-  /// Always-on last-N scheduler-event ring + queue-depth health samples
-  /// (concert-insight); dumped into POSTMORTEM.json on stall/panic. Touched
-  /// only by this node's thread; read after quiescence or thread join.
-  FlightRecorder flight;
   HealthStats health;
   /// Conformance sanitizer hook (enabled from MachineConfig::verify; records
   /// nothing and costs one branch per site when off). Touched only by this

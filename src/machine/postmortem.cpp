@@ -3,12 +3,12 @@
 // The stall watchdog (concert-progress) carries a free-text stall_report()
 // inside its exception message — fine for a human scrolling a CI log, hostile
 // to anything that wants to *parse* the failure. write_postmortem serializes
-// the same state, plus the flight-recorder rings and health aggregates, as a
-// structured JSON document: per-node queue depths, the last-N coarse
-// scheduler events, suspended-context tables with their local continuation
-// chains, and the vclock frontier. Both engines dump it (at most once per
-// run) when the watchdog fires or a protocol panic unwinds the run, then
-// rethrow; `concert_trace postmortem` renders the file.
+// the same state, plus the newest events of each node's ring and its health
+// aggregates, as a structured JSON document: per-node queue depths, the last
+// 256 scheduler events, suspended-context tables with their local
+// continuation chains, and the vclock frontier. Both engines dump it (at most
+// once per run) when the watchdog fires or a protocol panic unwinds the run,
+// then rethrow; `concert_trace postmortem` renders the file.
 //
 // Thread-safety: the dump reads node-private state (rings, queues, arenas),
 // so it runs only from single-threaded positions — the deterministic engine's
@@ -21,35 +21,20 @@
 
 #include "core/registry.hpp"
 #include "machine/machine.hpp"
+#include "support/json.hpp"
 
 namespace concert {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += ' ';  // other control chars never appear in method names
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
+/// POSTMORTEM.json schema version. 2: `flight` holds the newest records of
+/// the node's one event ring, so kind "deliver" became "msg_recv" and traced
+/// runs add the fine kinds (msg_send, dispatch_end, stack_run).
+constexpr int kPostmortemSchema = 2;
 
 std::string method_name(const Machine& m, MethodId id) {
   if (id == kInvalidMethod) return "(none)";
-  return id < m.registry().size() ? m.registry().info(id).name : "#" + std::to_string(id);
+  return method_name_or_id(m.registry().methods(), id);
 }
 
 void write_hist(std::ostream& os, const char* key, const Histogram& h) {
@@ -69,7 +54,9 @@ std::vector<std::string> continuation_chain(const Machine& m, const Node& nd, Co
   Continuation k = ctx->ret;
   for (int hop = 0; hop < kMaxHops && k.valid(); ++hop) {
     if (k.target.node != nd.id()) {
-      chain.push_back("(remote node " + std::to_string(k.target.node) + ")");
+      std::string remote = "(remote node ";
+      remote.append(std::to_string(k.target.node)).append(")");
+      chain.push_back(std::move(remote));
       break;
     }
     const Context* up = nd.arena().try_resolve(k.target);
@@ -86,6 +73,7 @@ void Machine::write_postmortem(std::ostream& os, const std::string& reason) cons
   os << "{\n";
   os << "  \"tool\": \"concert-insight\",\n";
   os << "  \"analysis\": \"postmortem\",\n";
+  os << "  \"schema_version\": " << kPostmortemSchema << ",\n";
   os << "  \"reason\": \"" << json_escape(reason) << "\",\n";
   os << "  \"nodes\": " << nodes_.size() << ",\n";
   os << "  \"max_clock\": " << max_clock() << ",\n";
@@ -107,7 +95,7 @@ void Machine::write_postmortem(std::ostream& os, const std::string& reason) cons
        << ", \"contexts_allocated\": " << st.contexts_allocated << "},\n";
 
     // Health aggregates (periodic queue-depth samples; zero-count when the
-    // flight recorder was off or the engine never reached a sampling point).
+    // engine never reached a sampling point).
     os << "     \"health\": {\"samples\": " << nd.health.samples << ", ";
     write_hist(os, "ready_depth", nd.health.ready_depth);
     os << ", ";
@@ -116,14 +104,15 @@ void Machine::write_postmortem(std::ostream& os, const std::string& reason) cons
     write_hist(os, "live_ctx", nd.health.live_ctx);
     os << "},\n";
 
-    // Flight ring: the last-N coarse scheduler events, oldest first.
-    os << "     \"flight_total\": " << nd.flight.total() << ",\n";
+    // The newest events of the node's ring, oldest first; flight_total counts
+    // every event the ring recorded.
+    os << "     \"flight_total\": " << nd.tracer.total() << ",\n";
     os << "     \"flight\": [";
-    const std::vector<FlightRec> ring = nd.flight.snapshot();
+    const std::vector<TraceRecord> ring = nd.tracer.snapshot(Tracer::kCoarseWindow);
     for (std::size_t i = 0; i < ring.size(); ++i) {
-      const FlightRec& r = ring[i];
+      const TraceRecord& r = ring[i];
       os << (i == 0 ? "\n" : ",\n");
-      os << "       {\"clock\": " << r.clock << ", \"kind\": \"" << flight_kind_name(r.kind)
+      os << "       {\"clock\": " << r.clock << ", \"kind\": \"" << trace_kind_name(r.kind)
          << "\", \"method\": \"" << json_escape(method_name(*this, r.method)) << "\", \"arg\": "
          << r.arg << "}";
     }

@@ -18,7 +18,7 @@ void SimMachine::run_until_quiescent() {
   // the stall budget below, or a protocol check firing inside a node action
   // or the quiescence verifier — dumps the machine-readable POSTMORTEM.json
   // before rethrowing. The engine is single-threaded, so node-private state
-  // (flight rings, queues) is safe to read from the catch.
+  // (event rings, queues) is safe to read from the catch.
   arm_postmortem();
   try {
     run_loop();
@@ -39,13 +39,12 @@ void SimMachine::run_loop() {
   // steady_clock read stays off the per-action path (and off entirely when
   // the watchdog is disabled, keeping runs bit-identical).
   const std::uint64_t timeout_ms = config_.stall_timeout;
-  const bool health = config_.flight_recorder;
   const auto entered = std::chrono::steady_clock::now();
   while (true) {
     // Health sampling shares the watchdog's every-4096-actions cadence (and
     // fires once at action 0, so even tiny runs get one sample per run).
     // Outside the cost model: clocks are untouched.
-    if (health && (actions_ & 0xfff) == 0) sample_health_all();
+    if ((actions_ & 0xfff) == 0) sample_health_all();
     if (timeout_ms > 0 && (actions_ & 0xfff) == 0 &&
         std::chrono::steady_clock::now() - entered >= std::chrono::milliseconds(timeout_ms)) {
       const std::string pm = dump_postmortem("stall");

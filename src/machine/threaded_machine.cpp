@@ -122,7 +122,7 @@ void ThreadedMachine::node_loop(NodeId id) {
     // Health sampling (concert-insight): every 1024 loop turns, from the
     // node's own thread — no cross-thread reads, no cost-model charge. Turn 0
     // samples too, so even short runs record a baseline.
-    if ((turns++ & 0x3ff) == 0 && nd.flight.enabled()) nd.sample_health();
+    if ((turns++ & 0x3ff) == 0) nd.sample_health();
     batch.clear();
     if (nd.drain_inbox(batch, kInboxBatch) > 0) {
       if (config_.merge_waves) {

@@ -3,9 +3,11 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <string_view>
 #include <unordered_set>
 
 #include "machine/machine.hpp"
+#include "support/json.hpp"
 
 namespace concert {
 
@@ -19,6 +21,9 @@ const char* trace_kind_name(TraceKind k) {
     case TraceKind::Resume: return "resume";
     case TraceKind::StackRun: return "stack_run";
     case TraceKind::OutboxFlush: return "outbox_flush";
+    case TraceKind::InboxDrain: return "inbox_drain";
+    case TraceKind::WaveRun: return "wave_run";
+    case TraceKind::Park: return "park";
   }
   return "?";
 }
@@ -34,15 +39,22 @@ bool trace_kind_from_name(const std::string& name, TraceKind& out) {
   return false;
 }
 
-std::vector<TraceRecord> Tracer::snapshot() const {
-  std::vector<TraceRecord> out;
-  out.reserve(ring_.size());
+void Tracer::wrap_or_grow() {
   if (ring_.size() < capacity_) {
-    out = ring_;  // never wrapped: already oldest -> newest
+    ring_.resize(std::min(capacity_, std::max(kCoarseWindow, ring_.size() * 2)));
   } else {
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head_), ring_.end());
-    out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head_));
+    next_ = 0;
   }
+}
+
+std::vector<TraceRecord> Tracer::snapshot(std::size_t newest) const {
+  const std::size_t n = std::min(size(), newest);
+  // Before the first wrap the records sit in [0, next_); once the ring has
+  // filled, the oldest is at the write position.
+  const std::size_t end = total_ >= ring_.size() ? next_ + ring_.size() : next_;
+  std::vector<TraceRecord> out;
+  out.reserve(n);
+  for (std::size_t i = end - n; i < end; ++i) out.push_back(ring_[i % ring_.size()]);
   return out;
 }
 
@@ -57,6 +69,7 @@ TraceDump dump_trace(const Machine& machine, bool wall_time) {
   }
   for (NodeId nid = 0; nid < machine.node_count(); ++nid) {
     const Tracer& t = machine.node(nid).tracer;
+    if (!t.enabled()) continue;
     d.dropped += t.dropped();
     for (const TraceRecord& r : t.snapshot()) d.events.push_back(TraceEvent{nid, r});
   }
@@ -64,14 +77,15 @@ TraceDump dump_trace(const Machine& machine, bool wall_time) {
 }
 
 // ---------------------------------------------------------------------------
-// Binary dump: "CTRACE01" magic, header, method-name table, flat event list.
+// Binary dump: "CTRACE02" magic, header, method-name table, flat event list.
 // Host-endian fixed-width fields — the dump is a same-machine artifact (CI
-// produces and consumes it in one job), not an interchange format.
+// produces and consumes it in one job), not an interchange format. CTRACE02
+// added each event's u32 `arg` after its kind byte.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-constexpr char kMagic[8] = {'C', 'T', 'R', 'A', 'C', 'E', '0', '1'};
+constexpr char kMagic[8] = {'C', 'T', 'R', 'A', 'C', 'E', '0', '2'};
 
 template <typename T>
 void put(std::ostream& os, T v) {
@@ -107,6 +121,7 @@ void write_binary_trace(const TraceDump& dump, std::ostream& os) {
     put<std::uint32_t>(os, e.node);
     put<std::uint32_t>(os, e.rec.method);
     put<std::uint8_t>(os, static_cast<std::uint8_t>(e.rec.kind));
+    put<std::uint32_t>(os, e.rec.arg);
     put<std::uint64_t>(os, e.rec.clock);
     put<std::uint64_t>(os, e.rec.wall_ns);
     put<std::uint64_t>(os, e.rec.cause);
@@ -117,7 +132,7 @@ bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err) {
   char magic[8];
   is.read(magic, sizeof magic);
   if (!is.good() || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    return fail(err, "not a concert trace (bad magic; expected CTRACE01)");
+    return fail(err, "not a concert trace (bad magic; expected CTRACE02)");
   }
   std::uint32_t nodes = 0, n_methods = 0;
   std::uint8_t wall = 0;
@@ -143,16 +158,18 @@ bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err) {
   out.events.reserve(static_cast<std::size_t>(n_events));
   for (std::uint64_t i = 0; i < n_events; ++i) {
     TraceEvent e;
-    std::uint32_t node = 0, method = 0;
+    std::uint32_t node = 0, method = 0, arg = 0;
     std::uint8_t kind = 0;
-    if (!get(is, node) || !get(is, method) || !get(is, kind) || !get(is, e.rec.clock) ||
-        !get(is, e.rec.wall_ns) || !get(is, e.rec.cause)) {
+    if (!get(is, node) || !get(is, method) || !get(is, kind) || !get(is, arg) ||
+        !get(is, e.rec.clock) || !get(is, e.rec.wall_ns) || !get(is, e.rec.cause)) {
       return fail(err, "truncated event list");
     }
     if (kind >= kTraceKindCount) return fail(err, "bad event kind");
+    if (arg > kTraceArgMax) return fail(err, "bad event arg");
     e.node = static_cast<NodeId>(node);
     e.rec.method = method;
     e.rec.kind = static_cast<TraceKind>(kind);
+    e.rec.arg = arg;
     out.events.push_back(e);
   }
   return true;
@@ -164,9 +181,10 @@ bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err) {
 
 namespace {
 
-const char* method_name_of(const TraceDump& dump, MethodId m) {
+/// JSON-escaped method name; "(root)" for kInvalidMethod and unknown ids.
+std::string method_name_of(const TraceDump& dump, MethodId m) {
   if (m == kInvalidMethod || m >= dump.method_names.size()) return "(root)";
-  return dump.method_names[m].c_str();
+  return json_escape(dump.method_names[m]);
 }
 
 double display_ts(const TraceDump& dump, const TraceRecord& r) {
@@ -198,7 +216,7 @@ void write_chrome_trace(const TraceDump& dump, std::ostream& os,
                         const std::vector<ChromeSlice>& extra) {
   os << "{\"traceEvents\": [";
   bool first = true;
-  auto emit_head = [&](NodeId node, const char* ph, const char* name, double ts) {
+  auto emit_head = [&](NodeId node, const char* ph, std::string_view name, double ts) {
     if (!first) os << ",";
     first = false;
     os << "\n{\"pid\":0,\"tid\":" << node << ",\"ph\":\"" << ph << "\",\"name\":\"" << name
@@ -259,6 +277,9 @@ void write_chrome_trace(const TraceDump& dump, std::ostream& os,
       }
       case TraceKind::StackRun:
       case TraceKind::OutboxFlush:
+      case TraceKind::InboxDrain:
+      case TraceKind::WaveRun:
+      case TraceKind::Park:
         emit_head(e.node, "i", trace_kind_name(r.kind), ts);
         os << ",\"s\":\"t\",\"args\":{\"method\":\"" << method_name_of(dump, r.method) << "\"}}";
         break;
@@ -273,8 +294,9 @@ void write_chrome_trace(const TraceDump& dump, std::ostream& os,
     os << "\n{\"pid\":1,\"tid\":0,\"ph\":\"M\",\"name\":\"process_name\","
        << "\"args\":{\"name\":\"critical path\"}}";
     for (const ChromeSlice& s : extra) {
-      os << ",\n{\"pid\":1,\"tid\":0,\"ph\":\"X\",\"name\":\"" << s.name << "\",\"cat\":\""
-         << s.cat << "\",\"ts\":" << s.ts_us << ",\"dur\":" << s.dur_us << "}";
+      os << ",\n{\"pid\":1,\"tid\":0,\"ph\":\"X\",\"name\":\"" << json_escape(s.name)
+         << "\",\"cat\":\"" << json_escape(s.cat) << "\",\"ts\":" << s.ts_us
+         << ",\"dur\":" << s.dur_us << "}";
     }
   }
   os << "\n],\n\"metadata\": {\"tool\":\"concert-scope\",\"nodes\":" << dump.node_count

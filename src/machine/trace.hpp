@@ -1,36 +1,42 @@
-// Execution tracing (concert-scope): per-node event streams with causal
-// cross-node flow ids, exportable to the Chrome trace-event format
-// (chrome://tracing, Perfetto) and to a compact binary dump consumed by the
-// `concert_trace` CLI.
+// Per-node event ring (concert-scope + concert-insight): one bounded ring of
+// scheduler events per node, at two detail levels, exportable to the Chrome
+// trace-event format (chrome://tracing, Perfetto), to a compact binary dump
+// consumed by the `concert_trace` CLI, and to POSTMORTEM.json.
 //
-// Tracing is off by default (MachineConfig::trace) and costs one branch per
-// site when disabled. When enabled, the runtime records scheduler-level
-// events — message send/receive, context dispatch begin/end, stack runs,
-// suspension, resumption, outbox flushes — each stamped with BOTH the node's
-// simulated clock (instruction count) and a wall-clock steady_clock offset
-// from the machine's epoch, so the same recorder serves the deterministic
-// simulator (simulated-time timelines) and the threaded engine (real-time
-// timelines).
+// Coarse detail is always on. The kinds marked coarse below (dispatches,
+// deliveries, suspend/resume, drains, flushes, waves, parks) go into a fixed
+// window of the newest kCoarseWindow records per node: two predictable
+// branches and one 32-byte store per event, no wall-clock read, no causal id. When a stall or
+// a panic ends a run, the window is what POSTMORTEM.json's `flight` arrays
+// show.
 //
-// Causality: every MsgSend draws a machine-unique causal id that travels in
-// the message and is re-recorded by the receiver's MsgRecv; every Suspend
-// draws one that the matching Resume re-records. The Chrome export turns
-// these pairs into Perfetto *flow events*, making a remote invocation's
-// critical path (send -> recv -> dispatch -> reply -> resume) visible
-// end-to-end across nodes.
+// Full detail is on when MachineConfig::trace is set. Every kind is recorded,
+// each stamped with BOTH the node's simulated clock (instruction count) and a
+// wall-clock steady_clock offset from the machine's epoch, so the same ring
+// serves the deterministic simulator (simulated-time timelines) and the
+// threaded engine (real-time timelines). The ring keeps the newest
+// MachineConfig::trace_capacity records, grown on demand; older ones are
+// overwritten and counted as dropped (records written minus records retained)
+// instead of growing without bound on long runs.
 //
-// The recorder is a bounded ring: the newest MachineConfig::trace_capacity
-// records are kept per node, older ones are overwritten and counted as
-// dropped (surfaced in the export metadata and NodeStats::msgs_dropped_trace)
-// instead of growing without bound on long runs. Each Tracer is written only
-// by its owning node's thread and read after quiescence, so appends are
-// plain stores — safe in the threaded engine without atomics.
+// Causality (full detail only): every MsgSend draws a machine-unique causal
+// id that travels in the message and is re-recorded by the receiver's
+// MsgRecv; every Suspend draws one that the matching Resume re-records. The
+// Chrome export turns these pairs into Perfetto *flow events*, making a
+// remote invocation's critical path (send -> recv -> dispatch -> reply ->
+// resume) visible end-to-end across nodes.
+//
+// Recording never touches the cost model, so simulated clocks and the paper
+// tables are identical at either detail level. Each ring is written only by
+// its owning node's thread and read after quiescence or thread join, so
+// appends are plain stores — safe in the threaded engine without atomics.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -38,82 +44,114 @@
 
 namespace concert {
 
+/// Event kinds. The numbering is the binary dump's on-disk kind byte: append
+/// only, never reorder. `arg` is the record's small payload.
 enum class TraceKind : std::uint8_t {
-  MsgSend,
-  MsgRecv,
-  DispatchBegin,  ///< a heap context starts a parallel-version step
-  DispatchEnd,
-  Suspend,
-  Resume,
-  StackRun,     ///< a wrapper executed a method on the handler stack
-  OutboxFlush,  ///< an outbox destination drained into the network
+  MsgSend,        ///< fine: a message left this node (arg = destination node)
+  MsgRecv,        ///< coarse: a message was received (arg = source node)
+  DispatchBegin,  ///< coarse: a heap context starts a parallel-version step (arg = context id)
+  DispatchEnd,    ///< fine: that step returned
+  Suspend,        ///< coarse: context suspended on unfilled slots (arg = context id)
+  Resume,         ///< coarse: suspended context re-enqueued (arg = context id)
+  StackRun,       ///< fine: a wrapper executed a method on the handler stack
+  OutboxFlush,    ///< coarse: an outbox destination drained into the network (arg = messages)
+  InboxDrain,     ///< coarse: inbox batch pulled, threaded engine (arg = batch size)
+  WaveRun,        ///< coarse: merged wave executed on the stack (arg = run length)
+  Park,           ///< coarse: inbox consumer parked idle, threaded engine
 };
 
-inline constexpr std::size_t kTraceKindCount = 8;
+inline constexpr std::size_t kTraceKindCount = 11;
+
+/// True for the kinds recorded at coarse detail (always on); the rest are
+/// recorded only when MachineConfig::trace is set.
+constexpr bool trace_kind_coarse(TraceKind k) {
+  return k != TraceKind::MsgSend && k != TraceKind::DispatchEnd && k != TraceKind::StackRun;
+}
 
 const char* trace_kind_name(TraceKind k);
 /// Inverse of trace_kind_name; returns false when `name` matches no kind.
 bool trace_kind_from_name(const std::string& name, TraceKind& out);
 
+/// One ring record: 32 bytes. `wall_ns` and `cause` stay 0 at coarse detail.
 struct TraceRecord {
   std::uint64_t clock;    ///< node-local simulated instruction count
   std::uint64_t wall_ns;  ///< steady_clock ns since the machine's trace epoch
   std::uint64_t cause;    ///< causal/flow id pairing send-recv and suspend-resume; 0 = none
   MethodId method;        ///< kInvalidMethod where not applicable
-  TraceKind kind;
+  TraceKind kind : 8;
+  std::uint32_t arg : 24 = 0;  ///< per-kind payload (see TraceKind), saturated at kTraceArgMax
 };
+static_assert(sizeof(TraceRecord) == 32, "one record must stay 32 bytes");
 
-/// Per-node bounded ring recorder. Appending is O(1) with no allocation once
-/// the ring is warm; when full, the oldest record is overwritten and counted
-/// as dropped. Single-writer (the owning node's thread), read at quiescence.
+inline constexpr std::uint32_t kTraceArgMax = (1u << 24) - 1;
+
+/// Per-node bounded event ring (see the file comment for the two detail
+/// levels). Appending is O(1) with no allocation once the ring is warm; when
+/// full, the oldest record is overwritten. Single-writer (the owning node's
+/// thread), read at quiescence.
 class Tracer {
  public:
   using Clock = std::chrono::steady_clock;
+  /// Records kept at coarse detail: 256 x 32 B = 8 KB per node, allocated
+  /// at the first record.
+  static constexpr std::size_t kCoarseWindow = 256;
 
+  /// Switches to full detail: every kind, wall-stamped, up to `capacity`
+  /// records (0 keeps coarse detail). Discards anything recorded so far.
   void enable(std::size_t capacity, Clock::time_point epoch) {
-    enabled_ = capacity > 0;
-    capacity_ = capacity;
+    full_ = capacity > 0;
+    capacity_ = full_ ? capacity : kCoarseWindow;
     epoch_ = epoch;
     ring_.clear();
-    ring_.reserve(std::min<std::size_t>(capacity, 4096));  // grow on demand up to capacity
-    head_ = 0;
-    dropped_ = 0;
+    clear();
   }
-  bool enabled() const { return enabled_; }
+  /// True at full detail (MachineConfig::trace).
+  bool enabled() const { return full_; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Appends a record (caller must check enabled()). Returns true when the
-  /// ring was full and the oldest record was overwritten.
-  bool record(std::uint64_t clock, TraceKind kind, MethodId method, std::uint64_t cause = 0) {
-    const std::uint64_t wall = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - epoch_).count());
-    if (ring_.size() < capacity_) {
-      ring_.push_back(TraceRecord{clock, wall, cause, method, kind});
-      return false;
-    }
-    ring_[head_] = TraceRecord{clock, wall, cause, method, kind};
-    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-    ++dropped_;
-    return true;
+  /// Appends a record. Callers filter fine kinds on enabled() (Node::trace
+  /// does so at compile time); `cause` must be 0 at coarse detail.
+  void record(std::uint64_t clock, TraceKind kind, MethodId method, std::uint32_t arg,
+              std::uint64_t cause) {
+    if (next_ == ring_.size()) wrap_or_grow();
+    ring_[next_++] = TraceRecord{clock, full_ ? wall_ns() : 0, cause, method, kind,
+                                 std::min(arg, kTraceArgMax)};
+    ++total_;
   }
 
-  std::size_t size() const { return ring_.size(); }
-  std::uint64_t dropped() const { return dropped_; }
+  /// Records ever written since the last enable()/clear().
+  std::uint64_t total() const { return total_; }
+  /// Records retained (the newest min(total, capacity)).
+  std::size_t size() const {
+    return total_ < ring_.size() ? static_cast<std::size_t>(total_) : ring_.size();
+  }
+  /// Records overwritten at full detail (written minus retained); the coarse
+  /// window overwrites by design and reports 0.
+  std::uint64_t dropped() const { return full_ ? total_ - size() : 0; }
 
-  /// The retained records, oldest -> newest (unwraps the ring).
-  std::vector<TraceRecord> snapshot() const;
+  /// The newest `newest` retained records (all by default), oldest -> newest.
+  std::vector<TraceRecord> snapshot(
+      std::size_t newest = std::numeric_limits<std::size_t>::max()) const;
 
   void clear() {
-    ring_.clear();
-    head_ = 0;
-    dropped_ = 0;
+    next_ = 0;
+    total_ = 0;
   }
 
  private:
-  bool enabled_ = false;
-  std::size_t capacity_ = 0;
-  std::size_t head_ = 0;  ///< next overwrite position once the ring is full
-  std::uint64_t dropped_ = 0;
+  std::uint64_t wall_ns() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - epoch_).count());
+  }
+  /// Called when the write position reaches the end of the allocated ring:
+  /// grows the ring (to the coarse window, then doubling) while it is below
+  /// capacity, else wraps to the start.
+  void wrap_or_grow();
+
+  bool full_ = false;
+  std::size_t capacity_ = kCoarseWindow;
+  std::size_t next_ = 0;  ///< next write position; <= ring_.size()
+  std::uint64_t total_ = 0;
   Clock::time_point epoch_{};
   std::vector<TraceRecord> ring_;
 };
@@ -138,12 +176,15 @@ struct TraceDump {
   std::vector<TraceEvent> events;
 };
 
-/// Snapshots every node's tracer plus the registry's method names.
+/// Snapshots every node's ring plus the registry's method names.
 /// `wall_time` selects the display domain for subsequent Chrome export
-/// (true for the threaded engine, false for the simulator).
+/// (true for the threaded engine, false for the simulator). A machine built
+/// without MachineConfig::trace yields no events: its coarse windows lack
+/// sends, dispatch ends and flow ids, so they are a postmortem aid
+/// (Machine::write_postmortem), not a trace.
 TraceDump dump_trace(const Machine& machine, bool wall_time = false);
 
-/// Compact binary dump (magic "CTRACE01"), the `concert_trace` CLI's input.
+/// Compact binary dump (magic "CTRACE02"), the `concert_trace` CLI's input.
 void write_binary_trace(const TraceDump& dump, std::ostream& os);
 /// Reads a binary dump; returns false (with *err set when non-null) on a
 /// malformed or truncated stream.

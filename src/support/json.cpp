@@ -1,6 +1,7 @@
 #include "support/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -91,6 +92,7 @@ class Parser {
     while (pos_ < s_.size()) {
       const char c = s_[pos_++];
       if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return fail("raw control character in string");
       if (c != '\\') {
         out.push_back(c);
         continue;
@@ -202,6 +204,28 @@ class Parser {
 };
 
 }  // namespace
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (char ch : s) {
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
+          out += buf;
+        } else {
+          out += ch;
+        }
+    }
+  }
+  return out;
+}
 
 bool json_parse(const std::string& text, JsonValue& out, std::string* err) {
   out = JsonValue{};

@@ -1,13 +1,14 @@
-// Minimal JSON reader (concert-insight).
+// Minimal JSON reader plus the one string escaper every writer uses
+// (concert-insight).
 //
-// The runtime *writes* JSON in several places (metrics, traces, postmortems)
-// with hand-rolled emitters; nothing in-tree could *read* it back until the
-// postmortem path needed to (concert_trace postmortem renders
-// POSTMORTEM.json, and tests round-trip stall reports through it). This is a
-// deliberately small recursive-descent parser over the JSON the runtime
-// emits plus standard escapes — not a general-purpose library: no SAX mode,
-// no streaming, numbers are doubles, objects preserve insertion order and
-// are looked up linearly.
+// The runtime *writes* JSON in several places (metrics, traces, sites,
+// critical paths, postmortems, lint reports) with hand-rolled emitters; all
+// of them escape strings through json_escape below. json_parse reads the
+// artifacts back (concert_trace postmortem renders POSTMORTEM.json, and tests
+// round-trip every artifact through it). It is a deliberately small
+// recursive-descent parser over the JSON the runtime emits plus standard
+// escapes — not a general-purpose library: no SAX mode, no streaming, numbers
+// are doubles, objects preserve insertion order and are looked up linearly.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +54,13 @@ class JsonValue {
   }
 };
 
-/// Parses `text` into `out`. Returns false (and sets *err, if given, to a
+/// Escapes `s` for use inside a JSON string literal (no surrounding quotes):
+/// `"` and `\` get a backslash, newline and tab become `\n` and `\t`, and
+/// every other control character becomes `\u00XX`, as RFC 8259 requires.
+std::string json_escape(const std::string& s);
+
+/// Parses `text` into `out`. Raw control characters inside strings are
+/// rejected, as RFC 8259 requires. Returns false (and sets *err, if given, to a
 /// message with an offset) on malformed input or trailing garbage.
 bool json_parse(const std::string& text, JsonValue& out, std::string* err = nullptr);
 

@@ -3,6 +3,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "support/json.hpp"
+
 namespace concert {
 
 namespace {
@@ -12,23 +14,6 @@ std::string fmt(double v) {
   std::ostringstream os;
   os << v;
   return os.str();
-}
-
-/// Minimal JSON string escape (metric names and label values are plain
-/// identifiers in practice, but stay safe).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
 }
 
 void write_labels_json(std::ostream& os, const MetricLabels& labels) {

@@ -50,7 +50,6 @@ NodeStats& NodeStats::operator+=(const NodeStats& o) {
   wave_runs += o.wave_runs;
   wave_msgs += o.wave_msgs;
   if (o.wave_max > wave_max) wave_max = o.wave_max;
-  msgs_dropped_trace += o.msgs_dropped_trace;
   for (std::size_t i = 0; i < kBundleBuckets; ++i) bundle_size_hist[i] += o.bundle_size_hist[i];
   return *this;
 }
@@ -101,8 +100,7 @@ std::string NodeStats::summary() const {
      << " releases=" << payload_releases << " discards=" << payload_discards
      << " moves=" << payload_moves << "\n"
      << "waves: runs=" << wave_runs << " msgs=" << wave_msgs
-     << " mean=" << mean_wave_size() << " max=" << wave_max << "\n"
-     << "trace: dropped=" << msgs_dropped_trace << "\n";
+     << " mean=" << mean_wave_size() << " max=" << wave_max << "\n";
   return os.str();
 }
 

@@ -80,9 +80,6 @@ struct NodeStats {
   std::uint64_t wave_msgs = 0;  ///< Messages delivered inside merged runs.
   std::uint64_t wave_max = 0;   ///< Largest single run.
 
-  // Observability (concert-scope).
-  std::uint64_t msgs_dropped_trace = 0;  ///< Trace records overwritten by the bounded ring.
-
   /// Flush-size histogram buckets: 1, 2, 3, 4, 5-8, 9-16, 17-32, 33+.
   static constexpr std::size_t kBundleBuckets = 8;
   std::uint64_t bundle_size_hist[kBundleBuckets] = {};

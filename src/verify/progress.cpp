@@ -11,16 +11,11 @@ namespace concert::verify {
 
 namespace {
 
-std::string name_of(const std::vector<MethodInfo>& methods, MethodId m) {
-  if (m < methods.size() && !methods[m].name.empty()) return methods[m].name;
-  return "#" + std::to_string(m);
-}
-
 std::string join_path(const std::vector<MethodInfo>& methods, const std::vector<MethodId>& path) {
   std::string out;
   for (std::size_t i = 0; i < path.size(); ++i) {
     if (i != 0) out += " -> ";
-    out += name_of(methods, path[i]);
+    out += method_name_or_id(methods, path[i]);
   }
   return out;
 }
@@ -102,10 +97,10 @@ ProgressAnalysis analyze_progress(const std::vector<MethodInfo>& methods) {
         issue.other = e;
         issue.path = witness_path(parent, f, e);
         std::ostringstream why;
-        why << name_of(methods, e) << " forwards its single reply obligation to " << succ.size()
-            << " targets (";
+        why << method_name_or_id(methods, e) << " forwards its single reply obligation to "
+            << succ.size() << " targets (";
         for (std::size_t i = 0; i < succ.size(); ++i) {
-          why << (i ? ", " : "") << name_of(methods, succ[i]);
+          why << (i ? ", " : "") << method_name_or_id(methods, succ[i]);
         }
         why << "); each discharge fills the same future slot";
         issue.detail = why.str();
@@ -139,7 +134,7 @@ ProgressAnalysis analyze_progress(const std::vector<MethodInfo>& methods) {
           issue.method = f;
           issue.other = r;
           issue.path = {f, r};
-          issue.detail = "declared replier " + name_of(methods, r) +
+          issue.detail = "declared replier " + method_name_or_id(methods, r) +
                          " runs on class " + std::to_string(methods[r].class_id) +
                          ", which can never alias the banker's class " +
                          std::to_string(ei.class_id);
@@ -165,8 +160,8 @@ ProgressAnalysis analyze_progress(const std::vector<MethodInfo>& methods) {
         issue.other = e;
         issue.path = witness_path(parent, f, e);
         std::ostringstream why;
-        why << "endpoint " << name_of(methods, e) << (cp ? "'s stack-path discharge delivers "
-                                                         : " replies ")
+        why << "endpoint " << method_name_or_id(methods, e)
+            << (cp ? "'s stack-path discharge delivers " : " replies ")
             << static_cast<unsigned>(w_lo) << " value" << (w_lo == 1 ? "" : "s")
             << " against a declared budget of " << static_cast<unsigned>(budget) << "; "
             << static_cast<unsigned>(budget - w_lo) << " future slot"
@@ -181,7 +176,7 @@ ProgressAnalysis analyze_progress(const std::vector<MethodInfo>& methods) {
         issue.other = e;
         issue.path = witness_path(parent, f, e);
         std::ostringstream why;
-        why << "endpoint " << name_of(methods, e)
+        why << "endpoint " << method_name_or_id(methods, e)
             << (cp ? "'s heap-path completion delivers " : " replies ")
             << static_cast<unsigned>(w_hi) << " values against a declared budget of "
             << static_cast<unsigned>(budget)
@@ -288,20 +283,20 @@ std::string format_progress_issue(const std::vector<MethodInfo>& methods,
   // The kind is carried by the LintCode / ProgressIssueKind wherever this
   // line is displayed, so the witness itself stays "name: chain (why)".
   std::ostringstream os;
-  os << name_of(methods, issue.method) << ": " << join_path(methods, issue.path) << " ("
+  os << method_name_or_id(methods, issue.method) << ": " << join_path(methods, issue.path) << " ("
      << issue.detail << ")";
   return os.str();
 }
 
 std::string format_ledger(const std::vector<MethodInfo>& methods, const ReplyLedger& ledger) {
   std::ostringstream os;
-  os << name_of(methods, ledger.method) << " [CP budget "
+  os << method_name_or_id(methods, ledger.method) << " [CP budget "
      << static_cast<unsigned>(ledger.budget) << "]: ";
   const auto comma_join = [&methods](const std::vector<MethodId>& ms) {
     std::string s;
     for (std::size_t i = 0; i < ms.size(); ++i) {
       if (i != 0) s += ", ";
-      s += name_of(methods, ms[i]);
+      s += method_name_or_id(methods, ms[i]);
     }
     return s;
   };

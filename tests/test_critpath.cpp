@@ -117,6 +117,29 @@ TEST(CritPath, RecvWithoutSendFallsBackToProgramOrder) {
   EXPECT_DOUBLE_EQ(r.untraced_us, 0.0);
 }
 
+TEST(CritPath, BatchAnnotationsDoNotHideNetworkHops) {
+  // Threaded-engine order on node 1: a park and the drain that pulls the
+  // message are recorded between the send on node 0 and the receive; a wave
+  // annotation trails the run. None of them may stand in for the causal
+  // source or become the terminal event.
+  DumpBuilder b(2);
+  b.ev(0, 10, TraceKind::MsgSend, 1, /*cause=*/7)
+      .ev(1, 20, TraceKind::Park, kInvalidMethod)
+      .ev(1, 45, TraceKind::InboxDrain, kInvalidMethod)
+      .ev(1, 50, TraceKind::MsgRecv, 1, 7)
+      .ev(1, 60, TraceKind::DispatchBegin, 1)
+      .ev(1, 100, TraceKind::DispatchEnd, 1)
+      .ev(1, 120, TraceKind::WaveRun, 1);
+  const CritPathReport r = analyze_critical_path(b.d);
+  EXPECT_DOUBLE_EQ(r.span_us, 90.0);
+  EXPECT_DOUBLE_EQ(r.network_us, 40.0);  // 10 -> 50 via cause 7
+  EXPECT_DOUBLE_EQ(r.compute_us, 40.0);
+  EXPECT_DOUBLE_EQ(r.sched_us, 10.0);
+  EXPECT_DOUBLE_EQ(r.attributed_frac, 1.0);
+  ASSERT_EQ(r.edges.size(), 1u);
+  EXPECT_EQ(r.edges[0].hops, 1u);
+}
+
 /// The acceptance bar: on a real traced SOR run the walk must attribute at
 /// least 95% of the traced span, and the buckets must sum to the span
 /// exactly (telescoping audit).

@@ -307,14 +307,11 @@ TEST(Metrics, NodeStatsSumsNewCounters) {
   NodeStats a, b;
   a.park_wakeups = 3;
   a.cache_evictions = 1;
-  a.msgs_dropped_trace = 10;
   b.park_wakeups = 4;
   b.cache_evictions = 2;
-  b.msgs_dropped_trace = 5;
   a += b;
   EXPECT_EQ(a.park_wakeups, 7u);
   EXPECT_EQ(a.cache_evictions, 3u);
-  EXPECT_EQ(a.msgs_dropped_trace, 15u);
 }
 
 }  // namespace

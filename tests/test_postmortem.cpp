@@ -1,17 +1,18 @@
-// Structured postmortems + flight recorder (concert-insight): both engines
-// dump a parseable POSTMORTEM.json when the stall watchdog fires, the panic
-// path (quiescence-verifier throw) dumps with reason "panic", per-node
+// Structured postmortems (concert-insight): both engines dump a parseable
+// POSTMORTEM.json when the stall watchdog fires, the panic path
+// (quiescence-verifier throw) dumps with reason "panic", per-node
 // ready/outbox/live-context depths round-trip through the JSON, dumps happen
-// at most once per run and never with an empty path, and the always-on flight
-// recorder stays bit-identical in simulated time.
+// at most once per run and never with an empty path, and each node's
+// `flight` array is the newest <= 256 records of its event ring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <tuple>
+#include <vector>
 
 #include "core/invoke.hpp"
 #include "core/wrapper.hpp"
@@ -42,6 +43,7 @@ JsonValue read_postmortem(const std::string& path) {
 void check_node_reports(const JsonValue& doc, std::size_t expect_nodes) {
   EXPECT_EQ(doc.str_or("tool", ""), "concert-insight");
   EXPECT_EQ(doc.str_or("analysis", ""), "postmortem");
+  EXPECT_EQ(doc.num_or("schema_version", -1), 2.0);
   EXPECT_EQ(doc.num_or("nodes", -1), static_cast<double>(expect_nodes));
   const JsonValue* reports = doc.find("node_reports");
   ASSERT_NE(reports, nullptr);
@@ -55,6 +57,7 @@ void check_node_reports(const JsonValue& doc, std::size_t expect_nodes) {
     ASSERT_NE(nr.find("stats"), nullptr);
     ASSERT_NE(nr.find("health"), nullptr);
     ASSERT_NE(nr.find("flight"), nullptr);
+    EXPECT_LE(nr.find("flight")->arr.size(), Tracer::kCoarseWindow);
   }
   EXPECT_EQ(live_sum, doc.num_or("live_contexts", -1));
 }
@@ -68,7 +71,7 @@ TEST(Postmortem, ThreadedStallDumpsParseableReport) {
   ThreadedMachine mach(2, cfg);
   const seqbench::Ids ids = seqbench::register_seqbench(mach.registry(), true);
   mach.registry().finalize();
-  // A real run first, so the flight rings and health samplers have content.
+  // A real run first, so the event rings and health samplers have content.
   EXPECT_EQ(mach.run_main(0, ids.fib, kNoObject, {Value(10)}).as_i64(), 55);
   mach.on_work_created();  // phantom credit no action will ever retire
   try {
@@ -82,7 +85,7 @@ TEST(Postmortem, ThreadedStallDumpsParseableReport) {
   const JsonValue doc = read_postmortem(path);
   EXPECT_EQ(doc.str_or("reason", ""), "stall");
   check_node_reports(doc, 2);
-  // The fib run dispatched real work: flight rings and health samples are
+  // The fib run dispatched real work: flight arrays and health samples are
   // non-empty on node 0 (the always-on default).
   const JsonValue& n0 = doc.find("node_reports")->arr[0];
   EXPECT_GT(n0.find("flight")->arr.size(), 0u);
@@ -143,7 +146,7 @@ TEST(Postmortem, SimStallBudgetDumpsParseableReport) {
   EXPECT_EQ(doc.str_or("reason", ""), "stall");
   check_node_reports(doc, 1);
   // The livelock dispatched thousands of contexts before the budget fired:
-  // the flight ring is full of dispatch records.
+  // the coarse window is full of dispatch records.
   const JsonValue& n0 = doc.find("node_reports")->arr[0];
   EXPECT_GT(n0.find("flight")->arr.size(), 0u);
   EXPECT_GT(n0.num_or("flight_total", 0), 0.0);
@@ -267,26 +270,46 @@ TEST(Postmortem, HealthyMachineReportRoundTrips) {
   EXPECT_EQ(doc.num_or("live_contexts", -1),
             static_cast<double>(f.machine->live_contexts()));
   EXPECT_EQ(doc.num_or("max_clock", 0), static_cast<double>(f.machine->max_clock()));
-  // The always-on flight recorder captured the run.
+  // The always-on coarse window captured the run.
   EXPECT_GT(doc.find("node_reports")->arr[0].find("flight")->arr.size(), 0u);
 }
 
-TEST(Postmortem, FlightRecorderIsZeroCostInSimTime) {
-  // The on-by-default recorder (and the health sampler it gates) must not
-  // perturb simulated results: identical clocks and accounting either way.
-  const auto run = [](bool flight) {
-    MachineConfig cfg = test_config(ExecMode::Hybrid3);
-    cfg.flight_recorder = flight;
-    SimMachine mach(2, cfg);
-    const seqbench::Ids ids = seqbench::register_seqbench(mach.registry(), true);
-    mach.registry().finalize();
-    const Value v = mach.run_main(0, ids.fib, kNoObject, {Value(10)});
-    EXPECT_EQ(v.as_i64(), 55);
-    return std::make_tuple(mach.max_clock(), mach.total_stats().msgs_sent,
-                           mach.total_stats().bytes_sent,
-                           mach.total_stats().contexts_allocated);
-  };
-  EXPECT_EQ(run(true), run(false));
+TEST(Postmortem, TracedFlightIsTheNewestRingRecords) {
+  // With tracing on, each node's flight array is the newest <= 256 records
+  // of the same ring dump_trace exports, fine kinds included.
+  MachineConfig cfg = test_config(ExecMode::ParallelOnly);
+  cfg.trace = true;
+  SimMachine mach(2, cfg);
+  const seqbench::Ids ids = seqbench::register_seqbench(mach.registry(), true);
+  mach.registry().finalize();
+  EXPECT_EQ(mach.run_main(0, ids.fib, kNoObject, {Value(10)}).as_i64(), 55);
+  std::ostringstream os;
+  mach.write_postmortem(os, "inspect");
+  JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(json_parse(os.str(), doc, &err)) << err;
+  check_node_reports(doc, 2);
+  const TraceDump dump = dump_trace(mach);
+  for (NodeId n = 0; n < 2; ++n) {
+    std::vector<TraceRecord> ring;
+    for (const TraceEvent& e : dump.events) {
+      if (e.node == n) ring.push_back(e.rec);
+    }
+    const JsonValue& nr = doc.find("node_reports")->arr[n];
+    EXPECT_EQ(nr.num_or("flight_total", -1), static_cast<double>(ring.size()));
+    const std::vector<JsonValue>& flight = nr.find("flight")->arr;
+    ASSERT_EQ(flight.size(), std::min<std::size_t>(ring.size(), Tracer::kCoarseWindow));
+    const std::size_t skip = ring.size() - flight.size();
+    for (std::size_t i = 0; i < flight.size(); ++i) {
+      const TraceRecord& r = ring[skip + i];
+      const std::string method =
+          r.method == kInvalidMethod ? "(none)" : mach.registry().info(r.method).name;
+      EXPECT_EQ(flight[i].num_or("clock", -1), static_cast<double>(r.clock));
+      EXPECT_EQ(flight[i].str_or("kind", ""), trace_kind_name(r.kind));
+      EXPECT_EQ(flight[i].str_or("method", ""), method);
+      EXPECT_EQ(flight[i].num_or("arg", -1), static_cast<double>(r.arg));
+    }
+  }
 }
 
 }  // namespace

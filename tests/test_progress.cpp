@@ -6,7 +6,6 @@
 
 #include <memory>
 #include <string>
-#include <tuple>
 
 #include "apps/seqbench/seqbench.hpp"
 #include "core/analysis.hpp"
@@ -476,25 +475,6 @@ TEST(ProgressWatchdog, SimBudgetCatchesForwardLivelock) {
     EXPECT_NE(what.find("stall budget"), std::string::npos) << what;
     EXPECT_NE(what.find("stall report"), std::string::npos) << what;
   }
-}
-
-TEST(ProgressWatchdog, WatchedCleanRunIsBitIdentical) {
-  // stall_timeout is pure observation: a generous budget on a terminating
-  // run must leave the simulated clock and message accounting untouched.
-  auto run = [](std::uint64_t timeout_ms) {
-    MachineConfig cfg = test_config(ExecMode::Hybrid3);
-    cfg.verify = true;
-    cfg.stall_timeout = timeout_ms;
-    SimMachine mach(2, cfg);
-    const seqbench::Ids ids = seqbench::register_seqbench(mach.registry(), true);
-    mach.registry().finalize();
-    const Value v = mach.run_main(0, ids.fib, kNoObject, {Value(10)});
-    EXPECT_EQ(v.as_i64(), 55);
-    return std::make_tuple(mach.max_clock(), mach.total_stats().msgs_sent,
-                           mach.total_stats().bytes_sent,
-                           mach.total_stats().contexts_allocated);
-  };
-  EXPECT_EQ(run(0), run(60'000));
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
-// Execution tracing: ring-buffer recording, causal flow-id pairing across
-// nodes and engines, chrome-trace export well formed, binary round-trip,
-// zero overhead (bit-identical sim results) when disabled.
+// The per-node event ring: the always-on coarse window of untraced runs,
+// full-detail recording, causal flow-id pairing across nodes and engines,
+// chrome-trace export well formed, binary round-trip. Simulated-time
+// identity lives in test_observability.cpp.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <sstream>
 
 #include "machine/trace.hpp"
+#include "support/metrics.hpp"
 #include "test_util.hpp"
 
 namespace concert {
@@ -15,12 +17,34 @@ namespace {
 using testing::SeqBenchFixtureState;
 using testing::test_config;
 
-TEST(Trace, DisabledByDefaultAndRecordsNothing) {
+TEST(Trace, UntracedRunKeepsOnlyTheCoarseWindow) {
   SeqBenchFixtureState f(ExecMode::ParallelOnly);
+  f.machine->run_main(0, f.ids.fib, kNoObject, {Value(10)});
+  const Tracer& tr = f.machine->node(0).tracer;
+  EXPECT_FALSE(tr.enabled());
+  EXPECT_EQ(tr.capacity(), Tracer::kCoarseWindow);
+  // fib(10) in ParallelOnly records more than one window of events.
+  EXPECT_GT(tr.total(), Tracer::kCoarseWindow);
+  EXPECT_EQ(tr.dropped(), 0u);  // the window overwrites by design
+  const auto recs = tr.snapshot();
+  ASSERT_EQ(recs.size(), Tracer::kCoarseWindow);
+  for (const TraceRecord& r : recs) {
+    EXPECT_TRUE(trace_kind_coarse(r.kind)) << trace_kind_name(r.kind);
+    EXPECT_EQ(r.wall_ns, 0u);
+    EXPECT_EQ(r.cause, 0u);
+  }
+}
+
+TEST(Trace, UntracedDumpHasNoEvents) {
+  // The coarse window lacks sends, dispatch ends and flow ids, so dump_trace
+  // (the input of every trace consumer) exports nothing from it.
+  SeqBenchFixtureState f(ExecMode::ParallelOnly, 2);
   f.machine->run_main(0, f.ids.fib, kNoObject, {Value(8)});
-  EXPECT_FALSE(f.machine->node(0).tracer.enabled());
-  EXPECT_EQ(f.machine->node(0).tracer.size(), 0u);
-  EXPECT_TRUE(f.machine->node(0).tracer.snapshot().empty());
+  const TraceDump d = dump_trace(*f.machine);
+  EXPECT_EQ(d.node_count, 2u);
+  EXPECT_FALSE(d.method_names.empty());
+  EXPECT_TRUE(d.events.empty());
+  EXPECT_EQ(d.dropped, 0u);
 }
 
 struct TracedWorld {
@@ -77,6 +101,21 @@ TEST(Trace, MessagesAppearOnBothSides) {
   EXPECT_GE(count(1, TraceKind::MsgRecv), 1);
   EXPECT_EQ(count(0, TraceKind::MsgSend) + count(1, TraceKind::MsgSend),
             count(0, TraceKind::MsgRecv) + count(1, TraceKind::MsgRecv));
+  // A send's arg names its receiver and a receive's arg its sender.
+  std::map<std::uint64_t, std::pair<NodeId, std::uint32_t>> sends;  // cause -> (node, arg)
+  for (NodeId n = 0; n < 2; ++n) {
+    for (const auto& r : w.machine->node(n).tracer.snapshot()) {
+      if (r.kind == TraceKind::MsgSend) sends[r.cause] = {n, r.arg};
+    }
+  }
+  for (NodeId n = 0; n < 2; ++n) {
+    for (const auto& r : w.machine->node(n).tracer.snapshot()) {
+      if (r.kind != TraceKind::MsgRecv) continue;
+      ASSERT_EQ(sends.count(r.cause), 1u);
+      EXPECT_EQ(r.arg, sends[r.cause].first);
+      EXPECT_EQ(sends[r.cause].second, n);
+    }
+  }
 }
 
 /// Multiset of the causal ids carried by records of `kind` across all nodes.
@@ -150,6 +189,33 @@ TEST(Trace, StackRunsRecordedInHybridMode) {
   EXPECT_LE(static_cast<std::uint64_t>(stack_runs), w.machine->node(0).stats.stack_calls);
 }
 
+TEST(Trace, CoarseWindowMatchesTracedCoarseEvents) {
+  // Both detail levels record the coarse kinds at the same sites with the
+  // same payloads: an untraced run's window is exactly the newest coarse
+  // records of the traced run, minus their wall stamps and flow ids.
+  SeqBenchFixtureState plain(ExecMode::ParallelOnly, 2, /*distributed=*/true);
+  TracedWorld traced(ExecMode::ParallelOnly, 2);
+  plain.machine->run_main(0, plain.ids.fib, kNoObject, {Value(9)});
+  traced.machine->run_main(0, traced.ids.fib, kNoObject, {Value(9)});
+  for (NodeId n = 0; n < 2; ++n) {
+    std::vector<TraceRecord> coarse;
+    for (const TraceRecord& r : traced.machine->node(n).tracer.snapshot()) {
+      if (trace_kind_coarse(r.kind)) coarse.push_back(r);
+    }
+    const auto window = plain.machine->node(n).tracer.snapshot();
+    ASSERT_LE(window.size(), coarse.size());
+    const std::size_t skip = coarse.size() - window.size();
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      const TraceRecord& a = window[i];
+      const TraceRecord& b = coarse[skip + i];
+      EXPECT_EQ(a.clock, b.clock) << "node " << n << " record " << i;
+      EXPECT_EQ(a.kind, b.kind) << "node " << n << " record " << i;
+      EXPECT_EQ(a.method, b.method) << "node " << n << " record " << i;
+      EXPECT_EQ(a.arg, b.arg) << "node " << n << " record " << i;
+    }
+  }
+}
+
 TEST(Trace, RingWrapsAndCountsDrops) {
   TracedWorld w(ExecMode::ParallelOnly, 1, /*capacity=*/64);
   w.machine->run_main(0, w.ids.fib, kNoObject, {Value(10)});
@@ -157,7 +223,13 @@ TEST(Trace, RingWrapsAndCountsDrops) {
   EXPECT_EQ(tr.capacity(), 64u);
   EXPECT_EQ(tr.size(), 64u);
   EXPECT_GT(tr.dropped(), 0u);
-  EXPECT_EQ(tr.dropped(), w.machine->node(0).stats.msgs_dropped_trace);
+  EXPECT_EQ(tr.dropped(), tr.total() - 64u);
+  // The drop count is derived from the ring and exported as a metric.
+  MetricsRegistry reg;
+  export_metrics(*w.machine, reg);
+  const auto* dropped = reg.find_counter("concert_trace_records_dropped_total");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->value, tr.dropped());
   // The snapshot unwraps the ring: still oldest -> newest.
   const auto recs = tr.snapshot();
   ASSERT_EQ(recs.size(), 64u);
@@ -192,6 +264,7 @@ TEST(Trace, BinaryDumpRoundTrips) {
     EXPECT_EQ(back.events[i].rec.cause, dump.events[i].rec.cause);
     EXPECT_EQ(back.events[i].rec.method, dump.events[i].rec.method);
     EXPECT_EQ(back.events[i].rec.kind, dump.events[i].rec.kind);
+    EXPECT_EQ(back.events[i].rec.arg, dump.events[i].rec.arg);
   }
 }
 
@@ -232,29 +305,13 @@ TEST(Trace, ChromeExportIsBalancedJsonWithFlows) {
   EXPECT_NE(s.find("\"dropped_events\""), std::string::npos);
 }
 
-TEST(Trace, MetricsOffRunsAreBitIdenticalToDefault) {
-  // The acceptance bar for the whole subsystem: with metrics off (the
-  // default), nothing in the cost-model domain moves. Run the same program
-  // with metrics ON and OFF and require identical simulated results.
-  auto run = [](bool metrics) {
-    MachineConfig cfg = test_config(ExecMode::Hybrid3);
-    cfg.metrics = metrics;
-    SimMachine m(2, cfg);
-    auto ids = seqbench::register_seqbench(m.registry(), true);
-    m.registry().finalize();
-    const GlobalRef arr = seqbench::make_qsort_array(m, 1, 64, 11);
-    const Value v = m.run_main(0, ids.qsort, arr, {Value(0), Value(64)});
-    EXPECT_EQ(v.as_i64(), 64);
-    return std::tuple{m.max_clock(), m.total_stats().msgs_sent, m.total_stats().stack_calls,
-                      m.total_stats().contexts_allocated};
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
 TEST(Trace, KindNamesAreDistinctAndRoundTrip) {
   EXPECT_STREQ(trace_kind_name(TraceKind::MsgSend), "msg_send");
   EXPECT_STREQ(trace_kind_name(TraceKind::Suspend), "suspend");
   EXPECT_STREQ(trace_kind_name(TraceKind::Resume), "resume");
+  EXPECT_STREQ(trace_kind_name(TraceKind::InboxDrain), "inbox_drain");
+  EXPECT_STREQ(trace_kind_name(TraceKind::WaveRun), "wave_run");
+  EXPECT_STREQ(trace_kind_name(TraceKind::Park), "park");
   for (std::size_t k = 0; k < kTraceKindCount; ++k) {
     TraceKind back;
     ASSERT_TRUE(trace_kind_from_name(trace_kind_name(static_cast<TraceKind>(k)), back));

@@ -35,12 +35,14 @@
 #include "apps/seqbench/seqbench.hpp"
 #include "apps/sor/sor.hpp"
 #include "apps/synth/synth.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "verify/lint.hpp"
 #include "verify/progress.hpp"
 
 namespace {
 
+using concert::json_escape;
 using concert::MethodRegistry;
 using concert::verify::Diagnostic;
 using concert::verify::LintCode;
@@ -239,28 +241,6 @@ unsigned pass_of(LintCode c) {
     default:
       return kPassAll & ~(kPassDeadlock | kPassSpecialize | kPassRaces | kPassProgress);
   }
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
 }
 
 std::string method_name(const MethodRegistry& reg, concert::MethodId m) {

@@ -1,5 +1,5 @@
 // concert_trace: converts, filters, and summarizes concert-scope binary
-// trace dumps (the "CTRACE01" files written by write_binary_trace, e.g.
+// trace dumps (the "CTRACE02" files written by write_binary_trace, e.g.
 // `wallclock_suite --trace`), and renders concert-insight artifacts.
 //
 //   concert_trace FILE [--summary] [--chrome] [--out PATH] [--top N]
@@ -16,7 +16,8 @@
 //               or --out PATH.
 //   --node/--method/--kind restrict both modes to one node id, one method
 //               name, or one event kind (msg_send, msg_recv, dispatch,
-//               dispatch_end, suspend, resume, stack_run, outbox_flush).
+//               dispatch_end, suspend, resume, stack_run, outbox_flush,
+//               inbox_drain, wave_run, park).
 //
 //   critpath    extracts the causal critical path: ranked per-method
 //               on-path/slack table (default), machine-readable JSON
@@ -24,7 +25,7 @@
 //               own track (--perfetto PATH).
 //   postmortem  renders a POSTMORTEM.json (written by a stalled or panicked
 //               run) as per-node tables: queue depths, health aggregates,
-//               last flight-recorder events, suspended-context chains.
+//               the newest ring events, suspended-context chains.
 //
 // Filters drop events *before* conversion/summary, so e.g.
 // `--method sor_step --chrome` yields a timeline of just that method.
@@ -173,7 +174,8 @@ std::vector<MethodSelf> method_self_times(const TraceDump& d) {
           open[slot].ts = -1.0;
         }
         break;
-      case TraceKind::StackRun: ++ms.stack_runs; break;
+      case TraceKind::StackRun:
+      case TraceKind::WaveRun: ++ms.stack_runs; break;
       default: break;
     }
   }
@@ -399,7 +401,7 @@ int run_postmortem(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  // Per-node detail: the tail of the flight ring and the suspended-context
+  // Per-node detail: the tail of the `flight` array and the suspended-context
   // chains — the "what was it doing" half of the report.
   for (const JsonValue& nr : reports->arr) {
     const JsonValue* flight = nr.find("flight");
