@@ -7,92 +7,134 @@
 namespace concert {
 
 SimNetwork::SimNetwork(std::size_t nodes, CostModel costs)
-    : costs_(costs), nnodes_(nodes), queues_(nodes), channel_last_(nodes * nodes, 0) {}
+    : costs_(costs), nnodes_(nodes), heads_(nodes), channels_(nodes * nodes) {}
+
+void SimNetwork::Channel::push(Message&& msg) {
+  if (size == ring.size()) {
+    // Full: move into a ring twice the size, oldest message first. A ring
+    // starts at one slot, so a channel that never holds more than one
+    // message costs one message's storage.
+    std::vector<Message> bigger(ring.empty() ? 1 : 2 * ring.size());
+    for (std::uint32_t i = 0; i < size; ++i) {
+      bigger[i] = std::move(ring[(head + i) & (ring.size() - 1)]);
+    }
+    ring.swap(bigger);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = std::move(msg);
+  ++size;
+}
+
+Message SimNetwork::Channel::pop() {
+  Message m = std::move(ring[head]);
+  head = (head + 1) & static_cast<std::uint32_t>(ring.size() - 1);
+  --size;
+  return m;
+}
 
 void SimNetwork::inject(Message msg, std::uint64_t sender_clock) {
   CONCERT_CHECK(msg.dst < nnodes_, "message to nonexistent node " << msg.dst);
   CONCERT_CHECK(msg.src < nnodes_, "message from nonexistent node " << msg.src);
   const std::uint64_t serialization = costs_.per_packet * costs_.packets(msg.size_bytes());
-  std::uint64_t at = sender_clock + costs_.wire_latency + serialization;
+  std::unique_ptr<Channel>& slot = channel(msg.src, msg.dst);
+  if (!slot) slot = std::make_unique<Channel>();
+  Channel& ch = *slot;
   // FIFO per channel: never deliver before an earlier message on the same channel.
-  std::uint64_t& last = channel_last_[msg.src * nnodes_ + msg.dst];
-  at = std::max(at, last);
-  last = at;
+  const std::uint64_t at =
+      std::max(sender_clock + costs_.wire_latency + serialization, ch.last);
+  ch.last = at;
   msg.deliver_at = at;
   msg.seq = next_seq_++;
-  auto& q = queues_[msg.dst];
-  q.push_back(std::move(msg));
-  if (!shuffle_) std::push_heap(q.begin(), q.end(), Later{});
+  if (ch.size == 0) {
+    Heads& h = heads_[msg.dst];
+    h.push_back(HeadKey{at, msg.seq, msg.src});
+    sift_up(h, h.size() - 1);
+  }
+  ch.push(std::move(msg));
   ++in_flight_;
 }
 
-std::uint64_t SimNetwork::earliest_for(NodeId dst) const {
-  const auto& q = queues_[dst];
-  if (q.empty()) return UINT64_MAX;
-  if (!shuffle_) return q.front().deliver_at;
-  std::uint64_t earliest = UINT64_MAX;
-  for (const Message& m : q) earliest = std::min(earliest, m.deliver_at);
-  return earliest;
-}
-
 void SimNetwork::set_shuffle(std::uint64_t seed) {
-  CONCERT_CHECK(in_flight_ == 0, "set_shuffle with messages in flight");
   shuffle_ = true;
   shuffle_rng_.seed(seed);
 }
 
 Message SimNetwork::pop_for(NodeId dst) {
-  auto& q = queues_[dst];
-  CONCERT_CHECK(!q.empty(), "pop from empty network queue for node " << dst);
-  if (shuffle_) {
-    // Unordered vector: pop the strict (deliver_at, seq) minimum by scan.
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < q.size(); ++i) {
-      if (Later{}(q[best], q[i])) best = i;
-    }
-    std::swap(q[best], q.back());
-    Message m = std::move(q.back());
-    q.pop_back();
-    --in_flight_;
-    return m;
-  }
-  std::pop_heap(q.begin(), q.end(), Later{});
-  Message m = std::move(q.back());
-  q.pop_back();
-  --in_flight_;
-  return m;
+  CONCERT_CHECK(!heads_[dst].empty(), "pop from empty network queue for node " << dst);
+  return pop_channel(dst, 0);
 }
 
 Message SimNetwork::pop_for_shuffled(NodeId dst, std::uint64_t horizon) {
   CONCERT_CHECK(shuffle_, "pop_for_shuffled without set_shuffle");
-  auto& q = queues_[dst];
-  CONCERT_CHECK(!q.empty(), "pop from empty network queue for node " << dst);
-  // Per-channel FIFO: only each source's earliest (deliver_at, seq) message
-  // is a candidate; among candidates within the horizon, the seeded RNG
-  // picks. The strict minimum is always within the horizon (the engine's
-  // delivery time is max(receiver clock, earliest)), so the candidate set is
-  // never empty.
-  std::vector<std::size_t> head(nnodes_, static_cast<std::size_t>(-1));
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    const std::size_t src = q[i].src;
-    if (head[src] == static_cast<std::size_t>(-1) || Later{}(q[head[src]], q[i])) head[src] = i;
+  Heads& h = heads_[dst];
+  CONCERT_CHECK(!h.empty(), "pop from empty network queue for node " << dst);
+  // Per-channel FIFO: only each source's head is a candidate; among the
+  // candidates within the horizon, in source order, the seeded RNG picks.
+  // The strict minimum is always within the horizon (the engine's delivery
+  // time is max(receiver clock, earliest)), so the candidate set is never
+  // empty.
+  const std::unique_ptr<Channel>* row = &channels_[dst * nnodes_];
+  const auto eligible = [&](NodeId src) {
+    const Channel* ch = row[src].get();
+    return ch != nullptr && ch->size != 0 && ch->front().deliver_at <= horizon;
+  };
+  std::size_t candidates = 0;
+  for (NodeId src = 0; src < nnodes_; ++src) candidates += eligible(src) ? 1 : 0;
+  CONCERT_CHECK(candidates != 0,
+                "no eligible delivery for node " << dst << " within horizon " << horizon);
+  std::uint64_t k = shuffle_rng_.uniform(candidates);
+  NodeId pick = 0;
+  for (;; ++pick) {
+    if (eligible(pick) && k-- == 0) break;
   }
-  std::vector<std::size_t> eligible;
-  for (std::size_t src = 0; src < nnodes_; ++src) {
-    if (head[src] != static_cast<std::size_t>(-1) && q[head[src]].deliver_at <= horizon) {
-      eligible.push_back(head[src]);
+  std::size_t pos = 0;
+  while (h[pos].src != pick) ++pos;
+  return pop_channel(dst, pos);
+}
+
+Message SimNetwork::pop_channel(NodeId dst, std::size_t pos) {
+  Heads& h = heads_[dst];
+  Channel& ch = *channel(h[pos].src, dst);
+  Message m = ch.pop();
+  if (ch.size != 0) {
+    // The channel's next message is never earlier than the one before it,
+    // so its key only grows.
+    h[pos].deliver_at = ch.front().deliver_at;
+    h[pos].seq = ch.front().seq;
+    sift_down(h, pos);
+  } else {
+    h[pos] = h.back();
+    h.pop_back();
+    if (pos < h.size()) {
+      if (pos > 0 && h[pos].before(h[(pos - 1) / 2])) {
+        sift_up(h, pos);
+      } else {
+        sift_down(h, pos);
+      }
     }
   }
-  CONCERT_CHECK(!eligible.empty(),
-                "no eligible delivery for node " << dst << " within horizon " << horizon);
-  const std::size_t pick = eligible[shuffle_rng_.uniform(eligible.size())];
-  std::swap(q[pick], q.back());
-  Message m = std::move(q.back());
-  q.pop_back();
   --in_flight_;
   return m;
 }
 
-bool SimNetwork::empty_for(NodeId dst) const { return queues_[dst].empty(); }
+void SimNetwork::sift_up(Heads& h, std::size_t i) {
+  const HeadKey k = h[i];
+  while (i > 0 && k.before(h[(i - 1) / 2])) {
+    h[i] = h[(i - 1) / 2];
+    i = (i - 1) / 2;
+  }
+  h[i] = k;
+}
+
+void SimNetwork::sift_down(Heads& h, std::size_t i) {
+  const HeadKey k = h[i];
+  for (std::size_t c = 2 * i + 1; c < h.size(); c = 2 * i + 1) {
+    if (c + 1 < h.size() && h[c + 1].before(h[c])) ++c;
+    if (!h[c].before(k)) break;
+    h[i] = h[c];
+    i = c;
+  }
+  h[i] = k;
+}
 
 }  // namespace concert

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "machine/network.hpp"
+#include "support/rng.hpp"
 
 namespace concert {
 namespace {
@@ -66,10 +72,10 @@ TEST(SimNetwork, DeterministicTieBreakBySeq) {
 }
 
 TEST(SimNetwork, SeqTieBreakHoldsAcrossManySources) {
-  // Regression for the heap rework: a large batch of messages with identical
-  // deliver_at timestamps from rotating sources must pop in injection (seq)
-  // order — the (deliver_at, seq) key is a unique total order, so pop order
-  // must not depend on heap internals.
+  // A large batch of messages with identical deliver_at timestamps from
+  // rotating sources must pop in injection (seq) order — the (deliver_at, seq)
+  // key is a unique total order, so pop order must not depend on how the
+  // channel heads are merged.
   SimNetwork net(5, CostModel::workstation());
   for (int tag = 0; tag < 32; ++tag) net.inject(mk(static_cast<NodeId>(tag % 4), 4, tag), 250);
   for (int tag = 0; tag < 32; ++tag) {
@@ -102,12 +108,12 @@ TEST(SimNetwork, PerChannelFifoWithInterleavedSources) {
 }
 
 TEST(SimNetwork, PopMovesPayloadIntact) {
-  // pop_for moves the message out of the heap (no copy); the payload must
-  // arrive complete regardless of where the heap stored it.
+  // pop_for moves the message out of its channel's ring (no copy); the
+  // payload must arrive complete after sharing the ring with another message.
   SimNetwork net(2, CostModel::workstation());
   Message big = mk(0, 1, 7);
   for (int i = 0; i < 100; ++i) big.args.push_back(Value{i});
-  net.inject(mk(0, 1, 6), 0);  // a second element so the heap actually swaps
+  net.inject(mk(0, 1, 6), 0);  // a second message ahead of it on the channel
   net.inject(std::move(big), 0);
   ASSERT_EQ(net.pop_for(1).method, 6u);
   const Message got = net.pop_for(1);
@@ -131,6 +137,198 @@ TEST(SimNetwork, RejectsBadNodes) {
   EXPECT_THROW(net.inject(mk(0, 7, 1), 0), ProtocolError);
   EXPECT_THROW(net.pop_for(1), ProtocolError);
 }
+
+// ---------------------------------------------------------------------------
+// Differential check against a brute-force model of the delivery order
+// ---------------------------------------------------------------------------
+
+/// The specification the network must reproduce exactly, kept as simple as
+/// possible: every in-flight message sits in one unordered list per
+/// destination, and each query scans it.
+/// - A strict pop takes the destination's smallest (deliver_at, seq) message.
+/// - A shuffled pop lists each source's earliest message, in source order,
+///   keeps those with deliver_at within the horizon, and takes the one the
+///   shuffle generator draws.
+class ReferenceNetwork {
+ public:
+  struct Sent {
+    NodeId src = kInvalidNode;
+    std::uint64_t seq = 0;
+    std::uint64_t deliver_at = 0;
+    MethodId tag = kInvalidMethod;
+  };
+
+  ReferenceNetwork(std::size_t nodes, const CostModel& costs, std::uint64_t shuffle_seed)
+      : costs_(costs), nodes_(nodes), queues_(nodes), last_(nodes * nodes, 0),
+        rng_(shuffle_seed) {}
+
+  void inject(NodeId src, NodeId dst, std::uint32_t bytes, MethodId tag,
+              std::uint64_t sender_clock) {
+    std::uint64_t at =
+        sender_clock + costs_.wire_latency + costs_.per_packet * costs_.packets(bytes);
+    std::uint64_t& last = last_[src * nodes_ + dst];
+    clamped_ += at < last ? 1 : 0;
+    at = std::max(at, last);
+    last = at;
+    queues_[dst].push_back(Sent{src, next_seq_++, at, tag});
+  }
+
+  std::uint64_t earliest_for(NodeId dst) const {
+    std::uint64_t t = UINT64_MAX;
+    for (const Sent& s : queues_[dst]) t = std::min(t, s.deliver_at);
+    return t;
+  }
+  bool empty_for(NodeId dst) const { return queues_[dst].empty(); }
+  std::size_t in_flight() const {
+    std::size_t n = 0;
+    for (const auto& q : queues_) n += q.size();
+    return n;
+  }
+  /// Injects whose deliver_at the FIFO clamp moved.
+  std::size_t clamped() const { return clamped_; }
+  /// Strict pops decided by seq among several earliest messages.
+  std::size_t seq_ties() const { return seq_ties_; }
+
+  Sent pop_for(NodeId dst) {
+    const auto& q = queues_[dst];
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < q.size(); ++i) {
+      if (earlier(q[i], q[best])) best = i;
+    }
+    const auto tied = std::count_if(q.begin(), q.end(), [&](const Sent& s) {
+      return s.deliver_at == q[best].deliver_at;
+    });
+    seq_ties_ += tied > 1 ? 1 : 0;
+    return take(dst, best);
+  }
+
+  Sent pop_for_shuffled(NodeId dst, std::uint64_t horizon) {
+    const auto& q = queues_[dst];
+    constexpr std::size_t kNone = SIZE_MAX;
+    std::vector<std::size_t> head(nodes_, kNone);
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      std::size_t& h = head[q[i].src];
+      if (h == kNone || earlier(q[i], q[h])) h = i;
+    }
+    std::vector<std::size_t> eligible;
+    for (const std::size_t h : head) {
+      if (h != kNone && q[h].deliver_at <= horizon) eligible.push_back(h);
+    }
+    return take(dst, eligible[rng_.uniform(eligible.size())]);
+  }
+
+ private:
+  static bool earlier(const Sent& a, const Sent& b) {
+    return a.deliver_at != b.deliver_at ? a.deliver_at < b.deliver_at : a.seq < b.seq;
+  }
+  Sent take(NodeId dst, std::size_t i) {
+    auto& q = queues_[dst];
+    const Sent s = q[i];
+    q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
+    return s;
+  }
+
+  CostModel costs_;
+  std::size_t nodes_;
+  std::vector<std::vector<Sent>> queues_;
+  std::vector<std::uint64_t> last_;
+  std::uint64_t next_seq_ = 0;
+  SplitMix64 rng_;
+  std::size_t clamped_ = 0;
+  std::size_t seq_ties_ = 0;
+};
+
+struct DiffCase {
+  std::size_t nodes;
+  std::uint64_t shuffle_seed;  ///< 0: strict pops only.
+};
+
+class NetworkVsReference : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(NetworkVsReference, SameDeliveriesAfterEveryOperation) {
+  const DiffCase c = GetParam();
+  const CostModel costs = CostModel::workstation();
+  SimNetwork net(c.nodes, costs);
+  if (c.shuffle_seed != 0) net.set_shuffle(c.shuffle_seed);
+  ReferenceNetwork ref(c.nodes, costs, c.shuffle_seed);
+  SplitMix64 ops(1000 * c.nodes + c.shuffle_seed);
+
+  // Half the endpoints come from three hot nodes: deep channels (ring growth
+  // and wrap-around), self-sends, and several sources per destination. The
+  // rest spread over every channel.
+  const auto pick_node = [&] {
+    const std::size_t range = ops.chance(0.5) ? std::min<std::size_t>(c.nodes, 3) : c.nodes;
+    return static_cast<NodeId>(ops.uniform(range));
+  };
+  const auto state_matches = [&](int op) {
+    ASSERT_EQ(net.in_flight(), ref.in_flight()) << "after op " << op;
+    for (NodeId d = 0; d < c.nodes; ++d) {
+      ASSERT_EQ(net.empty_for(d), ref.empty_for(d)) << "node " << d << " after op " << op;
+      ASSERT_EQ(net.earliest_for(d), ref.earliest_for(d)) << "node " << d << " after op " << op;
+    }
+  };
+
+  constexpr int kOps = 6000;
+  std::uint64_t now = 0;
+  MethodId next_tag = 0;
+  std::size_t shuffled_pops = 0;
+  for (int op = 0; op < kOps || ref.in_flight() != 0; ++op) {
+    // Inject-heavy and pop-heavy stretches alternate, so queues grow deep and
+    // drain again; after kOps the rest is drained.
+    const bool filling = (op / 256) % 2 == 0;
+    if (op < kOps && ops.chance(filling ? 0.75 : 0.35)) {
+      const NodeId src = pick_node();
+      const NodeId dst = pick_node();
+      Message m = mk(src, dst, static_cast<int>(next_tag));
+      // Now and then a long message: it arrives late, so the short messages
+      // sent right behind it on its channel are clamped to its deliver_at.
+      if (ops.chance(0.1)) m.args.assign(8 + ops.uniform(200), Value{1});
+      // Sender clocks on a coarse grid make equal deliver_at values common.
+      now += 10 * ops.uniform(3);
+      const std::uint64_t sent_at = now + 10 * ops.uniform(4);
+      ref.inject(src, dst, m.size_bytes(), next_tag, sent_at);
+      net.inject(std::move(m), sent_at);
+      ++next_tag;
+    } else if (ref.in_flight() != 0) {
+      NodeId dst = pick_node();
+      while (ref.empty_for(dst)) dst = static_cast<NodeId>((dst + 1) % c.nodes);
+      // Shuffled runs also take strict pops. A shuffled pop's horizon is at
+      // least the earliest deliver_at, as the engine's always is.
+      const bool shuffle = c.shuffle_seed != 0 && ops.chance(0.8);
+      const std::uint64_t horizon = ref.earliest_for(dst) + 10 * ops.uniform(40);
+      const ReferenceNetwork::Sent want =
+          shuffle ? ref.pop_for_shuffled(dst, horizon) : ref.pop_for(dst);
+      const Message got = shuffle ? net.pop_for_shuffled(dst, horizon) : net.pop_for(dst);
+      shuffled_pops += shuffle ? 1 : 0;
+      ASSERT_EQ(got.method, want.tag) << "pop for node " << dst << " at op " << op;
+      ASSERT_EQ(got.src, want.src) << "op " << op;
+      ASSERT_EQ(got.dst, dst) << "op " << op;
+      ASSERT_EQ(got.seq, want.seq) << "op " << op;
+      ASSERT_EQ(got.deliver_at, want.deliver_at) << "op " << op;
+    }
+    state_matches(op);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The run exercised what it is meant to: many messages, FIFO clamps, seq
+  // tie-breaks, and (seeded) mostly shuffled pops.
+  EXPECT_GT(next_tag, static_cast<MethodId>(kOps / 3));
+  EXPECT_GT(ref.clamped(), 0u);
+  EXPECT_GT(ref.seq_ties(), 0u);
+  if (c.shuffle_seed != 0) {
+    EXPECT_GT(shuffled_pops, static_cast<std::size_t>(kOps / 4));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeded, NetworkVsReference,
+    ::testing::Values(DiffCase{1, 0}, DiffCase{1, 5}, DiffCase{4, 0}, DiffCase{4, 7},
+                      DiffCase{4, 42}, DiffCase{64, 0}, DiffCase{64, 9}),
+    [](const ::testing::TestParamInfo<DiffCase>& info) {
+      const DiffCase& c = info.param;
+      return "n" + std::to_string(c.nodes) +
+             (c.shuffle_seed == 0 ? std::string("_strict")
+                                  : "_seed" + std::to_string(c.shuffle_seed));
+    });
 
 TEST(MessageTest, SizeGrowsWithArgs) {
   Message a = mk(0, 1, 1);

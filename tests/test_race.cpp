@@ -6,8 +6,10 @@
 #include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "apps/em3d/em3d.hpp"
 #include "apps/sor/sor.hpp"
 #include "core/invoke.hpp"
 #include "machine/message.hpp"
@@ -434,22 +436,47 @@ TEST(Shuffle, PerChannelFifoSurvivesShuffling) {
   }
 }
 
-std::tuple<std::uint64_t, std::uint64_t, std::vector<double>> sor_run(std::uint64_t seed,
-                                                                      bool verify_on) {
+using RunResult = std::tuple<std::uint64_t, std::uint64_t, std::vector<double>>;
+
+RunResult sor_run(std::uint64_t seed, bool verify_on, bool merge_waves = false,
+                  std::size_t block = 4) {
   sor::Params p;
   p.n = 16;
   p.pgrid = 2;
-  p.block = 4;
+  p.block = block;
   p.iters = 2;
   MachineConfig cfg = test_config();
   cfg.verify = verify_on;
   cfg.shuffle_seed = seed;
+  cfg.merge_waves = merge_waves;
   SimMachine m(p.nodes(), cfg);
   const sor::Ids ids = sor::register_sor(m.registry(), p);
   m.registry().finalize();
   sor::World w = sor::build(m, ids, p);
   EXPECT_TRUE(sor::run(m, ids, w));
   return {m.max_clock(), m.actions(), sor::extract(m, w)};
+}
+
+/// EM3D push on 8 nodes with 90% remote edges: many channels into every
+/// node, so the shuffle has several heads to draw from.
+RunResult em3d_run(std::uint64_t seed, bool merge_waves = false) {
+  em3d::Params p;
+  p.graph_nodes = 128;
+  p.local_fraction = 0.1;
+  p.iters = 2;
+  const std::size_t nodes = 8;
+  MachineConfig cfg = test_config();
+  cfg.verify = false;
+  cfg.shuffle_seed = seed;
+  cfg.merge_waves = merge_waves;
+  SimMachine m(nodes, cfg);
+  const em3d::Ids ids = em3d::register_em3d(m.registry(), p, nodes);
+  m.registry().finalize();
+  em3d::World w = em3d::build(m, ids, p);
+  EXPECT_TRUE(em3d::run(m, ids, w, em3d::Version::Push));
+  std::vector<double> values = em3d::extract(m, w);
+  EXPECT_EQ(values, em3d::reference(p, nodes));
+  return {m.max_clock(), m.actions(), std::move(values)};
 }
 
 TEST(Shuffle, OffPathIsBitIdentical) {
@@ -460,6 +487,37 @@ TEST(Shuffle, OffPathIsBitIdentical) {
   EXPECT_EQ(std::get<0>(a), std::get<0>(b));
   EXPECT_EQ(std::get<1>(a), std::get<1>(b));
   EXPECT_EQ(std::get<2>(a), std::get<2>(b));
+
+  // Pinned schedules: the final clock and scheduler action count of strict
+  // (seed 0) and shuffled runs, per-message and merged-wave delivery, on
+  // SOR in 1x1 tiles and remote-heavy EM3D. Both send from several nodes
+  // to one at equal timestamps, so the strict pins also hold the seq
+  // tie-break; the shuffled pins hold the candidate list and the draw.
+  struct Pin {
+    bool em3d;
+    std::uint64_t seed;
+    bool merge_waves;
+    std::uint64_t max_clock;
+    std::uint64_t actions;
+  };
+  const Pin pins[] = {
+      {false, 0, false, 540072, 3976}, {false, 7, false, 540072, 3976},
+      {false, 42, false, 540072, 3976}, {false, 0, true, 449857, 1951},
+      {false, 7, true, 452477, 2077},   {false, 42, true, 452908, 2056},
+      {true, 0, false, 353735, 3436},   {true, 7, false, 353290, 3436},
+      {true, 42, false, 353714, 3436},  {true, 0, true, 249847, 382},
+      {true, 7, true, 263684, 420},     {true, 42, true, 255575, 401},
+  };
+  for (const Pin& pin : pins) {
+    const RunResult got =
+        pin.em3d ? em3d_run(pin.seed, pin.merge_waves)
+                 : sor_run(pin.seed, /*verify_on=*/false, pin.merge_waves, /*block=*/1);
+    const char* app = pin.em3d ? "em3d" : "sor";
+    EXPECT_EQ(std::get<0>(got), pin.max_clock)
+        << app << " seed " << pin.seed << " merge_waves " << pin.merge_waves;
+    EXPECT_EQ(std::get<1>(got), pin.actions)
+        << app << " seed " << pin.seed << " merge_waves " << pin.merge_waves;
+  }
 }
 
 TEST(Shuffle, SorCorrectAndConformantUnderShuffle) {

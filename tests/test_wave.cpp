@@ -66,6 +66,12 @@ void register_log(MethodRegistry& reg) {
   d.locks_self = true;
   d.writes = {"entries"};
   g_append_locked = reg.declare(d);
+
+  // Appends from different senders land in whatever order the network
+  // delivers them; the tests here assert each sender's order only, so that
+  // interleaving is intended. Declaring it keeps the conformance sanitizer
+  // from reporting the concurrent appends as a racy delivery.
+  reg.add_commutes(g_append, g_append);
 }
 
 /// Seeds `per_sender` invocations from every node except 0 at a log object on
