@@ -9,8 +9,8 @@
 //     (instructions / clock rate) reproduces the paper's CM-5/T3D tables.
 //
 //   * ThreadedMachine (threaded_machine.hpp) — one std::thread per node with
-//     real concurrent inboxes and Dijkstra-style quiescence detection via a
-//     global outstanding-work counter. Demonstrates the runtime is safe under
+//     lock-free inboxes and quiescence detection by a monitor that sums
+//     per-node work-credit counters. Demonstrates the runtime is safe under
 //     genuine concurrency; wall-clock time is its metric.
 #pragma once
 
@@ -57,9 +57,12 @@ class Machine {
   /// Runs until no node has work and no message is in flight.
   virtual void run_until_quiescent() = 0;
 
-  /// Work-accounting hook for quiescence detection: invoked when a context is
-  /// enqueued. (Message sends are accounted inside route().) The deterministic
-  /// engine tracks work structurally and ignores these.
+  /// Work credits from outside a run (nodes count their own work through
+  /// Node::work_created/work_retired): a credit added here holds the next
+  /// run open until one is retired here — tests and demos use a phantom credit
+  /// to trip the stall watchdog. Call only between runs, from the thread that
+  /// calls run_until_quiescent. The deterministic engine tracks work
+  /// structurally and ignores these.
   virtual void on_work_created() {}
   virtual void on_work_retired() {}
 

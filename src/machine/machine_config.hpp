@@ -91,7 +91,8 @@ struct MachineConfig {
   /// scheduling progress for this many milliseconds panics with a full
   /// stall_report() — per-node queue depths, suspended-context tables and the
   /// vclock frontier — instead of hanging. The threaded engine measures
-  /// wall time since the last work-retire/create; the deterministic engine
+  /// wall time since the summed per-node work-credit counters (created plus
+  /// retired) last moved while credits were outstanding; the deterministic engine
   /// treats it as a per-run wall-clock budget (its scheduler cannot stall
   /// while work remains, but a forwarding livelock keeps it busy forever).
   /// 0 (default) disables the watchdog; every pre-existing run, clock and

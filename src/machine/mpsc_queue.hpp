@@ -11,10 +11,10 @@
 // Progress fine print: between a producer's exchange on `head_` and its
 // release store to `prev->next`, the pushed element (and any elements pushed
 // after it) is momentarily invisible to the consumer — pop() reports empty.
-// This is harmless here: every in-flight message holds a +1 on the engine's
-// outstanding-work counter, so quiescence cannot be declared around the
-// blink, and the consumer simply re-polls (or parks with a timeout) until the
-// store lands.
+// This is harmless here: the sender counts every message's work credit
+// before pushing it, and the receiver retires it only after delivery, so
+// quiescence cannot be declared around the blink; the consumer simply
+// re-polls (or parks with a timeout) until the store lands.
 //
 // Node storage is recycled through a per-thread block cache rather than
 // malloc/free per element: a node is allocated on the producer's thread but
@@ -118,8 +118,9 @@ class MpscQueue {
   /// purely thread_local cache would be built from malloc each run and
   /// thrown away at thread exit. Instead a dying thread donates its chain to
   /// a process-wide overflow pool, and a cold thread refills from it in one
-  /// batched grab — the mutex is touched only at thread birth and death,
-  /// never on the per-message path.
+  /// batched grab. Blocks arrive only at thread death, so mid-run the pool
+  /// is almost always empty; an empty cache checks the pool's atomic count
+  /// first and takes the mutex only when there are blocks to take.
   struct BlockCache {
     static constexpr std::size_t kMax = 1024;
     void* head = nullptr;
@@ -130,22 +131,26 @@ class MpscQueue {
 
   /// Mutex-guarded chain of donated blocks, shared by all queues of this
   /// element type. Bounded: donations beyond the cap are freed for real.
+  /// `count` is written only under the mutex; refill() reads it unlocked to
+  /// skip the lock when the chain is empty.
   struct GlobalBlockPool {
     static constexpr std::size_t kMax = 8192;
     std::mutex mu;
     void* head = nullptr;
-    std::size_t count = 0;
+    std::atomic<std::size_t> count{0};
 
     void donate(void* chain, std::size_t n) {
       if (chain == nullptr) return;
       std::scoped_lock lk(mu);
-      while (chain != nullptr && count < kMax) {
+      std::size_t have = count.load(std::memory_order_relaxed);
+      while (chain != nullptr && have < kMax) {
         void* next = *static_cast<void**>(chain);
         *static_cast<void**>(chain) = head;
         head = chain;
-        ++count;
+        ++have;
         chain = next;
       }
+      count.store(have, std::memory_order_relaxed);
       while (chain != nullptr) {
         void* next = *static_cast<void**>(chain);
         ::operator delete(chain);
@@ -155,17 +160,20 @@ class MpscQueue {
     }
 
     /// Moves up to `max` blocks into `cache_head`, returning how many moved.
+    /// A stale nonzero count only costs a lock that finds nothing; a stale
+    /// zero sends this refill to the allocator, as an empty pool would.
     std::size_t refill(void*& cache_head, std::size_t max) {
+      if (count.load(std::memory_order_relaxed) == 0) return 0;
       std::scoped_lock lk(mu);
       std::size_t moved = 0;
       while (head != nullptr && moved < max) {
         void* b = head;
         head = *static_cast<void**>(b);
-        --count;
         *static_cast<void**>(b) = cache_head;
         cache_head = b;
         ++moved;
       }
+      count.store(count.load(std::memory_order_relaxed) - moved, std::memory_order_relaxed);
       return moved;
     }
 

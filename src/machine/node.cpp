@@ -113,7 +113,7 @@ void Node::enqueue(Context& ctx) {
   ctx.status = ContextStatus::Ready;
   charge(costs().schedule_enqueue);
   ready_.push_back(ctx.id);
-  machine_.on_work_created();
+  work_created();
 }
 
 void Node::suspend(Context& ctx) {
@@ -182,13 +182,13 @@ bool Node::run_one() {
           // this invocation, so re-deferring would spin forever. Quarantine
           // the context (park it Waiting, off the ready queue, retiring its
           // work credit) so both engines still reach quiescence, where the
-          // conformance sanitizer reports ReentrantAcquire — throwing from
-          // here would std::terminate a threaded-engine worker.
+          // conformance sanitizer reports ReentrantAcquire with its witness
+          // chain — a panic here would end the run with far less to go on.
           ctx.status = ContextStatus::Waiting;
           return true;
         }
         ready_.push_back(cid);  // defer to the back of the queue
-        machine_.on_work_created();
+        work_created();
         return true;
       }
       objects_.lock(ctx.self);
@@ -276,7 +276,7 @@ void Node::send(Message msg) {
   if (is_reply) ++stats.replies_sent;
   const NodeId dst = msg.dst;
   outbox_.push(std::move(msg));
-  machine_.on_work_created();
+  work_created();
   const FlushPolicy& pol = comms_policy();
   if (pol.kind == FlushPolicy::Kind::SizeThreshold && outbox_.pending(dst) >= pol.threshold) {
     flush_outbox(dst);
@@ -307,9 +307,9 @@ void Node::flush_outbox(NodeId dst) {
   }
   trace<TraceKind::OutboxFlush>(kInvalidMethod, static_cast<std::uint32_t>(n));
   machine_.route(*this, std::move(out));
-  // Retire the staged elements' outstanding-work credits only after the
-  // bundle's own credit exists (Dijkstra counting stays non-zero throughout).
-  for (std::size_t i = 0; i < n; ++i) machine_.on_work_retired();
+  // Retire the staged elements' credits only after route() counted the
+  // bundle's own, so no instant shows this work as finished.
+  work_retired(n);
 }
 
 std::size_t Node::flush_all_outboxes() {
@@ -405,7 +405,7 @@ void Node::deliver_batch(std::vector<Message>& batch) {
     wave_staging_ = false;
     flush_all_outboxes();
     if (!run_accounted) {
-      for (std::size_t i = 0; i < n; ++i) machine_.on_work_retired();
+      work_retired(n);
     }
     wave_targets_.clear();
     wave_args_.clear();
@@ -433,7 +433,7 @@ void Node::deliver_batch(std::vector<Message>& batch) {
         deliver_element(msg);  // recycles the payload itself
       } else {
         deliver(msg);
-        machine_.on_work_retired();
+        work_retired();
       }
       return;
     }
@@ -472,7 +472,7 @@ void Node::deliver_batch(std::vector<Message>& batch) {
         feed(e, /*accounted=*/true);
       }
       flush_run();
-      machine_.on_work_retired();
+      work_retired();
       continue;
     }
     feed(msg, /*accounted=*/false);
@@ -552,7 +552,7 @@ void Node::push_inbox(Message msg) {
   // the push fast path — so a push that races the consumer's park decision
   // can miss the flag; the consumer's park timeout (a few hundred µs) is the
   // backstop for that window, and quiescence is unaffected because the
-  // message already holds its outstanding-work credit. The mutex is only
+  // sender counted the message's work credit before pushing. The mutex is only
   // touched when a parked consumer is actually observed.
   if (parked_.load(std::memory_order_relaxed)) {
     std::scoped_lock lk(park_mu_);

@@ -220,8 +220,8 @@ class Node {
   /// throughout, so per-channel FIFO and per-object delivery order are
   /// exactly those of the per-message path. While each run executes, every
   /// outgoing send is staged and flushed when the run retires (replies leave
-  /// as per-destination bundles). Retires one unit of engine work accounting
-  /// per message (Machine::on_work_retired).
+  /// as per-destination bundles). Retires one work credit per message
+  /// (work_retired).
   void deliver_batch(std::vector<Message>& batch);
   /// Merged-wave request staging (threaded engine, MachineConfig::merge_waves):
   /// while on, every send stages in the outbox regardless of flush policy.
@@ -258,6 +258,21 @@ class Node {
   void park_inbox(std::chrono::microseconds timeout);
   /// Wakes a parked consumer (engine shutdown, external prodding).
   void wake_inbox();
+
+  // ---- work credits (threaded engine's quiescence detection) ----
+  /// One credit per unit of outstanding work: a routed message, an enqueued
+  /// context, a message staged in the outbox. The node that makes the work
+  /// counts the create; the node that finishes it counts the retire, after
+  /// counting whatever the finished action made. Only this node's thread
+  /// writes the two counters — a relaxed load plus a release store, no
+  /// read-modify-write and no line shared with another writer — and the
+  /// threaded engine's monitor sums them across nodes (threaded_machine.hpp
+  /// gives the read order that makes the sums sound). The deterministic
+  /// engine tracks work structurally and never reads them.
+  void work_created(std::uint64_t n = 1) { bump(created_, n); }
+  void work_retired(std::uint64_t n = 1) { bump(retired_, n); }
+  std::uint64_t credits_created() const { return created_.load(std::memory_order_acquire); }
+  std::uint64_t credits_retired() const { return retired_.load(std::memory_order_acquire); }
 
   // ---- reply routing ----
   /// Delivers `v` to the future named by `k`: a local slot fill, or a Reply
@@ -349,6 +364,9 @@ class Node {
   /// and per-member receive stats were paid at bundle arrival.
   void execute_wave(MethodId method, bool recv_accounted);
   void bind_dispatch();
+  static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) {
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_release);
+  }
 
   NodeId id_;
   Machine& machine_;
@@ -404,6 +422,11 @@ class Node {
   ObjectSpace objects_;
   LocationCache loc_cache_;
   BlockInjector injector_;
+  // Work credits (work_created/work_retired). Last, so they sit in Node's
+  // tail padding (sizeof(Node) does not grow) and far from inbox_.head_ and
+  // parked_, the fields other node threads touch on every push.
+  std::atomic<std::uint64_t> created_{0};
+  std::atomic<std::uint64_t> retired_{0};
 };
 
 }  // namespace concert

@@ -93,16 +93,18 @@ ThreadedMachine::ThreadedMachine(std::size_t nodes, MachineConfig config)
 ThreadedMachine::~ThreadedMachine() = default;
 
 void ThreadedMachine::route(Node& from, Message msg) {
-  (void)from;
   const NodeId dst = msg.dst;
-  work_created();
+  // The sender counts the create before the push publishes the message, so
+  // the receiver's retire can never be summed without it.
+  from.work_created();
   node(dst).push_inbox(std::move(msg));
 }
 
-void ThreadedMachine::work_retired() {
-  const auto left = outstanding_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  CONCERT_CHECK(left >= 0, "outstanding-work counter went negative");
-  if (watch_) progress_.fetch_add(1, std::memory_order_relaxed);
+ThreadedMachine::Credits ThreadedMachine::sum_credits() const {
+  Credits c{external_created_, external_retired_};
+  for (const auto& n : nodes_) c.retired += n->credits_retired();
+  for (const auto& n : nodes_) c.created += n->credits_created();
+  return c;
 }
 
 void ThreadedMachine::node_loop(NodeId id) {
@@ -110,8 +112,8 @@ void ThreadedMachine::node_loop(NodeId id) {
   // One inbox batch per loop turn: a single drain amortizes the queue walk
   // over up to kInboxBatch deliveries, and each message's credit is retired
   // individually right after its delivery (the products of delivering message
-  // i are counted before i's own +1 drops, so the Dijkstra invariant holds at
-  // every instant within the batch).
+  // i are counted before i's own credit is retired, so no instant within the
+  // batch shows unfinished work as done).
   constexpr std::size_t kInboxBatch = 128;
   std::vector<Message> batch;
   batch.reserve(kInboxBatch);
@@ -121,19 +123,23 @@ void ThreadedMachine::node_loop(NodeId id) {
   while (true) {
     // Health sampling (concert-insight): every 1024 loop turns, from the
     // node's own thread — no cross-thread reads, no cost-model charge. Turn 0
-    // samples too, so even short runs record a baseline.
-    if ((turns++ & 0x3ff) == 0) nd.sample_health();
+    // samples too, so even short runs record a baseline. A failed run is
+    // abandoned here too, so a node that never idles still stops.
+    if ((turns++ & 0x3ff) == 0) {
+      nd.sample_health();
+      if (failed_.load(std::memory_order_relaxed)) break;
+    }
     batch.clear();
     if (nd.drain_inbox(batch, kInboxBatch) > 0) {
       if (config_.merge_waves) {
         // Merged-wave path: same-method runs inside the batch execute as one
         // loop each; deliver_batch retires every message's credit itself
-        // (products before the +1 drops, as below).
+        // (products before the message's own credit, as below).
         nd.deliver_batch(batch);
       } else {
         for (Message& msg : batch) {
           nd.deliver(msg);
-          work_retired();  // retires this message's own +1
+          nd.work_retired();  // this message's credit
         }
       }
       idle = 0;
@@ -149,20 +155,19 @@ void ThreadedMachine::node_loop(NodeId id) {
       nd.set_wave_staging(false);
       if (ran) {
         nd.flush_all_outboxes();
-        work_retired();  // retires the dequeued context's enqueue +1
+        nd.work_retired();  // the dequeued context's enqueue credit
         idle = 0;
         continue;
       }
     } else if (nd.run_one()) {
-      work_retired();  // retires the dequeued context's enqueue +1
+      nd.work_retired();  // the dequeued context's enqueue credit
       idle = 0;
       continue;
     }
     // Idle drain: ready queue and inbox are both empty, so any staged
-    // outbox messages leave now. Each staged message holds a +1 on the
-    // outstanding-work counter (added in Node::send, retired at flush after
-    // the bundle's own +1 exists), so quiescence cannot be declared while a
-    // message sits in an outbox.
+    // outbox messages leave now. Each staged message holds a credit (created
+    // in Node::send, retired at flush after the bundle's own exists), so
+    // quiescence cannot be declared while a message sits in an outbox.
     if (nd.flush_all_outboxes() > 0) {
       idle = 0;
       continue;
@@ -187,9 +192,8 @@ void ThreadedMachine::node_loop(NodeId id) {
 void ThreadedMachine::run_until_quiescent() {
   arm_postmortem();
   stop_.store(false, std::memory_order_release);
-  // Arm the stall watchdog before any thread exists: node threads read watch_
-  // plain, and thread creation orders this write before their first action.
-  watch_ = config_.stall_timeout > 0;
+  failed_.store(false, std::memory_order_relaxed);
+  failure_ = nullptr;
   // NUMA-interleaved placement plan (MachineConfig::pin_threads): node i runs
   // on plan[i % plan.size()]. Each thread pins *itself* before its first
   // action, so the affinity applies to the whole loop and the pin counter is
@@ -203,25 +207,38 @@ void ThreadedMachine::run_until_quiescent() {
     threads.emplace_back([this, i, cpu] {
       const NodeId id = static_cast<NodeId>(i);
       if (cpu >= 0 && pin_current_thread(cpu)) ++node(id).stats.thread_pins;
-      node_loop(id);
+      // A failed check must not unwind out of the thread (std::terminate):
+      // the first one stops the run and reaches the caller after the join.
+      try {
+        node_loop(id);
+      } catch (...) {
+        if (!failed_.exchange(true, std::memory_order_acq_rel)) failure_ = std::current_exception();
+      }
     });
   }
-  // The counter only reaches zero when no message is queued, no context is
-  // ready, and no action is mid-flight (every action holds its own +1 until
-  // its products are counted), so a zero reading is a stable quiescence.
-  // With the watchdog armed, the monitor also tracks the progress heartbeat:
-  // a counter stuck above zero while no node acts (a leaked work credit — the
-  // threaded analogue of a lost reply on a real transport) is a stall. A busy
-  // machine keeps bumping the heartbeat, so a declared stall implies every
-  // node is idle and the join below cannot hang.
+  // Equal sums are a stable quiescence (header comment). More retires than
+  // creates can only come from a retire with no matching create — a credit
+  // imbalance that would otherwise keep this loop from ever seeing equality —
+  // so the run is abandoned and the check after the join reports it. With
+  // the watchdog armed, the monitor also tracks the heartbeat (the sum of
+  // both): sums stuck apart while no node acts (a leaked credit, the
+  // threaded analogue of a lost reply on a real transport) is a stall. A
+  // busy machine keeps moving the heartbeat, so a declared stall implies
+  // every node is idle and the join below cannot hang.
   const std::uint64_t timeout_ms = config_.stall_timeout;
-  std::uint64_t last_beat = progress_.load(std::memory_order_relaxed);
+  Credits c = sum_credits();
+  std::uint64_t last_beat = c.created + c.retired;
   auto last_change = std::chrono::steady_clock::now();
   bool stalled = false;
-  while (outstanding_.load(std::memory_order_acquire) != 0) {
+  while (c.retired != c.created && !failed_.load(std::memory_order_acquire)) {
+    if (c.retired > c.created) {
+      failed_.store(true, std::memory_order_relaxed);
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::microseconds(50));
+    c = sum_credits();
     if (timeout_ms == 0) continue;
-    const std::uint64_t beat = progress_.load(std::memory_order_relaxed);
+    const std::uint64_t beat = c.created + c.retired;
     if (beat != last_beat) {
       last_beat = beat;
       last_change = std::chrono::steady_clock::now();
@@ -238,19 +255,31 @@ void ThreadedMachine::run_until_quiescent() {
   for (auto& t : threads) t.join();
   // Node threads are gone; memory housekeeping and the recorders are safe to
   // touch from here. A detected stall dumps the machine-readable postmortem
-  // (concert-insight) before the check throws; any other protocol panic on
-  // the way out (e.g. the quiescence verifier) dumps one too, then rethrows.
+  // (concert-insight) before the check throws; a node thread's error, a
+  // credit imbalance or any other protocol panic on the way out (e.g. the
+  // quiescence verifier) dumps one too, then rethrows.
   quiesce_memory();
   const std::string pm = stalled ? dump_postmortem("stall") : std::string();
   try {
+    if (failure_) std::rethrow_exception(failure_);
+    const Credits end = sum_credits();
     CONCERT_CHECK(!stalled, "threaded engine stalled: no scheduling progress for "
-                                << timeout_ms << " ms with "
-                                << outstanding_.load(std::memory_order_acquire)
+                                << timeout_ms << " ms with " << end.created - end.retired
                                 << " outstanding work credit(s)"
                                 << (pm.empty() ? "" : "\npostmortem written to " + pm) << "\n"
                                 << stall_report());
+    // Unless the run was abandoned, every thread drained to idle before it
+    // exited, so each create now has its retire and no inbox holds a
+    // message; anything else is a retire with no create (quiescence may then
+    // have been declared early and stranded a message).
+    std::size_t stranded = 0;
+    for (const auto& n : nodes_) stranded += n->inbox_empty() ? 0 : 1;
+    CONCERT_CHECK(end.retired == end.created && stranded == 0,
+                  "work-credit imbalance: " << end.created << " created, " << end.retired
+                                            << " retired, " << stranded
+                                            << " node(s) with undelivered messages");
     verify_at_quiescence();
-  } catch (const ProtocolError&) {
+  } catch (...) {
     dump_postmortem("panic");
     throw;
   }

@@ -1,17 +1,30 @@
 // Real-thread engine: one std::thread per node.
 //
-// Messages go straight into the destination node's mutex-protected inbox.
-// Quiescence is detected with a global outstanding-work counter: every
-// message send and every context enqueue increments it; finishing the
-// corresponding action decrements it. Because an action's products are
-// counted before the action itself is retired, the counter can only reach
-// zero when the system is truly idle (the standard Dijkstra-Scholten
-// argument, flattened onto a shared atomic since we have shared memory).
+// Messages go straight into the destination node's lock-free MPSC inbox.
+// Quiescence is detected with work credits: every routed message, context
+// enqueue and outbox staging creates one, and finishing the corresponding
+// action retires it. Each node counts its own creates and retires in two
+// counters that only its thread writes (Node::work_created/work_retired), so
+// the accounting costs a plain store, not a read-modify-write on a line every
+// node thread shares. A monitor on the thread that called run_until_quiescent
+// sums them every 50 µs: it reads every node's `retired`, then every node's
+// `created`, and declares quiescence when the two sums are equal.
+//
+// Why that read order is sound: a credit's create is published before
+// anything that depends on it can be seen by another thread (route() counts
+// the sender's create before the inbox push's release; a node counts its
+// local products before retiring the action that made them). So every retire
+// the monitor counts has its create counted too, and equal sums mean every
+// counted create has its retire counted. A credit alive between the two
+// reading phases would have a counted create and an uncounted retire, so none
+// was alive — and with no live credit, no action runs and nothing can create
+// one. Reading `created` first, or counting a message's create after its push,
+// can declare quiescence early.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
+#include <cstdint>
+#include <exception>
 
 #include "machine/machine.hpp"
 
@@ -23,32 +36,36 @@ class ThreadedMachine final : public Machine {
   ~ThreadedMachine() override;
 
   void route(Node& from, Message msg) override;
+  /// Runs every node on its own thread until quiescence. A protocol error on
+  /// a node thread (a failed CONCERT_CHECK) stops the run and is rethrown
+  /// here after the join, as is a work-credit imbalance; both dump the
+  /// "panic" postmortem first.
   void run_until_quiescent() override;
 
-  void on_work_created() override { work_created(); }
-  void on_work_retired() override { work_retired(); }
-
-  /// Work accounting, called by the shared runtime via Machine hooks.
-  void work_created() {
-    outstanding_.fetch_add(1, std::memory_order_acq_rel);
-    if (watch_) progress_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void work_retired();
+  void on_work_created() override { ++external_created_; }
+  void on_work_retired() override { ++external_retired_; }
 
  private:
   void node_loop(NodeId id);
+  /// Total work credits created and retired so far, every node's `retired`
+  /// read before any node's `created` (the header comment says why).
+  struct Credits {
+    std::uint64_t created = 0;
+    std::uint64_t retired = 0;
+  };
+  Credits sum_credits() const;
 
-  std::atomic<std::int64_t> outstanding_{0};
   std::atomic<bool> stop_{false};
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  /// Stall watchdog (MachineConfig::stall_timeout): every work-accounting
-  /// event bumps this heartbeat; the quiescence monitor declares a stall when
-  /// it stops moving. `watch_` is written before node threads spawn (and read
-  /// plain thereafter) so the extra atomic stays off the hot path entirely on
-  /// unwatched runs.
-  std::atomic<std::uint64_t> progress_{0};
-  bool watch_ = false;
+  /// Set by a node thread whose loop threw, or by the monitor on a credit
+  /// imbalance; node threads poll it every 1024 loop turns and abandon the
+  /// run. `failure_` is written once, by the node thread whose exchange on
+  /// `failed_` won, and read after the join.
+  std::atomic<bool> failed_{false};
+  std::exception_ptr failure_;
+  /// Credits added between runs through on_work_created/on_work_retired.
+  /// Written and summed only by the thread that runs the monitor.
+  std::uint64_t external_created_ = 0;
+  std::uint64_t external_retired_ = 0;
 };
 
 }  // namespace concert

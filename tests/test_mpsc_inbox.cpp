@@ -90,6 +90,51 @@ TEST(MpscQueue, MultiProducerFifoPerProducer) {
   for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_seq[p], kPerProducer);
 }
 
+/// An element type only this test uses, so its queue instantiation has a
+/// block pool of its own. Each construction records its address: a move
+/// lands in a queue node (push), a default construction is a queue's dummy
+/// node or a temporary.
+struct Placed {
+  static thread_local std::vector<const void*> moved, built;
+  Placed() { built.push_back(this); }
+  Placed(Placed&&) noexcept { moved.push_back(this); }
+  Placed& operator=(Placed&&) noexcept { return *this; }
+};
+thread_local std::vector<const void*> Placed::moved, Placed::built;
+
+TEST(MpscQueue, PoolRefillTakesBlocksADyingThreadDonated) {
+  // Thread A pushes and pops a few elements, so its block cache holds the
+  // consumed nodes, and donates them to the process-wide pool as it exits.
+  // The last pushed node stays linked as the dummy and is freed for real.
+  std::vector<const void*> donated;
+  std::thread a([&donated] {
+    MpscQueue<Placed> q;
+    for (int i = 0; i < 8; ++i) q.push(Placed{});
+    Placed out;
+    while (q.pop(out)) {
+    }
+    donated = Placed::moved;
+    donated.pop_back();
+  });
+  a.join();
+  // Thread B starts with an empty cache, so its first allocations refill
+  // from the pool: every block A donated must come back to B, since the
+  // allocator cannot hand out a block the pool still holds.
+  std::vector<const void*> reused;
+  std::thread b([&reused] {
+    MpscQueue<Placed> q;
+    for (int i = 0; i < 1024; ++i) q.push(Placed{});
+    reused = Placed::moved;
+    reused.insert(reused.end(), Placed::built.begin(), Placed::built.end());
+  });
+  b.join();
+  ASSERT_EQ(donated.size(), 7u);
+  std::sort(reused.begin(), reused.end());
+  for (const void* p : donated) {
+    EXPECT_TRUE(std::binary_search(reused.begin(), reused.end(), p)) << p;
+  }
+}
+
 TEST(ThreadedInbox, ParkTimesOutWhenEmpty) {
   ThreadedMachine m(1, test_config());
   m.registry().finalize();
@@ -133,7 +178,7 @@ TEST(ThreadedInbox, SkipsParkWhenMessagePending) {
 }
 
 TEST(ThreadedInbox, QuiescenceNotDeclaredEarly) {
-  // Regression for the Dijkstra-counting + MPSC interaction: a message that
+  // Regression for the work-credit + MPSC interaction: a message that
   // is pushed but momentarily invisible to the consumer must not let the
   // machine quiesce. Message-heavy distributed runs, repeated: any lost or
   // prematurely-declared-done message shows up as a wrong result, leaked

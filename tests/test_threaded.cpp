@@ -1,7 +1,14 @@
 // The std::thread-per-node engine: real concurrency, quiescence detection,
-// and agreement with the deterministic engine's results.
+// protocol errors raised on node threads, and agreement with the
+// deterministic engine's results.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "support/json.hpp"
 #include "test_util.hpp"
 
 namespace concert {
@@ -78,6 +85,82 @@ TEST(ThreadedMachineTest, ChainAcrossRuns) {
   auto ids = seqbench::register_seqbench(m.registry(), true);
   m.registry().finalize();
   EXPECT_EQ(m.run_main(1, ids.chain, kNoObject, {Value(40)}).as_i64(), 42);
+}
+
+// ---- protocol errors on node threads ----
+
+MethodId g_liar = kInvalidMethod;
+
+/// Declared non-blocking, yet hands a context back up the stack: the
+/// wrapper's "fell back" check fails on the node thread that runs it.
+Context* liar_seq(Node& nd, Value*, const CallerInfo&, GlobalRef, const Value*, std::size_t) {
+  return &nd.alloc_context(g_liar);
+}
+void liar_par(Node&, Context&) { CONCERT_UNREACHABLE("liar_par"); }
+
+/// Retires one work credit it never created.
+Context* overdraw_seq(Node& nd, Value* ret, const CallerInfo&, GlobalRef, const Value*,
+                      std::size_t) {
+  nd.work_retired();
+  *ret = Value(std::int64_t{1});
+  return nullptr;
+}
+void overdraw_par(Node&, Context&) { CONCERT_UNREACHABLE("overdraw_par"); }
+
+MethodId declare_leaf(MethodRegistry& reg, const char* name, SeqFn seq, ParStep par) {
+  MethodDecl d;
+  d.name = name;
+  d.seq = seq;
+  d.par = par;
+  d.frame_slots = 1;
+  return reg.declare(d);
+}
+
+TEST(ThreadedFailure, NodeThreadProtocolErrorReachesCaller) {
+  const std::string path = "PM_test_threaded_panic.json";
+  std::remove(path.c_str());
+  MachineConfig cfg = test_config(ExecMode::Hybrid3);
+  cfg.postmortem_path = path;
+  ThreadedMachine m(4, cfg);
+  g_liar = declare_leaf(m.registry(), "liar", liar_seq, liar_par);
+  m.registry().finalize();
+  ASSERT_EQ(m.registry().schema(g_liar), Schema::NonBlocking);
+  try {
+    (void)m.run_main(2, g_liar, kNoObject, {});
+    ADD_FAILURE() << "no ProtocolError thrown";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("non-blocking method liar fell back"), std::string::npos)
+        << e.what();
+  }
+  // The error left the run through the panic postmortem.
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "postmortem missing: " << path;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(json_parse(ss.str(), doc, &err)) << err;
+  EXPECT_EQ(doc.str_or("reason", ""), "panic");
+  std::remove(path.c_str());
+}
+
+TEST(ThreadedFailure, ExtraRetireIsReportedAsImbalance) {
+  // Depending on when the monitor polls, the extra retire shows as more
+  // retires than creates mid-run, or as unequal sums (or a stranded message)
+  // after the join; every interleaving must end in the same error, never in
+  // a hang or std::terminate. Fresh machines: the imbalance outlives a run.
+  for (int round = 0; round < 20; ++round) {
+    ThreadedMachine m(4, test_config(ExecMode::Hybrid3));
+    const MethodId overdraw = declare_leaf(m.registry(), "overdraw", overdraw_seq, overdraw_par);
+    m.registry().finalize();
+    try {
+      (void)m.run_main(static_cast<NodeId>(round % 4), overdraw, kNoObject, {});
+      ADD_FAILURE() << "round " << round << ": no ProtocolError thrown";
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("work-credit imbalance"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
