@@ -169,54 +169,12 @@ void export_metrics(const Machine& machine, MetricsRegistry& out) {
   const NodeStats t = machine.total_stats();
   out.add_counter("concert_nodes", "Nodes in the machine", machine.node_count());
 
-  // Every NodeStats counter, summed across nodes. Names follow the
-  // Prometheus convention (unit-free events get a _total suffix).
+  // Every scalar NodeStats counter, combined across nodes, under the name
+  // CONCERT_NODE_STATS gives it.
+#define CONCERT_NODE_STATS_ROW(field, merge, metric) {metric, t.field},
   const std::pair<const char*, std::uint64_t> counters[] = {
-      {"concert_stack_calls_total", t.stack_calls},
-      {"concert_stack_completions_total", t.stack_completions},
-      {"concert_spec_stack_calls_total", t.spec_stack_calls},
-      {"concert_fallbacks_total", t.fallbacks},
-      {"concert_heap_invokes_total", t.heap_invokes},
-      {"concert_local_invokes_total", t.local_invokes},
-      {"concert_remote_invokes_total", t.remote_invokes},
-      {"concert_contexts_allocated_total", t.contexts_allocated},
-      {"concert_contexts_freed_total", t.contexts_freed},
-      {"concert_suspensions_total", t.suspensions},
-      {"concert_resumptions_total", t.resumptions},
-      {"concert_proxy_contexts_total", t.proxy_contexts},
-      {"concert_continuations_created_total", t.continuations_created},
-      {"concert_continuations_forwarded_total", t.continuations_forwarded},
-      {"concert_msgs_sent_total", t.msgs_sent},
-      {"concert_msgs_received_total", t.msgs_received},
-      {"concert_bytes_sent_total", t.bytes_sent},
-      {"concert_replies_sent_total", t.replies_sent},
-      {"concert_outbox_flushes_total", t.outbox_flushes},
-      {"concert_bundles_sent_total", t.bundles_sent},
-      {"concert_bundles_received_total", t.bundles_received},
-      {"concert_msgs_coalesced_total", t.msgs_coalesced},
-      {"concert_comm_instructions_total", t.comm_instructions},
-      {"concert_inbox_batches_total", t.inbox_batches},
-      {"concert_inbox_batched_msgs_total", t.inbox_batched_msgs},
-      {"concert_inbox_parks_total", t.inbox_parks},
-      {"concert_park_wakeups_total", t.park_wakeups},
-      {"concert_loc_cache_hits_total", t.loc_cache_hits},
-      {"concert_loc_cache_misses_total", t.loc_cache_misses},
-      {"concert_loc_cache_invalidations_total", t.loc_cache_invalidations},
-      {"concert_cache_evictions_total", t.cache_evictions},
-      {"concert_ctx_fresh_total", t.ctx_fresh},
-      {"concert_ctx_recycled_total", t.ctx_recycled},
-      {"concert_arena_slab_bytes", t.arena_slab_bytes},
-      {"concert_arena_resets_total", t.arena_resets},
-      {"concert_payload_acquires_total", t.payload_acquires},
-      {"concert_payload_pool_hits_total", t.payload_pool_hits},
-      {"concert_payload_releases_total", t.payload_releases},
-      {"concert_payload_discards_total", t.payload_discards},
-      {"concert_payload_moves_total", t.payload_moves},
-      {"concert_thread_pins_total", t.thread_pins},
-      {"concert_wave_runs_total", t.wave_runs},
-      {"concert_wave_msgs_total", t.wave_msgs},
-      {"concert_wave_max", t.wave_max},
-  };
+      CONCERT_NODE_STATS(CONCERT_NODE_STATS_ROW)};
+#undef CONCERT_NODE_STATS_ROW
   for (const auto& [name, value] : counters) out.add_counter(name, "", value);
   std::uint64_t dropped = 0;
   for (NodeId nid = 0; nid < machine.node_count(); ++nid) {

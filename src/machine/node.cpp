@@ -322,39 +322,94 @@ std::size_t Node::flush_all_outboxes() {
   return flushed;
 }
 
-void Node::deliver(Message& msg) {
-  if (msg.is_bundle()) {
-    const std::size_t n = msg.bundle.size();
-    const std::uint64_t c = costs().bundle_recv_cost(msg.any_invoke(), n);
+void Node::deliver(std::span<Message> batch) {
+  for (Message& msg : batch) {
+    if (!msg.is_bundle()) {
+      feed(msg, /*accounted=*/false);
+      continue;
+    }
+    // Bundle arrival, paid once: the amortized receive overhead here, each
+    // member's receive stats as it is fed. Runs never span a bundle
+    // boundary, so the pending run retires first, and the bundle's last run
+    // before the next message.
+    flush_run();
+    const std::uint64_t c = costs().bundle_recv_cost(msg.any_invoke(), msg.bundle.size());
     charge(c);
     stats.comm_instructions += c;
     ++stats.bundles_received;
     for (Message& e : msg.bundle) {
       ++stats.msgs_received;
       trace<TraceKind::MsgRecv>(e.method, e.src, e.cause);
-      deliver_element(e);
+      feed(e, /*accounted=*/true);
     }
-    return;
+    flush_run();
   }
-  const bool is_reply = msg.kind == MsgKind::Reply;
-  const std::uint64_t c = costs().recv_cost(is_reply);
-  charge(c);
-  stats.comm_instructions += c;
-  ++stats.msgs_received;
-  trace<TraceKind::MsgRecv>(msg.method, msg.src, msg.cause);
-  deliver_element(msg);
+  flush_run();
 }
 
-void Node::deliver_element(Message& msg) {
-  // Delivery-order sanitizer (concert-race): join the sender's stamp into
-  // this node's clock, and probe Invoke deliveries per target object for
-  // unordered (concurrent-stamped) method pairs.
-  if (verifier.enabled() && !msg.vclock.empty()) {
-    verifier.join_delivery(msg.vclock);
-    if (msg.kind == MsgKind::Invoke && msg.target.valid()) {
-      verifier.record_object_delivery(msg.target.pack(), msg.method, msg.vclock);
-    }
+void Node::feed(Message& msg, bool accounted) {
+  // A message may join the pending run only if executing it inline is
+  // guaranteed equivalent to delivering it alone: a plain Invoke of a
+  // wave-eligible method (NB, non-locking — see seal()) on a local,
+  // unforwarded, unlocked object. Nothing executes between this check and
+  // the run's execution except earlier members of the same run, and a
+  // wave-eligible body can neither lock nor migrate objects, so the check
+  // cannot go stale. Everything else — and every run-key change — retires
+  // the pending run first, preserving delivery order exactly.
+  const bool joins = cfg_.merge_waves && msg.kind == MsgKind::Invoke && msg.target.valid() &&
+                     msg.target.node == id_ && dispatch(msg.method).wave != nullptr &&
+                     !objects_.is_forwarded(msg.target) && !objects_.locked(msg.target);
+  if (!joins) {
+    flush_run();
+    deliver_element(msg, accounted);
+    return;
   }
+  if (!wave_msgs_.empty() &&
+      (msg.method != wave_msgs_.front()->method || wave_msgs_.size() >= kWaveCap)) {
+    flush_run();
+  }
+  run_accounted_ = accounted;
+  wave_targets_.push_back(msg.target);
+  wave_args_.push_back(msg.args.data());
+  wave_nargs_.push_back(static_cast<std::uint32_t>(msg.args.size()));
+  wave_replies_.push_back(msg.reply_to);
+  wave_msgs_.push_back(&msg);
+}
+
+void Node::flush_run() {
+  if (wave_msgs_.empty()) return;
+  // Every send made while a run executes is staged in the outbox — even
+  // under FlushPolicy::Immediate — and leaves as one flush per destination
+  // when the run retires, so a wave's replies travel as bundles without a
+  // policy change. Flushing per *run* (not per delivered batch) and capping
+  // run length keeps requesters supplied while this node works through a
+  // long drain: with one flush per 128-message batch, SOR's boundary
+  // exchange serializes into idle ping-pong bubbles and the merged path
+  // loses more to lost overlap than it wins in amortized dispatch.
+  wave_staging_ = true;
+  if (wave_msgs_.size() == 1) {
+    deliver_element(*wave_msgs_.front(), run_accounted_);
+  } else {
+    execute_wave();
+  }
+  wave_staging_ = false;
+  flush_all_outboxes();
+  wave_targets_.clear();
+  wave_args_.clear();
+  wave_nargs_.clear();
+  wave_replies_.clear();
+  wave_msgs_.clear();
+}
+
+void Node::deliver_element(Message& msg, bool accounted) {
+  if (!accounted) {
+    const std::uint64_t c = costs().recv_cost(msg.kind == MsgKind::Reply);
+    charge(c);
+    stats.comm_instructions += c;
+    ++stats.msgs_received;
+    trace<TraceKind::MsgRecv>(msg.method, msg.src, msg.cause);
+  }
+  verify_delivery(msg);
   if (msg.kind == MsgKind::Reply) {
     // Replies may carry several values, filling consecutive slots (the
     // multiple-return-values extension).
@@ -372,122 +427,23 @@ void Node::deliver_element(Message& msg) {
   release_payload(std::move(msg.args));
 }
 
-void Node::deliver_batch(std::vector<Message>& batch) {
-  // Every send made while a run executes is staged in the outbox — even
-  // under FlushPolicy::Immediate — and leaves as one flush per destination
-  // when the run retires, so a wave's replies travel as bundles without a
-  // policy change. Flushing per *run* (not per drained batch) and capping
-  // run length keeps requesters supplied while this node works through a
-  // long drain: with one flush per 128-message batch, SOR's boundary
-  // exchange serializes into idle ping-pong bubbles and the merged path
-  // loses more to lost overlap than it wins in amortized dispatch.
-  MethodId run_method = kInvalidMethod;
-  // True when the current run's members came out of a bundle: their receive
-  // cost, msgs_received and MsgRecv traces were already accounted at bundle
-  // arrival, and their work credit belongs to the bundle, not to them.
-  bool run_accounted = false;
-  // Executes whatever run is staged in the wave_* columns. Singleton runs are
-  // not worth a wave bracket: the plain path is exactly as cheap.
-  const auto flush_run = [&] {
-    const std::size_t n = wave_msgs_.size();
-    if (n == 0) return;
-    wave_staging_ = true;
-    if (n == 1) {
-      // deliver()/deliver_element() recycle the payload themselves.
-      if (run_accounted) {
-        deliver_element(*wave_msgs_.front());
-      } else {
-        deliver(*wave_msgs_.front());
-      }
-    } else {
-      execute_wave(run_method, run_accounted);
-    }
-    wave_staging_ = false;
-    flush_all_outboxes();
-    if (!run_accounted) {
-      work_retired(n);
-    }
-    wave_targets_.clear();
-    wave_args_.clear();
-    wave_nargs_.clear();
-    wave_replies_.clear();
-    wave_msgs_.clear();
-    run_method = kInvalidMethod;
-  };
-  // A message may join the current run only if executing it inline is
-  // guaranteed equivalent to the per-message path: a plain Invoke of a
-  // wave-eligible method (NB, non-locking — see seal()) on a local,
-  // unforwarded, unlocked object. Nothing executes between this check and
-  // the run's execution except earlier members of the same run, and a
-  // wave-eligible body can neither lock nor migrate objects, so the check
-  // cannot go stale. Everything else — and every run-key change — flushes
-  // the pending run first, preserving stream order exactly.
-  const auto feed = [&](Message& msg, bool accounted) {
-    const bool eligible = !msg.is_bundle() && msg.kind == MsgKind::Invoke &&
-                          msg.target.valid() && msg.target.node == id_ &&
-                          dispatch(msg.method).wave != nullptr &&
-                          !objects_.is_forwarded(msg.target) && !objects_.locked(msg.target);
-    if (!eligible) {
-      flush_run();
-      if (accounted) {
-        deliver_element(msg);  // recycles the payload itself
-      } else {
-        deliver(msg);
-        work_retired();
-      }
-      return;
-    }
-    if (run_method != kInvalidMethod &&
-        (msg.method != run_method || wave_msgs_.size() >= kWaveCap)) {
-      flush_run();
-    }
-    run_method = msg.method;
-    run_accounted = accounted;
-    wave_targets_.push_back(msg.target);
-    wave_args_.push_back(msg.args.data());
-    wave_nargs_.push_back(static_cast<std::uint32_t>(msg.args.size()));
-    wave_replies_.push_back(msg.reply_to);
-    wave_msgs_.push_back(&msg);
-  };
-  for (Message& msg : batch) {
-    if (msg.is_bundle()) {
-      // Expand the bundle through the partitioner so its members — already a
-      // same-destination burst, often homogeneous thanks to request staging —
-      // can merge into waves. Arrival accounting mirrors deliver(): the
-      // amortized bundle receive cost and per-member receive stats are paid
-      // here; the members then carry accounted=true so the wave path charges
-      // only its per-member loop costs. The bundle holds ONE engine work
-      // credit (its members' credits were retired at flush), retired after
-      // every member has executed. Runs never span a bundle boundary, so a
-      // run's accounting mode is uniform.
-      flush_run();
-      const std::size_t bn = msg.bundle.size();
-      const std::uint64_t c = costs().bundle_recv_cost(msg.any_invoke(), bn);
-      charge(c);
-      stats.comm_instructions += c;
-      ++stats.bundles_received;
-      for (Message& e : msg.bundle) {
-        ++stats.msgs_received;
-        trace<TraceKind::MsgRecv>(e.method, e.src, e.cause);
-        feed(e, /*accounted=*/true);
-      }
-      flush_run();
-      work_retired();
-      continue;
-    }
-    feed(msg, /*accounted=*/false);
+void Node::verify_delivery(const Message& msg) {
+  if (!verifier.enabled() || msg.vclock.empty()) return;
+  verifier.join_delivery(msg.vclock);
+  if (msg.kind == MsgKind::Invoke && msg.target.valid()) {
+    verifier.record_object_delivery(msg.target.pack(), msg.method, msg.vclock);
   }
-  flush_run();
 }
 
-void Node::execute_wave(MethodId method, bool recv_accounted) {
+void Node::execute_wave() {
   const std::size_t n = wave_msgs_.size();
+  const MethodId method = wave_msgs_.front()->method;
   const DispatchEntry& de = dispatch(method);
   // Amortized accounting: ONE receive overhead and ONE sequential-call setup
   // for the run, then the residual per-member loop cost plus the lock probe
-  // each member would have paid anyway. Runs fed from an expanded bundle
-  // (recv_accounted) paid their receive costs at bundle arrival.
-  if (!recv_accounted) {
+  // each member would have paid anyway. A run of bundle members paid its
+  // receive costs at bundle arrival.
+  if (!run_accounted_) {
     const std::uint64_t recv = costs().recv_cost(/*is_reply=*/false);
     charge(recv);
     stats.comm_instructions += recv;
@@ -514,33 +470,16 @@ void Node::execute_wave(MethodId method, bool recv_accounted) {
     // One latency bracket for the whole run (the per-message path records one
     // per invocation; the wave's single record is the amortization at work).
     ScopedInvokeLatency lat(metrics_.get(), method);
-    InvokeWave w;
-    w.method = method;
-    w.targets = wave_targets_.data();
-    w.args = wave_args_.data();
-    w.nargs = wave_nargs_.data();
-    w.replies = wave_replies_.data();
-    if (verifier.enabled()) {
-      // The sanitizer must observe the same interleaving of delivery joins
-      // and reply stamps as the per-message path, so each member joins and
-      // executes in turn (a one-element wave view per member). Verification
-      // is outside the cost model; the charges above are untouched.
-      w.count = 1;
-      for (std::size_t i = 0; i < n; ++i) {
-        const Message& m = *wave_msgs_[i];
-        if (!m.vclock.empty()) {
-          verifier.join_delivery(m.vclock);
-          verifier.record_object_delivery(m.target.pack(), m.method, m.vclock);
-        }
-        w.targets = wave_targets_.data() + i;
-        w.args = wave_args_.data() + i;
-        w.nargs = wave_nargs_.data() + i;
-        w.replies = wave_replies_.data() + i;
-        de.wave(*this, w);
-      }
-    } else {
-      w.count = n;
-      de.wave(*this, w);
+    // Under verify the members run one at a time (stride 1), each after
+    // joining its sender's clock, so the sanitizer observes the same
+    // interleaving of delivery joins and reply stamps as one-by-one
+    // delivery. Verification is outside the cost model; the charges above
+    // are untouched.
+    const std::size_t stride = verifier.enabled() ? 1 : n;
+    for (std::size_t i = 0; i < n; i += stride) {
+      verify_delivery(*wave_msgs_[i]);
+      de.wave(*this, InvokeWave{method, stride, wave_targets_.data() + i, wave_args_.data() + i,
+                                wave_nargs_.data() + i, wave_replies_.data() + i});
     }
   }
   for (Message* m : wave_msgs_) release_payload(std::move(m->args));

@@ -16,6 +16,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/context.hpp"
@@ -209,20 +210,22 @@ class Node {
   /// flush time, amortizing the per-message overhead over the whole bundle.
   /// Works for both engines.
   void send(Message msg);
-  /// Processes one delivered message. Bundles are unpacked here: each element
-  /// runs through the same wrapper / reply-routing path as a plain message,
-  /// but the per-message receive overhead is paid once per bundle.
-  void deliver(Message& msg);
-  /// Merged-wave delivery (MachineConfig::merge_waves): processes a whole
-  /// drained batch, executing maximal contiguous runs of same-method
-  /// wave-eligible invocations as one loop each (see DispatchEntry::wave) and
-  /// everything else through deliver(). Message order is the batch order
-  /// throughout, so per-channel FIFO and per-object delivery order are
-  /// exactly those of the per-message path. While each run executes, every
-  /// outgoing send is staged and flushed when the run retires (replies leave
-  /// as per-destination bundles). Retires one work credit per message
-  /// (work_retired).
-  void deliver_batch(std::vector<Message>& batch);
+  /// The one way messages enter a node: processes a delivered batch in
+  /// order. A bundle pays its receive overhead once on arrival and its
+  /// members are then processed like loose messages. Every message runs
+  /// through the wrapper / reply-routing path, except that with
+  /// MachineConfig::merge_waves on, contiguous same-method wave-eligible
+  /// invocations (see DispatchEntry::wave) join a run of up to kWaveCap
+  /// that executes as one loop; every send made while a run executes is
+  /// staged and flushed when the run retires (replies leave as
+  /// per-destination bundles). Batch order is delivery order throughout,
+  /// so per-channel FIFO and per-object delivery order are those of a
+  /// message-at-a-time walk. Retires no work credit: each delivered message
+  /// holds one, and the threaded engine retires the batch's credits after
+  /// this returns, once every product of the delivery has counted its own.
+  void deliver(std::span<Message> batch);
+  /// One message: a batch of one.
+  void deliver(Message& msg) { deliver(std::span<Message>(&msg, 1)); }
   /// Merged-wave request staging (threaded engine, MachineConfig::merge_waves):
   /// while on, every send stages in the outbox regardless of flush policy.
   /// The engine brackets each context slice with it so a burst of spawns —
@@ -355,14 +358,23 @@ class Node {
   /// invocation can never be dispatched — the holder cannot complete until
   /// the chain it spawned (including `ctx`) replies.
   bool deadlocked_on_ancestor(const Context& ctx);
-  /// Reply fill / wrapper execution shared by plain messages and bundle
-  /// elements (per-message overhead already charged by deliver()).
-  void deliver_element(Message& msg);
-  /// Executes the run currently staged in the wave_* scratch columns as one
-  /// merged loop (deliver_batch's helper; charges the amortized wave costs).
-  /// `recv_accounted` marks runs expanded from a bundle, whose receive cost
-  /// and per-member receive stats were paid at bundle arrival.
-  void execute_wave(MethodId method, bool recv_accounted);
+  /// deliver()'s step for one message: joins the pending run if it may
+  /// (merge_waves on, same method, wave-eligible, run below kWaveCap), else
+  /// retires the run and delivers the message alone. `accounted` marks a
+  /// bundle member, whose receive was paid at bundle arrival.
+  void feed(Message& msg, bool accounted);
+  /// Executes the pending run, if any, staging every send it makes and
+  /// flushing them when it retires. A run of one takes deliver_element.
+  void flush_run();
+  /// Receive accounting (unless `accounted`), then reply fill / wrapper
+  /// execution, then payload recycling.
+  void deliver_element(Message& msg, bool accounted);
+  /// Executes the pending run of two or more as one merged loop, charging
+  /// the amortized wave costs (run_accounted_ as for deliver_element).
+  void execute_wave();
+  /// Delivery-order sanitizer probe (concert-race): joins the sender's
+  /// vector clock and records Invoke deliveries per target object.
+  void verify_delivery(const Message& msg);
   void bind_dispatch();
   static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) {
     c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_release);
@@ -399,10 +411,10 @@ class Node {
   /// first burst after every quiescent point into fresh heap allocations.
   static constexpr std::size_t kPayloadPoolKeep = 192;
   std::vector<Message> flush_scratch_;  ///< Reused drain buffer (capacity cycles).
-  // Merged-wave scratch: the struct-of-arrays columns an InvokeWave view
-  // points into, rebuilt per run from the drained messages (capacity cycles,
-  // no per-batch allocation). wave_msgs_ keeps the source messages so their
-  // payloads can be released after the wave executes.
+  // The pending run: the struct-of-arrays columns an InvokeWave view points
+  // into, rebuilt per run from the delivered messages (capacity cycles, no
+  // per-batch allocation). wave_msgs_ keeps the source messages so their
+  // payloads can be released after the run executes.
   std::vector<GlobalRef> wave_targets_;
   std::vector<const Value*> wave_args_;
   std::vector<std::uint32_t> wave_nargs_;
@@ -417,6 +429,9 @@ class Node {
   /// message in the outbox regardless of flush policy, so the run's replies
   /// leave as one bundle per destination when the run retires.
   bool wave_staging_ = false;
+  /// True when the pending run's members came out of a bundle. Runs never
+  /// span a bundle boundary, so a run's accounting is uniform.
+  bool run_accounted_ = false;
   std::unique_ptr<NodeMetrics> metrics_;  ///< Null unless MachineConfig::metrics.
   SiteProfiler sites_;  ///< Disabled (and empty) unless MachineConfig::profile_sites.
   ObjectSpace objects_;

@@ -103,30 +103,20 @@ void SimMachine::run_loop() {
     if (best_is_msg) {
       // Shuffle mode (concert-race) may deliver any channel head within the
       // horizon instead of the strict earliest; `best_t` is exactly the time
-      // this delivery happens at, so nothing is delivered early.
-      Message msg = network_.shuffled() ? network_.pop_for_shuffled(best_node, best_t)
-                                        : network_.pop_for(best_node);
-      nd.advance_clock_to(msg.deliver_at);
-      if (config_.merge_waves) {
-        // Merged-wave path: greedily take every further message already
-        // deliverable at this receiver's (now advanced) clock — the analogue
-        // of the threaded engine's inbox drain — and hand the whole batch to
-        // the node. Nothing is delivered early: the horizon is the clock the
-        // first delivery established. Per-channel FIFO holds because pops
-        // stay in network order (or shuffle-eligible order, which preserves
-        // it per channel).
-        batch_.clear();
-        batch_.push_back(std::move(msg));
-        while (!network_.empty_for(best_node) &&
-               network_.earliest_for(best_node) <= nd.clock()) {
-          batch_.push_back(network_.shuffled()
-                               ? network_.pop_for_shuffled(best_node, nd.clock())
-                               : network_.pop_for(best_node));
-        }
-        nd.deliver_batch(batch_);
-      } else {
-        nd.deliver(msg);
-      }
+      // this delivery happens at, so nothing is delivered early. With
+      // merge_waves on, every further message already deliverable at that
+      // time joins the batch greedily — the analogue of the threaded
+      // engine's inbox drain. Per-channel FIFO holds because pops stay in
+      // network order (or shuffle-eligible order, which preserves it per
+      // channel).
+      batch_.clear();
+      do {
+        batch_.push_back(network_.shuffled() ? network_.pop_for_shuffled(best_node, best_t)
+                                             : network_.pop_for(best_node));
+      } while (config_.merge_waves && !network_.empty_for(best_node) &&
+               network_.earliest_for(best_node) <= best_t);
+      nd.advance_clock_to(batch_.front().deliver_at);
+      nd.deliver(batch_);
     } else if (best_is_flush) {
       nd.flush_all_outboxes();
     } else {

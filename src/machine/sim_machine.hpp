@@ -33,8 +33,9 @@ class SimMachine final : public Machine {
 
   SimNetwork network_;
   std::uint64_t actions_ = 0;
-  /// Merged-wave delivery batch (MachineConfig::merge_waves): the deliverable
-  /// messages greedily popped for one receiver, reused across deliveries.
+  /// The messages one delivery action hands to its receiver: one, or with
+  /// MachineConfig::merge_waves every message deliverable at that time.
+  /// Reused across deliveries.
   std::vector<Message> batch_;
 };
 

@@ -110,10 +110,10 @@ ThreadedMachine::Credits ThreadedMachine::sum_credits() const {
 void ThreadedMachine::node_loop(NodeId id) {
   Node& nd = node(id);
   // One inbox batch per loop turn: a single drain amortizes the queue walk
-  // over up to kInboxBatch deliveries, and each message's credit is retired
-  // individually right after its delivery (the products of delivering message
-  // i are counted before i's own credit is retired, so no instant within the
-  // batch shows unfinished work as done).
+  // over up to kInboxBatch deliveries, and the batch's credits are retired
+  // together once Node::deliver returns, after every product of the batch
+  // (a routed reply, an enqueued context, a staged or flushed message) has
+  // counted its own create — so no instant shows unfinished work as done.
   constexpr std::size_t kInboxBatch = 128;
   std::vector<Message> batch;
   batch.reserve(kInboxBatch);
@@ -130,18 +130,9 @@ void ThreadedMachine::node_loop(NodeId id) {
       if (failed_.load(std::memory_order_relaxed)) break;
     }
     batch.clear();
-    if (nd.drain_inbox(batch, kInboxBatch) > 0) {
-      if (config_.merge_waves) {
-        // Merged-wave path: same-method runs inside the batch execute as one
-        // loop each; deliver_batch retires every message's credit itself
-        // (products before the message's own credit, as below).
-        nd.deliver_batch(batch);
-      } else {
-        for (Message& msg : batch) {
-          nd.deliver(msg);
-          nd.work_retired();  // this message's credit
-        }
-      }
+    if (const std::size_t drained = nd.drain_inbox(batch, kInboxBatch); drained > 0) {
+      nd.deliver(batch);
+      nd.work_retired(drained);  // the delivered messages' credits
       idle = 0;
       continue;
     }

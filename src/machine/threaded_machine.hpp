@@ -3,12 +3,14 @@
 // Messages go straight into the destination node's lock-free MPSC inbox.
 // Quiescence is detected with work credits: every routed message, context
 // enqueue and outbox staging creates one, and finishing the corresponding
-// action retires it. Each node counts its own creates and retires in two
-// counters that only its thread writes (Node::work_created/work_retired), so
-// the accounting costs a plain store, not a read-modify-write on a line every
-// node thread shares. A monitor on the thread that called run_until_quiescent
-// sums them every 50 µs: it reads every node's `retired`, then every node's
-// `created`, and declares quiescence when the two sums are equal.
+// action retires it (a drained inbox batch retires its messages' credits
+// together, once Node::deliver returns). Each node counts its own creates
+// and retires in two counters that only its thread writes
+// (Node::work_created/work_retired), so the accounting costs a plain store,
+// not a read-modify-write on a line every node thread shares. A monitor on
+// the thread that called run_until_quiescent sums them every 50 µs: it reads
+// every node's `retired`, then every node's `created`, and declares
+// quiescence when the two sums are equal.
 //
 // Why that read order is sound: a credit's create is published before
 // anything that depends on it can be seen by another thread (route() counts

@@ -139,14 +139,23 @@ bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err) {
   if (!get(is, nodes) || !get(is, out.dropped) || !get(is, wall) || !get(is, out.us_per_insn)) {
     return fail(err, "truncated header");
   }
+  if (nodes > kTraceMaxNodes) {
+    const std::string what = std::string("node count ")
+                                 .append(std::to_string(nodes))
+                                 .append(" above the cap of ")
+                                 .append(std::to_string(kTraceMaxNodes));
+    return fail(err, what.c_str());
+  }
   out.node_count = nodes;
   out.wall_time = wall != 0;
+  // Counts come from the file, so nothing is reserved from them: a corrupt
+  // count fails at the first missing record instead of allocating for it.
   if (!get(is, n_methods)) return fail(err, "truncated method table");
   out.method_names.clear();
-  out.method_names.reserve(n_methods);
   for (std::uint32_t i = 0; i < n_methods; ++i) {
     std::uint32_t len = 0;
-    if (!get(is, len) || len > (1u << 20)) return fail(err, "bad method-name length");
+    if (!get(is, len)) return fail(err, "truncated method table");
+    if (len > (1u << 20)) return fail(err, "bad method-name length");
     std::string name(len, '\0');
     is.read(name.data(), len);
     if (!is.good()) return fail(err, "truncated method name");
@@ -155,7 +164,6 @@ bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err) {
   std::uint64_t n_events = 0;
   if (!get(is, n_events)) return fail(err, "truncated event count");
   out.events.clear();
-  out.events.reserve(static_cast<std::size_t>(n_events));
   for (std::uint64_t i = 0; i < n_events; ++i) {
     TraceEvent e;
     std::uint32_t node = 0, method = 0, arg = 0;
@@ -164,6 +172,7 @@ bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err) {
         !get(is, e.rec.clock) || !get(is, e.rec.wall_ns) || !get(is, e.rec.cause)) {
       return fail(err, "truncated event list");
     }
+    if (node >= nodes) return fail(err, "event on a node outside the dump");
     if (kind >= kTraceKindCount) return fail(err, "bad event kind");
     if (arg > kTraceArgMax) return fail(err, "bad event arg");
     e.node = static_cast<NodeId>(node);

@@ -186,8 +186,13 @@ TraceDump dump_trace(const Machine& machine, bool wall_time = false);
 
 /// Compact binary dump (magic "CTRACE02"), the `concert_trace` CLI's input.
 void write_binary_trace(const TraceDump& dump, std::ostream& os);
+/// Largest node count read_binary_trace accepts. Consumers size per-node
+/// tables from the header, so a corrupt count must not reach them.
+constexpr std::uint32_t kTraceMaxNodes = 1u << 16;
+
 /// Reads a binary dump; returns false (with *err set when non-null) on a
-/// malformed or truncated stream.
+/// malformed or truncated stream, a node count above kTraceMaxNodes, or an
+/// event on a node outside the dump.
 bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err = nullptr);
 
 /// Chrome trace-event JSON (object form): {"traceEvents": [...],

@@ -47,8 +47,19 @@ class Parser {
   bool value(JsonValue& out) {
     if (pos_ >= s_.size()) return fail("unexpected end of input");
     switch (s_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        // Containers recurse; the cap keeps hostile nesting off the stack.
+        if (depth_ == kJsonMaxDepth) {
+          return fail(std::string("nesting deeper than ")
+                          .append(std::to_string(kJsonMaxDepth))
+                          .append(" levels"));
+        }
+        ++depth_;
+        const bool ok = s_[pos_] == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.type = JsonValue::Type::String;
         return string(out.str);
@@ -201,6 +212,7 @@ class Parser {
   const std::string& s_;
   std::string* err_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< Containers open around pos_.
 };
 
 }  // namespace

@@ -59,9 +59,14 @@ class JsonValue {
 /// every other control character becomes `\u00XX`, as RFC 8259 requires.
 std::string json_escape(const std::string& s);
 
+/// Deepest array/object nesting json_parse accepts. The parser recurses once
+/// per level; the runtime's own artifacts nest a handful of levels.
+constexpr std::size_t kJsonMaxDepth = 256;
+
 /// Parses `text` into `out`. Raw control characters inside strings are
 /// rejected, as RFC 8259 requires. Returns false (and sets *err, if given, to a
-/// message with an offset) on malformed input or trailing garbage.
+/// message with an offset) on malformed input, trailing garbage, or nesting
+/// deeper than kJsonMaxDepth.
 bool json_parse(const std::string& text, JsonValue& out, std::string* err = nullptr);
 
 }  // namespace concert

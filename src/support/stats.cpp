@@ -4,52 +4,19 @@
 
 namespace concert {
 
+namespace {
+
+// The two ways operator+= combines a counter across nodes (the `merge`
+// column of CONCERT_NODE_STATS).
+std::uint64_t sum(std::uint64_t a, std::uint64_t b) { return a + b; }
+std::uint64_t max(std::uint64_t a, std::uint64_t b) { return a > b ? a : b; }
+
+}  // namespace
+
 NodeStats& NodeStats::operator+=(const NodeStats& o) {
-  stack_calls += o.stack_calls;
-  stack_completions += o.stack_completions;
-  spec_stack_calls += o.spec_stack_calls;
-  fallbacks += o.fallbacks;
-  heap_invokes += o.heap_invokes;
-  local_invokes += o.local_invokes;
-  remote_invokes += o.remote_invokes;
-  contexts_allocated += o.contexts_allocated;
-  contexts_freed += o.contexts_freed;
-  suspensions += o.suspensions;
-  resumptions += o.resumptions;
-  proxy_contexts += o.proxy_contexts;
-  continuations_created += o.continuations_created;
-  continuations_forwarded += o.continuations_forwarded;
-  msgs_sent += o.msgs_sent;
-  msgs_received += o.msgs_received;
-  bytes_sent += o.bytes_sent;
-  replies_sent += o.replies_sent;
-  outbox_flushes += o.outbox_flushes;
-  bundles_sent += o.bundles_sent;
-  bundles_received += o.bundles_received;
-  msgs_coalesced += o.msgs_coalesced;
-  comm_instructions += o.comm_instructions;
-  inbox_batches += o.inbox_batches;
-  inbox_batched_msgs += o.inbox_batched_msgs;
-  if (o.inbox_batch_max > inbox_batch_max) inbox_batch_max = o.inbox_batch_max;
-  inbox_parks += o.inbox_parks;
-  park_wakeups += o.park_wakeups;
-  loc_cache_hits += o.loc_cache_hits;
-  loc_cache_misses += o.loc_cache_misses;
-  loc_cache_invalidations += o.loc_cache_invalidations;
-  cache_evictions += o.cache_evictions;
-  ctx_fresh += o.ctx_fresh;
-  ctx_recycled += o.ctx_recycled;
-  arena_slab_bytes += o.arena_slab_bytes;
-  arena_resets += o.arena_resets;
-  payload_acquires += o.payload_acquires;
-  payload_pool_hits += o.payload_pool_hits;
-  payload_releases += o.payload_releases;
-  payload_discards += o.payload_discards;
-  payload_moves += o.payload_moves;
-  thread_pins += o.thread_pins;
-  wave_runs += o.wave_runs;
-  wave_msgs += o.wave_msgs;
-  if (o.wave_max > wave_max) wave_max = o.wave_max;
+#define CONCERT_NODE_STATS_MERGE(field, merge, metric) field = merge(field, o.field);
+  CONCERT_NODE_STATS(CONCERT_NODE_STATS_MERGE)
+#undef CONCERT_NODE_STATS_MERGE
   for (std::size_t i = 0; i < kBundleBuckets; ++i) bundle_size_hist[i] += o.bundle_size_hist[i];
   return *this;
 }

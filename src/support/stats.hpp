@@ -11,74 +11,98 @@
 
 namespace concert {
 
+/// Every scalar NodeStats counter, listed once: X(field, merge, metric).
+/// `merge` is how operator+= combines two nodes' values — `sum`, or `max`
+/// for the two high-water marks — and `metric` is the name export_metrics
+/// gives the machine-wide value (Prometheus style: event counts end in
+/// _total). The struct, operator+= and the export table are generated from
+/// this list; summary() groups the counters by hand.
+#define CONCERT_NODE_STATS(X)                                                \
+  /* Invocation mix. */                                                      \
+  /* Sequential invocations begun on the stack ... */                        \
+  X(stack_calls, sum, "concert_stack_calls_total")                           \
+  /* ... of which ran to completion on the stack. */                         \
+  X(stack_completions, sum, "concert_stack_completions_total")               \
+  /* Call sites bound NB by edge specialization. */                          \
+  X(spec_stack_calls, sum, "concert_spec_stack_calls_total")                 \
+  /* Stack invocations that unwound into the heap. */                        \
+  X(fallbacks, sum, "concert_fallbacks_total")                               \
+  /* Invocations that went straight to a heap context. */                    \
+  X(heap_invokes, sum, "concert_heap_invokes_total")                         \
+  /* Invocations whose target object was local / remote. */                  \
+  X(local_invokes, sum, "concert_local_invokes_total")                       \
+  X(remote_invokes, sum, "concert_remote_invokes_total")                     \
+  /* Context machinery. */                                                   \
+  X(contexts_allocated, sum, "concert_contexts_allocated_total")             \
+  X(contexts_freed, sum, "concert_contexts_freed_total")                     \
+  /* Contexts blocked on unsatisfied futures, and re-enqueued after. */      \
+  X(suspensions, sum, "concert_suspensions_total")                           \
+  X(resumptions, sum, "concert_resumptions_total")                           \
+  X(proxy_contexts, sum, "concert_proxy_contexts_total")                     \
+  /* Continuations. */                                                       \
+  X(continuations_created, sum, "concert_continuations_created_total")       \
+  X(continuations_forwarded, sum, "concert_continuations_forwarded_total")   \
+  /* Messaging. msgs_sent/received count logical messages (bundle */         \
+  /* elements, not envelopes), so sent == received holds under every */      \
+  /* flush policy; bytes_sent counts actual wire bytes. */                   \
+  X(msgs_sent, sum, "concert_msgs_sent_total")                               \
+  X(msgs_received, sum, "concert_msgs_received_total")                       \
+  X(bytes_sent, sum, "concert_bytes_sent_total")                             \
+  X(replies_sent, sum, "concert_replies_sent_total")                         \
+  /* Comms layer (per-destination outboxes, message coalescing): outbox */   \
+  /* drains (one network message each), flushes that combined >1 staged */   \
+  /* message, bundles delivered, logical messages that left inside a */      \
+  /* bundle, and instructions charged to messaging overhead */               \
+  /* (send/recv/stage/flush; excludes wire latency). */                      \
+  X(outbox_flushes, sum, "concert_outbox_flushes_total")                     \
+  X(bundles_sent, sum, "concert_bundles_sent_total")                         \
+  X(bundles_received, sum, "concert_bundles_received_total")                 \
+  X(msgs_coalesced, sum, "concert_msgs_coalesced_total")                     \
+  X(comm_instructions, sum, "concert_comm_instructions_total")               \
+  /* Threaded-engine inbox: non-empty MPSC drains, messages popped across */ \
+  /* them, the largest single drain, idle parks, and parks that woke to */   \
+  /* find work waiting. */                                                   \
+  X(inbox_batches, sum, "concert_inbox_batches_total")                       \
+  X(inbox_batched_msgs, sum, "concert_inbox_batched_msgs_total")             \
+  X(inbox_batch_max, max, "concert_inbox_batch_max")                         \
+  X(inbox_parks, sum, "concert_inbox_parks_total")                           \
+  X(park_wakeups, sum, "concert_park_wakeups_total")                         \
+  /* Location cache (resolve_forwarding): hits, misses (full chase), */      \
+  /* entries dropped at migration, entries displaced by a collision. */      \
+  X(loc_cache_hits, sum, "concert_loc_cache_hits_total")                     \
+  X(loc_cache_misses, sum, "concert_loc_cache_misses_total")                 \
+  X(loc_cache_invalidations, sum, "concert_loc_cache_invalidations_total")   \
+  X(cache_evictions, sum, "concert_cache_evictions_total")                   \
+  /* Context slab arena: allocs that bumped a slab (first use of an id), */  \
+  /* allocs served from the freelist, bytes reserved in slabs, and */        \
+  /* quiescence-time arena/pool housekeeping passes. */                      \
+  X(ctx_fresh, sum, "concert_ctx_fresh_total")                               \
+  X(ctx_recycled, sum, "concert_ctx_recycled_total")                         \
+  X(arena_slab_bytes, sum, "concert_arena_slab_bytes")                       \
+  X(arena_resets, sum, "concert_arena_resets_total")                         \
+  /* Payload buffer pool: buffers requested for outgoing messages, those */  \
+  /* served from the pool, delivered buffers returned to it, releases */     \
+  /* dropped because it was full, and payloads handed over uncopied. */      \
+  X(payload_acquires, sum, "concert_payload_acquires_total")                 \
+  X(payload_pool_hits, sum, "concert_payload_pool_hits_total")               \
+  X(payload_releases, sum, "concert_payload_releases_total")                 \
+  X(payload_discards, sum, "concert_payload_discards_total")                 \
+  X(payload_moves, sum, "concert_payload_moves_total")                       \
+  /* Node threads pinned to a CPU (MachineConfig::pin_threads). */           \
+  X(thread_pins, sum, "concert_thread_pins_total")                           \
+  /* Merged-wave dispatch (MachineConfig::merge_waves): runs of >= 2 */      \
+  /* same-method messages executed as one loop, the messages inside */       \
+  /* them, and the largest run. A run of one is not counted here. */         \
+  X(wave_runs, sum, "concert_wave_runs_total")                               \
+  X(wave_msgs, sum, "concert_wave_msgs_total")                               \
+  X(wave_max, max, "concert_wave_max")
+
 /// Per-node counters for runtime events. Plain aggregates so they can be
-/// summed across nodes with operator+=.
+/// combined across nodes with operator+=.
 struct NodeStats {
-  // Invocation mix.
-  std::uint64_t stack_calls = 0;       ///< Sequential invocations begun on the stack.
-  std::uint64_t stack_completions = 0; ///< ... of which ran to completion on the stack.
-  std::uint64_t spec_stack_calls = 0;  ///< Call sites bound NB by edge specialization.
-  std::uint64_t fallbacks = 0;         ///< Stack invocations that unwound into the heap.
-  std::uint64_t heap_invokes = 0;      ///< Invocations that went straight to a heap context.
-  std::uint64_t local_invokes = 0;     ///< Invocations whose target object was local.
-  std::uint64_t remote_invokes = 0;    ///< Invocations whose target object was remote.
-
-  // Context machinery.
-  std::uint64_t contexts_allocated = 0;
-  std::uint64_t contexts_freed = 0;
-  std::uint64_t suspensions = 0;   ///< Context blocked on unsatisfied futures.
-  std::uint64_t resumptions = 0;   ///< Context re-enqueued after its futures filled.
-  std::uint64_t proxy_contexts = 0;
-
-  // Continuations.
-  std::uint64_t continuations_created = 0;
-  std::uint64_t continuations_forwarded = 0;
-
-  // Messaging. msgs_sent/received count *logical* messages (bundle elements,
-  // not bundle envelopes), so the sent == received conservation law holds
-  // under every flush policy; bytes_sent counts actual wire bytes.
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t msgs_received = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t replies_sent = 0;
-
-  // Comms layer (per-destination outboxes, message coalescing).
-  std::uint64_t outbox_flushes = 0;    ///< Outbox drains (one network message each).
-  std::uint64_t bundles_sent = 0;      ///< Flushes that combined >1 staged message.
-  std::uint64_t bundles_received = 0;
-  std::uint64_t msgs_coalesced = 0;    ///< Logical messages that left inside a bundle.
-  std::uint64_t comm_instructions = 0; ///< Instructions charged to messaging overhead
-                                       ///< (send/recv/stage/flush; excludes wire latency).
-
-  // Hot-path machinery (threaded-engine inbox, location cache).
-  std::uint64_t inbox_batches = 0;      ///< Non-empty MPSC inbox drains.
-  std::uint64_t inbox_batched_msgs = 0; ///< Messages popped across those drains.
-  std::uint64_t inbox_batch_max = 0;    ///< Largest single drain.
-  std::uint64_t inbox_parks = 0;        ///< Times the node thread parked idle.
-  std::uint64_t park_wakeups = 0;       ///< Parks that woke to find inbox work waiting.
-  std::uint64_t loc_cache_hits = 0;     ///< Location-cache hits in resolve_forwarding.
-  std::uint64_t loc_cache_misses = 0;   ///< ... misses (full forwarding-chain walk).
-  std::uint64_t loc_cache_invalidations = 0;  ///< Entries dropped at migration time.
-  std::uint64_t cache_evictions = 0;    ///< Location-cache entries displaced by a colliding insert.
-
-  // Memory subsystem (context slab arena, payload buffer pools).
-  std::uint64_t ctx_fresh = 0;          ///< Context allocs that bumped a slab (first use of an id).
-  std::uint64_t ctx_recycled = 0;       ///< Context allocs served from the arena freelist.
-  std::uint64_t arena_slab_bytes = 0;   ///< Bytes reserved in context slabs.
-  std::uint64_t arena_resets = 0;       ///< Quiescence-time arena/pool housekeeping passes.
-  std::uint64_t payload_acquires = 0;   ///< Payload buffers requested for outgoing messages.
-  std::uint64_t payload_pool_hits = 0;  ///< ... of which were served from the per-node pool.
-  std::uint64_t payload_releases = 0;   ///< Delivered payload buffers returned to the pool.
-  std::uint64_t payload_discards = 0;   ///< Releases dropped because the pool was full (heap free).
-  std::uint64_t payload_moves = 0;      ///< Message-owned payloads handed over without a copy.
-  std::uint64_t thread_pins = 0;        ///< Node threads pinned to a CPU (MachineConfig::pin_threads).
-
-  // Merged-wave dispatch (MachineConfig::merge_waves). A "wave" is a run of
-  // >= 2 same-method messages executed as one loop; singletons and ineligible
-  // messages take the per-message path and are not counted here.
-  std::uint64_t wave_runs = 0;  ///< Merged runs executed.
-  std::uint64_t wave_msgs = 0;  ///< Messages delivered inside merged runs.
-  std::uint64_t wave_max = 0;   ///< Largest single run.
+#define CONCERT_NODE_STATS_FIELD(field, merge, metric) std::uint64_t field = 0;
+  CONCERT_NODE_STATS(CONCERT_NODE_STATS_FIELD)
+#undef CONCERT_NODE_STATS_FIELD
 
   /// Flush-size histogram buckets: 1, 2, 3, 4, 5-8, 9-16, 17-32, 33+.
   static constexpr std::size_t kBundleBuckets = 8;

@@ -1,9 +1,12 @@
 // Metrics: log2 histogram bucket math and quantiles, bucket-wise merge,
-// registry JSON / Prometheus exposition, machine-level export, and the
-// NodeStats counters added for concert-scope.
+// registry JSON / Prometheus exposition, machine-level export, and how every
+// NodeStats counter merges across nodes and exports.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "support/histogram.hpp"
 #include "support/metrics.hpp"
@@ -301,6 +304,47 @@ TEST(Metrics, ExportWithMetricsOffHasCountersButNoHistograms) {
   EXPECT_EQ(reg.find_histogram("concert_method_latency_ns"), nullptr);
   EXPECT_EQ(reg.find_histogram("concert_ctx_lifetime_ns"), nullptr);
   EXPECT_NE(reg.find_histogram("concert_health_ready_depth"), nullptr);
+}
+
+TEST(Metrics, EveryNodeStatsCounterMergesAndExports) {
+  // Counter k holds k on node 0 and 100 + k on node 1, so a sum (100 + 2k)
+  // and a max (100 + k) are told apart, and no two counters share a value.
+  SimMachine m(2, test_config(ExecMode::Hybrid3));
+  NodeStats& s0 = m.node(0).stats;
+  NodeStats& s1 = m.node(1).stats;
+  std::uint64_t k = 0;
+#define SET_COUNTER(field, merge, metric) \
+  ++k;                                    \
+  s0.field = k;                           \
+  s1.field = 100 + k;
+  CONCERT_NODE_STATS(SET_COUNTER)
+#undef SET_COUNTER
+  const NodeStats total = m.total_stats();
+  MetricsRegistry reg;
+  export_metrics(m, reg);
+  std::set<std::string> names;
+  k = 0;
+#define CHECK_COUNTER(field, merge, metric)                                             \
+  {                                                                                     \
+    ++k;                                                                                \
+    const std::uint64_t want = std::string_view(#merge) == "max" ? 100 + k : 100 + 2 * k; \
+    EXPECT_EQ(total.field, want) << #field;                                             \
+    const MetricsRegistry::Counter* c = reg.find_counter(metric);                       \
+    if (c == nullptr) {                                                                 \
+      ADD_FAILURE() << #field << " not exported as " << metric;                         \
+    } else {                                                                            \
+      EXPECT_EQ(c->value, want) << metric;                                              \
+    }                                                                                   \
+    names.insert(metric);                                                               \
+  }
+  CONCERT_NODE_STATS(CHECK_COUNTER)
+#undef CHECK_COUNTER
+  EXPECT_EQ(names.size(), k);  // one metric per counter
+  // The two high-water marks take the larger node's value.
+  EXPECT_EQ(total.inbox_batch_max, s1.inbox_batch_max);
+  EXPECT_EQ(total.wave_max, s1.wave_max);
+  EXPECT_NE(reg.find_counter("concert_inbox_batch_max"), nullptr);
+  EXPECT_NE(reg.find_counter("concert_wave_max"), nullptr);
 }
 
 TEST(Metrics, NodeStatsSumsNewCounters) {

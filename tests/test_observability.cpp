@@ -167,6 +167,35 @@ TEST(Json, ParserRejectsRawControlCharacters) {
   EXPECT_TRUE(json_parse("\"a\\nb\"", v, &err)) << err;
 }
 
+/// `depth` nested arrays around nothing: "[[...]]".
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(Json, ParserRejectsNestingPastItsCap) {
+  // 100k levels would overflow the recursive-descent parser's stack.
+  JsonValue v;
+  std::string err;
+  EXPECT_FALSE(json_parse(nested_arrays(100'000), v, &err));
+  EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+  err.clear();
+  EXPECT_FALSE(json_parse(nested_arrays(kJsonMaxDepth + 1), v, &err));
+  EXPECT_FALSE(err.empty());
+  std::string objects;
+  for (std::size_t i = 0; i <= kJsonMaxDepth; ++i) objects += "{\"k\":";
+  objects.append("1").append(kJsonMaxDepth + 1, '}');
+  EXPECT_FALSE(json_parse(objects, v, &err));
+}
+
+TEST(Json, ParserAcceptsNestingAtItsCap) {
+  JsonValue v;
+  std::string err;
+  ASSERT_TRUE(json_parse(nested_arrays(kJsonMaxDepth), v, &err)) << err;
+  std::size_t depth = 1;
+  for (const JsonValue* p = &v; !p->arr.empty(); p = &p->arr[0]) ++depth;
+  EXPECT_EQ(depth, kJsonMaxDepth);
+}
+
 Context* odd_seq(Node&, Value* ret, const CallerInfo&, GlobalRef, const Value*, std::size_t) {
   *ret = Value(std::int64_t{1});
   return nullptr;

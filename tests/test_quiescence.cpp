@@ -4,7 +4,10 @@
 // monitor's summed work credits balance; declaring that too early strands
 // messages or cuts a program short, which shows up here as a result that
 // differs from the serial reference, a leaked context, a send/receive
-// mismatch, or the engine's own work-credit imbalance check.
+// mismatch, or the engine's own work-credit imbalance check. The SOR and
+// EM3D rounds rotate over the delivery paths whose credits retire
+// differently: per-message and merged-wave delivery, each with immediate
+// sends and with every send staged until its node idles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +26,17 @@ using testing::test_config;
 constexpr std::size_t kNodes = 4;
 constexpr int kRounds = 100;  // four programs per round: 400 runs
 
+/// The config for `round`: the default, merge_waves,
+/// FlushPolicy::flush_on_idle, then both, two rounds each, so that every
+/// config runs both of SOR's iteration counts.
+MachineConfig delivery_config(int round) {
+  const int k = (round / 2) % 4;
+  MachineConfig cfg = test_config(ExecMode::Hybrid3);
+  cfg.merge_waves = (k & 1) != 0;
+  if ((k & 2) != 0) cfg.flush_policy = FlushPolicy::flush_on_idle();
+  return cfg;
+}
+
 void expect_conserved(const Machine& m) {
   EXPECT_EQ(m.live_contexts(), 0u);
   const NodeStats s = m.total_stats();
@@ -32,7 +46,7 @@ void expect_conserved(const Machine& m) {
 /// SOR n=24 in 1x1 tiles: every neighbour read crosses a node boundary.
 void sor_round(int round) {
   const sor::Params p{24, 2, 1, 1 + round % 2};
-  ThreadedMachine m(p.nodes(), test_config(ExecMode::Hybrid3));
+  ThreadedMachine m(p.nodes(), delivery_config(round));
   const auto ids = sor::register_sor(m.registry(), p);
   m.registry().finalize();
   auto world = sor::build(m, ids, p);
@@ -54,7 +68,7 @@ void em3d_round(int round) {
   p.iters = 2;
   p.local_fraction = 0.1;
   p.seed = 500 + static_cast<std::uint64_t>(round);
-  ThreadedMachine m(kNodes, test_config(ExecMode::Hybrid3));
+  ThreadedMachine m(kNodes, delivery_config(round));
   const auto ids = em3d::register_em3d(m.registry(), p, kNodes);
   m.registry().finalize();
   auto world = em3d::build(m, ids, p);

@@ -1,11 +1,15 @@
 // The per-node event ring: the always-on coarse window of untraced runs,
 // full-detail recording, causal flow-id pairing across nodes and engines,
-// chrome-trace export well formed, binary round-trip. Simulated-time
-// identity lives in test_observability.cpp.
+// chrome-trace export well formed, binary round-trip, and the binary
+// reader's rejection of corrupt dumps. Simulated-time identity lives in
+// test_observability.cpp.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "machine/trace.hpp"
 #include "support/metrics.hpp"
@@ -274,6 +278,72 @@ TEST(Trace, BinaryReaderRejectsGarbage) {
   std::string err;
   EXPECT_FALSE(read_binary_trace(ss, d, &err));
   EXPECT_FALSE(err.empty());
+}
+
+// Hand-corrupted dumps. Each header field sits at a fixed offset: magic (8
+// bytes), node count (u32, offset 8), dropped (u64), wall flag (u8), us per
+// insn (f64), method count (u32, offset 29), then the names, the event count
+// (u64) and the events.
+constexpr std::size_t kNodeCountAt = 8;
+constexpr std::size_t kMethodCountAt = 29;
+
+/// The CTRACE02 bytes of a `nodes`-node dump with no methods and `events`.
+std::string ctrace_bytes(std::size_t nodes, std::vector<TraceEvent> events = {}) {
+  TraceDump d;
+  d.node_count = nodes;
+  d.events = std::move(events);
+  std::ostringstream os;
+  write_binary_trace(d, os);
+  return os.str();
+}
+
+template <typename T>
+void patch(std::string& bytes, std::size_t at, T v) {
+  ASSERT_LE(at + sizeof v, bytes.size());
+  std::memcpy(bytes.data() + at, &v, sizeof v);
+}
+
+/// Reads `bytes`; returns the reader's error, or "" if it accepted them.
+std::string read_error(const std::string& bytes) {
+  std::istringstream is(bytes);
+  TraceDump d;
+  std::string err;
+  if (read_binary_trace(is, d, &err)) return "";
+  return err.empty() ? "(no message)" : err;
+}
+
+TEST(Trace, BinaryReaderRejectsEventOnNodeOutsideDump) {
+  // Consumers index per-node tables by the event's node (the Chrome export's
+  // open-dispatch table), so the node must be below the dump's node count.
+  const std::string bytes = ctrace_bytes(1, {TraceEvent{50'000'000, TraceRecord{}}});
+  EXPECT_NE(read_error(bytes).find("node"), std::string::npos) << read_error(bytes);
+  EXPECT_EQ(read_error(ctrace_bytes(1, {TraceEvent{0, TraceRecord{}}})), "");
+}
+
+TEST(Trace, BinaryReaderRejectsNodeCountAboveCap) {
+  std::string bytes = ctrace_bytes(1);
+  patch<std::uint32_t>(bytes, kNodeCountAt, 0xFFFFFFFFu);
+  EXPECT_NE(read_error(bytes).find("node count"), std::string::npos) << read_error(bytes);
+  patch<std::uint32_t>(bytes, kNodeCountAt, kTraceMaxNodes + 1);
+  EXPECT_NE(read_error(bytes), "");
+  patch<std::uint32_t>(bytes, kNodeCountAt, kTraceMaxNodes);
+  EXPECT_EQ(read_error(bytes), "");
+}
+
+TEST(Trace, BinaryReaderRejectsEventCountTheStreamCannotFill) {
+  // 2^61 events claimed, none present: fails at the first missing event
+  // instead of reserving for the claimed count.
+  std::string bytes = ctrace_bytes(1);
+  patch<std::uint64_t>(bytes, bytes.size() - 8, std::uint64_t{1} << 61);
+  EXPECT_NE(read_error(bytes).find("truncated"), std::string::npos) << read_error(bytes);
+}
+
+TEST(Trace, BinaryReaderRejectsMethodCountTheStreamCannotFill) {
+  // 0xFFFFFFF0 method names claimed, and the stream ends right after the
+  // count.
+  std::string bytes = ctrace_bytes(1).substr(0, kMethodCountAt + 4);
+  patch<std::uint32_t>(bytes, kMethodCountAt, 0xFFFFFFF0u);
+  EXPECT_NE(read_error(bytes), "");
 }
 
 TEST(Trace, ChromeExportIsBalancedJsonWithFlows) {

@@ -178,6 +178,48 @@ TEST(WaveOrder, MixedStreamSplitsRunsButKeepsTotalOrder) {
   EXPECT_LE(s.wave_max, 4u);
 }
 
+TEST(WaveOrder, BundleArrivalIsPaidOnceAndEndsItsRuns) {
+  // Delivered straight into node 0: a bundle of two appends, a loose append,
+  // then a bundle of an append and a locked append. Each bundle pays its
+  // receive overhead once on arrival and its members never pay again,
+  // whether they run merged or alone; no run continues past a bundle into
+  // the next message. The books match with merging off and on.
+  for (const bool merge : {false, true}) {
+    MachineConfig cfg = test_config();
+    cfg.merge_waves = merge;
+    SimMachine m(2, cfg);
+    register_log(m.registry());
+    m.registry().finalize();
+    auto [ref, obj] = m.node(0).objects().create<LogObj>(kLogType);
+    const auto invoke = [ref = ref](MethodId method, std::int64_t x) {
+      return Message::invoke(1, 0, method, ref, {Value(x)}, kNoContinuation);
+    };
+    std::vector<Message> pair;
+    pair.push_back(invoke(g_append, 1));
+    pair.push_back(invoke(g_append, 2));
+    std::vector<Message> split;
+    split.push_back(invoke(g_append, 4));
+    split.push_back(invoke(g_append_locked, 5));
+    std::vector<Message> batch;
+    batch.push_back(Message::bundle_of(1, 0, std::move(pair)));
+    batch.push_back(invoke(g_append, 3));
+    batch.push_back(Message::bundle_of(1, 0, std::move(split)));
+    Node& nd = m.node(0);
+    nd.deliver(batch);
+    EXPECT_EQ(obj->entries, (std::vector<std::int64_t>{1, 2, 3, 4, 5})) << "merge " << merge;
+    const CostModel& c = m.costs();
+    EXPECT_EQ(nd.stats.bundles_received, 2u);
+    EXPECT_EQ(nd.stats.msgs_received, 5u) << "merge " << merge;
+    EXPECT_EQ(nd.stats.comm_instructions,
+              2 * c.bundle_recv_cost(/*any_invoke=*/true, 2) + c.recv_cost(/*is_reply=*/false))
+        << "merge " << merge;
+    // Only the first bundle's pair merges: append 3 arrives loose after the
+    // bundle ends, and append 4 runs alone before the locked append.
+    EXPECT_EQ(nd.stats.wave_runs, merge ? 1u : 0u);
+    EXPECT_EQ(nd.stats.wave_msgs, merge ? 2u : 0u);
+  }
+}
+
 TEST(WaveOrder, ThreadedEngineKeepsPerSenderFifo) {
   MachineConfig cfg = test_config();
   cfg.merge_waves = true;
@@ -298,8 +340,9 @@ TEST(WaveVerify, SorPassesConformanceWithMergeOn) {
 
 TEST(WaveVerify, VerifiedDeliveryCountsMatchPerMessagePath) {
   // Under verify the wave executes element-at-a-time; every message must
-  // still be stamped/joined exactly once, so total received counts agree
-  // with the per-message configuration.
+  // still be stamped/joined exactly once, so total received counts and the
+  // sanitizer's per-object delivery probes agree with the per-message
+  // configuration.
   const sor::Params p{12, 2, 2, 2};
   auto run_with = [&](bool merge) {
     MachineConfig cfg = test_config();
@@ -311,7 +354,12 @@ TEST(WaveVerify, VerifiedDeliveryCountsMatchPerMessagePath) {
     m.registry().finalize();
     auto world = sor::build(m, ids, p);
     EXPECT_TRUE(sor::run(m, ids, world));
-    return m.total_stats().msgs_received;
+    std::uint64_t probes = 0;
+    for (NodeId n = 0; n < m.node_count(); ++n) {
+      probes += m.node(n).verifier.stats().object_deliveries;
+    }
+    EXPECT_GT(probes, 0u);
+    return std::pair{m.total_stats().msgs_received, probes};
   };
   EXPECT_EQ(run_with(false), run_with(true));
 }
