@@ -25,6 +25,7 @@
 // the watchdog then reports) and leaves POSTMORTEM_demo.json behind — the CI
 // artifact exercising the postmortem dump end to end.
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -726,6 +727,12 @@ int main(int argc, char** argv) {
   bool postmortem_demo = false;
   int reps = 3;
   std::string json_path = "BENCH_wallclock.json";
+  auto usage = [] {
+    std::cerr << "usage: wallclock_suite [--smoke] [--reps N] [--json PATH] "
+                 "[--metrics] [--trace] [--pin] [--merge] [--sites] "
+                 "[--postmortem-demo]\n";
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -742,14 +749,20 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--postmortem-demo") == 0) {
       postmortem_demo = true;
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
+      // Digits only: from_chars takes no '+' and no leading space, and a '-'
+      // or a zero leaves no positive count.
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      const auto [ptr, ec] = std::from_chars(text, end, reps);
+      if (ec != std::errc() || ptr != end || reps <= 0) {
+        std::cerr << "wallclock_suite: --reps wants a positive whole number, got '" << text
+                  << "'\n";
+        return usage();
+      }
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::cerr << "usage: wallclock_suite [--smoke] [--reps N] [--json PATH] "
-                   "[--metrics] [--trace] [--pin] [--merge] [--sites] "
-                   "[--postmortem-demo]\n";
-      return 2;
+      return usage();
     }
   }
   if (smoke) reps = std::min(reps, 2);

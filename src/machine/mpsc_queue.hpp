@@ -1,5 +1,9 @@
 // Lock-free multi-producer / single-consumer queue (Vyukov's node-based
-// MPSC), used as the threaded engine's per-node message inbox.
+// MPSC). No longer the runtime's inbox: a node's inbox is one ChannelFifo
+// per source node (channel_fifo.hpp), and no runtime code uses this queue.
+// It is kept for bench/hem's machine.mpsc_handoff_ns probe, which times it,
+// and for its own tests (test_mpsc_inbox). The notes below describe it as
+// the inbox it was.
 //
 // Producers (any node thread routing a message here) push with one atomic
 // exchange and one release store — no lock, no CAS loop, no waiting on other

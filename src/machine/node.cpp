@@ -1,7 +1,5 @@
 #include "machine/node.hpp"
 
-#include <iterator>
-
 #include "core/invoke.hpp"
 #include "core/registry.hpp"
 #include "core/wrapper.hpp"
@@ -485,8 +483,13 @@ void Node::execute_wave() {
   for (Message* m : wave_msgs_) release_payload(std::move(m->args));
 }
 
+void Node::init_inbox(std::size_t sources) { inbox_ = std::vector<ChannelFifo<Message>>(sources); }
+
 void Node::push_inbox(Message msg) {
-  inbox_.push(std::move(msg));
+  CONCERT_CHECK(msg.src < inbox_.size(), "inbox push from node " << msg.src << " to node " << id_
+                                                                 << ", which has " << inbox_.size()
+                                                                 << " channels");
+  inbox_[msg.src].push(std::move(msg));
   // Wake a parked consumer. The load is deliberately relaxed — no fence on
   // the push fast path — so a push that races the consumer's park decision
   // can miss the flag; the consumer's park timeout (a few hundred µs) is the
@@ -499,12 +502,31 @@ void Node::push_inbox(Message msg) {
   }
 }
 
-bool Node::pop_inbox(Message& out) { return inbox_.pop(out); }
+bool Node::pop_inbox(Message& out) {
+  for (std::size_t i = 0; i < inbox_.size(); ++i) {
+    ChannelFifo<Message>& ch = inbox_[next_channel_];
+    if (++next_channel_ == inbox_.size()) next_channel_ = 0;
+    if (ch.pop(out)) return true;
+  }
+  return false;
+}
 
-bool Node::inbox_empty() const { return inbox_.consumer_empty(); }
+bool Node::inbox_empty() const {
+  for (const ChannelFifo<Message>& ch : inbox_) {
+    if (!ch.empty()) return false;
+  }
+  return true;
+}
 
 std::size_t Node::drain_inbox(std::vector<Message>& out, std::size_t max) {
-  const std::size_t n = inbox_.drain(std::back_inserter(out), max);
+  // Round-robin: the cursor moves past every channel visited, so the next
+  // drain starts after the one this drain stopped in.
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < inbox_.size() && n < max; ++i) {
+    ChannelFifo<Message>& ch = inbox_[next_channel_];
+    if (++next_channel_ == inbox_.size()) next_channel_ = 0;
+    n += ch.drain(out, max - n);
+  }
   if (n > 0) {
     stats.record_inbox_batch(n);
     trace<TraceKind::InboxDrain>(kInvalidMethod, static_cast<std::uint32_t>(n));
@@ -522,17 +544,17 @@ void Node::park_inbox(std::chrono::microseconds timeout) {
     // seen here and skip the wait entirely, and a producer that loads
     // parked_ == true notifies under this mutex. push_inbox keeps its
     // parked_ load unfenced, so a narrow window remains where both sides
-    // miss; the timeout bounds that window (and covers mid-push
-    // invisibility and shutdown races). Liveness, not correctness, is all
-    // that rides on the wake — every queued message holds its work credit.
-    if (inbox_.consumer_empty()) {
+    // miss; the timeout bounds that window (and covers shutdown races).
+    // Liveness, not correctness, is all that rides on the wake — every
+    // queued message holds its work credit.
+    if (inbox_empty()) {
       ++stats.inbox_parks;
       trace<TraceKind::Park>(kInvalidMethod);
       park_cv_.wait_for(lk, timeout);
       // Consumer-side wakeup accounting (producers must not touch another
       // node's stats): a park that ends with work waiting was a productive
       // wakeup, whether the producer's notify or the timeout ended it.
-      if (!inbox_.consumer_empty()) ++stats.park_wakeups;
+      if (!inbox_empty()) ++stats.park_wakeups;
     }
   }
   parked_.store(false, std::memory_order_relaxed);

@@ -88,14 +88,16 @@ bool pin_current_thread(int) { return false; }
 }  // namespace
 
 ThreadedMachine::ThreadedMachine(std::size_t nodes, MachineConfig config)
-    : Machine(nodes, config) {}
+    : Machine(nodes, config) {
+  for (auto& n : nodes_) n->init_inbox(nodes);
+}
 
 ThreadedMachine::~ThreadedMachine() = default;
 
 void ThreadedMachine::route(Node& from, Message msg) {
   const NodeId dst = msg.dst;
-  // The sender counts the create before the push publishes the message, so
-  // the receiver's retire can never be summed without it.
+  // The sender counts the create before the push's release store publishes
+  // the message, so the receiver's retire can never be summed without it.
   from.work_created();
   node(dst).push_inbox(std::move(msg));
 }

@@ -1,6 +1,8 @@
 // Real-thread engine: one std::thread per node.
 //
-// Messages go straight into the destination node's lock-free MPSC inbox.
+// Messages go straight into the destination node's inbox: one
+// single-producer FIFO per source node (machine/channel_fifo.hpp), pushed by
+// the sender's thread and drained round-robin by the receiver's.
 // Quiescence is detected with work credits: every routed message, context
 // enqueue and outbox staging creates one, and finishing the corresponding
 // action retires it (a drained inbox batch retires its messages' credits
@@ -14,8 +16,9 @@
 //
 // Why that read order is sound: a credit's create is published before
 // anything that depends on it can be seen by another thread (route() counts
-// the sender's create before the inbox push's release; a node counts its
-// local products before retiring the action that made them). So every retire
+// the sender's create before the channel's release store makes the message
+// visible, and a message is visible from exactly that store on; a node
+// counts its local products before retiring the action that made them). So every retire
 // the monitor counts has its create counted too, and equal sums mean every
 // counted create has its retire counted. A credit alive between the two
 // reading phases would have a counted create and an uncounted retire, so none

@@ -1,23 +1,20 @@
-// The lock-free MPSC inbox: FIFO-per-producer under contention, batched
-// draining, the park/wake protocol, and (the property everything else leans
-// on) quiescence detection staying sound around the queue's mid-push
-// invisibility window.
+// MpscQueue, the lock-free multi-producer queue that was the threaded
+// engine's inbox before one channel FIFO per source replaced it
+// (test_inbox.cpp covers that inbox). The queue is kept for bench/hem's
+// machine.mpsc_handoff_ns probe. These tests cover FIFO-per-producer under
+// contention, batched draining and its per-thread block pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "machine/mpsc_queue.hpp"
-#include "test_util.hpp"
 
 namespace concert {
 namespace {
-
-using testing::test_config;
 
 TEST(MpscQueue, FifoSingleThread) {
   MpscQueue<int> q;
@@ -133,87 +130,6 @@ TEST(MpscQueue, PoolRefillTakesBlocksADyingThreadDonated) {
   for (const void* p : donated) {
     EXPECT_TRUE(std::binary_search(reused.begin(), reused.end(), p)) << p;
   }
-}
-
-TEST(ThreadedInbox, ParkTimesOutWhenEmpty) {
-  ThreadedMachine m(1, test_config());
-  m.registry().finalize();
-  Node& nd = m.node(0);
-  const auto parks_before = nd.stats.inbox_parks;
-  nd.park_inbox(std::chrono::microseconds(500));  // empty inbox: must return
-  EXPECT_EQ(nd.stats.inbox_parks, parks_before + 1);
-}
-
-TEST(ThreadedInbox, PushWakesParkedConsumer) {
-  ThreadedMachine m(1, test_config());
-  m.registry().finalize();
-  Node& nd = m.node(0);
-  std::thread producer([&nd] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    nd.push_inbox(Message::reply(0, 0, Continuation{}, Value(7)));
-  });
-  // Generous timeout: the wake, not its expiry, must end the park.
-  const auto t0 = std::chrono::steady_clock::now();
-  while (nd.inbox_empty()) {
-    nd.park_inbox(std::chrono::microseconds(2'000'000));
-  }
-  const auto waited = std::chrono::steady_clock::now() - t0;
-  producer.join();
-  EXPECT_LT(waited, std::chrono::seconds(1));
-  Message msg;
-  EXPECT_TRUE(nd.pop_inbox(msg));
-  EXPECT_FALSE(nd.pop_inbox(msg));
-}
-
-TEST(ThreadedInbox, SkipsParkWhenMessagePending) {
-  ThreadedMachine m(1, test_config());
-  m.registry().finalize();
-  Node& nd = m.node(0);
-  nd.push_inbox(Message::reply(0, 0, Continuation{}, Value(1)));
-  const auto parks_before = nd.stats.inbox_parks;
-  nd.park_inbox(std::chrono::microseconds(2'000'000));  // must return at once
-  EXPECT_EQ(nd.stats.inbox_parks, parks_before);        // never actually waited
-  Message msg;
-  EXPECT_TRUE(nd.pop_inbox(msg));
-}
-
-TEST(ThreadedInbox, QuiescenceNotDeclaredEarly) {
-  // Regression for the work-credit + MPSC interaction: a message that
-  // is pushed but momentarily invisible to the consumer must not let the
-  // machine quiesce. Message-heavy distributed runs, repeated: any lost or
-  // prematurely-declared-done message shows up as a wrong result, leaked
-  // contexts, or a send/receive mismatch.
-  ThreadedMachine m(4, test_config(ExecMode::Hybrid3));
-  auto ids = seqbench::register_seqbench(m.registry(), true);
-  m.registry().finalize();
-  for (int round = 0; round < 8; ++round) {
-    const GlobalRef arr = seqbench::make_qsort_array(m, round % 4, 128, 17 + round);
-    const Value v = m.run_main((round + 1) % 4, ids.qsort, arr, {Value(0), Value(128)});
-    ASSERT_GT(v.as_i64(), 0);
-    const auto& vals = seqbench::array_values(m, arr);
-    ASSERT_TRUE(std::is_sorted(vals.begin(), vals.end()));
-    ASSERT_EQ(m.live_contexts(), 0u);
-  }
-  const NodeStats s = m.total_stats();
-  EXPECT_EQ(s.msgs_sent, s.msgs_received);
-  EXPECT_GT(s.msgs_sent, 0u);
-}
-
-TEST(ThreadedInbox, ForwardingChainsSurviveBatchedDrain) {
-  // chain forwards one continuation through every node repeatedly — each hop
-  // is exactly one inbox message, so it exercises drain batching + the park
-  // path (long chains leave nodes idle between their turns).
-  ThreadedMachine m(3, test_config(ExecMode::Hybrid3));
-  auto ids = seqbench::register_seqbench(m.registry(), true);
-  m.registry().finalize();
-  for (int round = 0; round < 4; ++round) {
-    ASSERT_EQ(m.run_main(round % 3, ids.chain, kNoObject, {Value(60)}).as_i64(), 42);
-    ASSERT_EQ(m.live_contexts(), 0u);
-  }
-  const NodeStats s = m.total_stats();
-  EXPECT_GT(s.inbox_batches, 0u);
-  EXPECT_EQ(s.inbox_batched_msgs, s.msgs_received);
-  EXPECT_GE(s.inbox_batch_max, 1u);
 }
 
 }  // namespace

@@ -30,10 +30,12 @@
 // Filters drop events *before* conversion/summary, so e.g.
 // `--method sor_step --chrome` yields a timeline of just that method.
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -68,6 +70,27 @@ int usage() {
                "                     [--perfetto PATH]\n"
                "       concert_trace postmortem FILE\n";
   return 2;
+}
+
+/// Parses `flag`'s value: decimal digits only (no sign, no spaces), at most
+/// `max`. Otherwise prints an error naming the flag and the value and
+/// returns false.
+bool parse_number(const char* flag, const char* text, std::uint64_t max, std::uint64_t& out) {
+  const char* end = text + std::strlen(text);
+  // from_chars takes no sign for an unsigned type, and no leading space.
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  if (ec == std::errc() && ptr == end && out <= max) return true;
+  std::cerr << "concert_trace: " << flag << " wants a whole number from 0 to " << max
+            << ", got '" << text << "'\n";
+  return false;
+}
+
+/// --top: any row count.
+bool parse_top(const char* text, std::size_t& out) {
+  std::uint64_t v = 0;
+  if (!parse_number("--top", text, std::numeric_limits<std::size_t>::max(), v)) return false;
+  out = static_cast<std::size_t>(v);
+  return true;
 }
 
 const char* method_name_of(const TraceDump& d, MethodId m) {
@@ -280,7 +303,7 @@ int run_critpath(int argc, char** argv) {
     } else if (std::strcmp(a, "--perfetto") == 0 && i + 1 < argc) {
       perfetto = argv[++i];
     } else if (std::strcmp(a, "--top") == 0 && i + 1 < argc) {
-      top = static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (!parse_top(argv[++i], top)) return usage();
     } else if (a[0] == '-') {
       return usage();
     } else if (file.empty()) {
@@ -487,10 +510,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--out") == 0 && i + 1 < argc) {
       opt.out = argv[++i];
     } else if (std::strcmp(a, "--top") == 0 && i + 1 < argc) {
-      opt.top = static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (!parse_top(argv[++i], opt.top)) return usage();
     } else if (std::strcmp(a, "--node") == 0 && i + 1 < argc) {
+      // No dump holds more than kTraceMaxNodes nodes.
+      std::uint64_t v = 0;
+      if (!parse_number("--node", argv[++i], kTraceMaxNodes - 1, v)) return usage();
       opt.have_node = true;
-      opt.node = static_cast<NodeId>(std::atoi(argv[++i]));
+      opt.node = static_cast<NodeId>(v);
     } else if (std::strcmp(a, "--method") == 0 && i + 1 < argc) {
       opt.method = argv[++i];
     } else if (std::strcmp(a, "--kind") == 0 && i + 1 < argc) {
