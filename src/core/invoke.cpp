@@ -88,9 +88,8 @@ Context& heap_invoke_local(Node& nd, MethodId callee, GlobalRef target, const Va
 
 void remote_invoke(Node& nd, MethodId callee, GlobalRef target, const Value* args,
                    std::size_t nargs, Continuation reply_to) {
-  std::vector<Value> payload = nd.acquire_payload(nargs);
-  payload.assign(args, args + nargs);
-  nd.send(Message::invoke(nd.id(), target.node, callee, target, std::move(payload), reply_to));
+  nd.send(Message::invoke(nd.id(), target.node, callee, target, nd.make_payload(args, nargs),
+                          reply_to));
 }
 
 // ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ using ParStep = void (*)(Node& nd, Context& ctx);
 /// Struct-of-arrays view over a run of same-method invocation messages
 /// (MachineConfig::merge_waves). Column i describes the i-th message of the
 /// run, in delivery order: its target object, its argument span (pointer +
-/// count into the pooled message payload, no copies), and its reply
+/// count into the message's payload, no copies), and its reply
 /// continuation. The view borrows the drained messages' storage — it is valid
 /// only for the duration of the wave call.
 struct InvokeWave {

@@ -39,19 +39,19 @@ CallerInfo proxy_caller_info(const Context& proxy) {
 namespace {
 
 /// The conservative path: allocate a heap context and schedule it.
-/// A message-owned `owned` buffer is swapped into the context instead of
-/// copied; the context's previous (cleared, capacity-bearing) buffer flows
-/// back out through the message and into the node's payload pool.
+/// A message-owned `owned` payload that spilled is swapped into the context
+/// instead of copied; the context's previous (cleared, capacity-bearing)
+/// buffer flows back out through the message and into the node's payload
+/// pool. An inline payload is copied into the context's recycled buffer.
 void invoke_via_heap(Node& nd, MethodId method, GlobalRef target, const Value* args,
-                     std::size_t nargs, const Continuation& k,
-                     std::vector<Value>* owned = nullptr) {
+                     std::size_t nargs, const Continuation& k, Payload* owned = nullptr) {
   ++nd.stats.heap_invokes;
   Context& ctx = nd.alloc_context(method);
   ctx.self = target;
-  if (owned != nullptr) {
+  if (owned != nullptr && owned->spilled()) {
     CONCERT_CHECK(owned->data() == args && owned->size() == nargs,
                   "owned payload does not match the args span");
-    ctx.args.swap(*owned);
+    owned->swap_spill(ctx.args);
     ++nd.stats.payload_moves;
   } else {
     ctx.args.assign(args, args + nargs);
@@ -102,7 +102,7 @@ GlobalRef resolve_forwarding(Node& nd, GlobalRef target) {
 
 void invoke_with_continuation(Node& nd, MethodId method, GlobalRef target, const Value* args,
                               std::size_t nargs, const Continuation& k, bool count_invocation,
-                              std::vector<Value>* owned) {
+                              Payload* owned) {
   CONCERT_CHECK(method != kInvalidMethod, "invoke of invalid method");
   target = resolve_forwarding(nd, target);
   const DispatchEntry& de = nd.dispatch(method);
@@ -126,14 +126,13 @@ void invoke_with_continuation(Node& nd, MethodId method, GlobalRef target, const
       if (count_invocation) ++site->remote;
       ++site->diverts;
     }
-    std::vector<Value> payload;
+    Payload payload;
     if (owned != nullptr) {
-      // Re-route: the delivered buffer travels onward unchanged.
+      // Re-route: the delivered payload travels onward unchanged.
       payload = std::move(*owned);
       ++nd.stats.payload_moves;
     } else {
-      payload = nd.acquire_payload(nargs);
-      payload.assign(args, args + nargs);
+      payload = nd.make_payload(args, nargs);
     }
     nd.send(Message::invoke(nd.id(), target.node, method, target, std::move(payload), k));
     return;

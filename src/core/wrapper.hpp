@@ -36,13 +36,14 @@ void handle_invoke_message(Node& nd, Message& msg);
 /// message), locked objects and ParallelOnly mode.
 /// `count_invocation` is false when re-dispatching a delivered message (the
 /// sender already counted the invocation as remote).
-/// `owned`, when non-null, is the message-owned buffer the `args` span points
-/// into: the invocation may consume it without copying (swap it into a heap
-/// context, move it into a re-routed message). Whatever capacity it still
-/// holds afterwards is recycled by the caller (Node::deliver_element).
+/// `owned`, when non-null, is the message-owned payload the `args` span
+/// points into: the invocation may consume it without copying (swap a spill
+/// buffer into a heap context, move the payload into a re-routed message).
+/// A spill buffer it still holds afterwards is recycled by the caller
+/// (Node::deliver_element).
 void invoke_with_continuation(Node& nd, MethodId method, GlobalRef target, const Value* args,
                               std::size_t nargs, const Continuation& k,
-                              bool count_invocation = true, std::vector<Value>* owned = nullptr);
+                              bool count_invocation = true, Payload* owned = nullptr);
 
 /// Builds a proxy context standing in for an arbitrary continuation `k`, so
 /// that a CP-schema method can be invoked with a (return_val, caller_info)

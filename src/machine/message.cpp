@@ -1,34 +1,25 @@
 #include "machine/message.hpp"
 
-#include "support/panic.hpp"
-
 namespace concert {
 
 bool Message::any_invoke() const {
   if (kind == MsgKind::Invoke) return true;
-  if (kind != MsgKind::Bundle) return false;
-  for (const Message& e : bundle) {
+  for (const Message& e : bundle()) {
     if (e.kind == MsgKind::Invoke) return true;
   }
   return false;
 }
 
-std::uint32_t Message::size_bytes() const {
-  if (kind == MsgKind::Bundle) {
-    // Envelope: kind + src + dst + element count; each element then carries
-    // its own payload minus the (src, dst) pair the envelope already names.
-    std::uint32_t n = 1 + 4 + 4 + 2;
-    for (const Message& e : bundle) n += e.size_bytes() - 8;
-    return n;
-  }
-  // Header: kind + src + dst + method + target + continuation.
-  std::uint32_t n = 1 + 4 + 4 + 4 + 8 + Continuation::wire_size();
-  n += static_cast<std::uint32_t>(args.size()) * Value::wire_size();
+std::uint32_t Message::bundle_size_bytes() const {
+  // Envelope: kind + src + dst + element count; each element then carries
+  // its own payload minus the (src, dst) pair the envelope already names.
+  std::uint32_t n = 1 + 4 + 4 + 2;
+  for (const Message& e : bundle()) n += e.size_bytes() - 8;
   return n;
 }
 
-Message Message::invoke(NodeId src, NodeId dst, MethodId m, GlobalRef target,
-                        std::vector<Value> args, Continuation reply_to) {
+Message Message::invoke(NodeId src, NodeId dst, MethodId m, GlobalRef target, Payload args,
+                        Continuation reply_to) {
   Message msg;
   msg.kind = MsgKind::Invoke;
   msg.src = src;
@@ -41,16 +32,10 @@ Message Message::invoke(NodeId src, NodeId dst, MethodId m, GlobalRef target,
 }
 
 Message Message::reply(NodeId src, NodeId dst, Continuation k, const Value& v) {
-  Message msg;
-  msg.kind = MsgKind::Reply;
-  msg.src = src;
-  msg.dst = dst;
-  msg.reply_to = k;
-  msg.args = {v};
-  return msg;
+  return reply(src, dst, k, Payload(&v, 1));
 }
 
-Message Message::reply(NodeId src, NodeId dst, Continuation k, std::vector<Value> payload) {
+Message Message::reply(NodeId src, NodeId dst, Continuation k, Payload payload) {
   Message msg;
   msg.kind = MsgKind::Reply;
   msg.src = src;
@@ -70,7 +55,7 @@ Message Message::bundle_of(NodeId src, NodeId dst, std::vector<Message> elems) {
     CONCERT_CHECK(e.dst == dst, "bundle element for node " << e.dst << " in bundle to " << dst);
     CONCERT_CHECK(e.kind != MsgKind::Bundle, "nested bundle");
   }
-  msg.bundle = std::move(elems);
+  msg.box().bundle = std::move(elems);
   return msg;
 }
 

@@ -53,14 +53,17 @@ Context& Node::alloc_context_raw(MethodId m, std::size_t slots) {
   return ctx;
 }
 
+Payload Node::spill_payload(const Value* vs, std::size_t n) {
+  std::vector<Value> buf = acquire_payload(n);
+  buf.assign(vs, vs + n);
+  return Payload(std::move(buf));
+}
+
 std::vector<Value> Node::acquire_payload(std::size_t reserve) {
-  // Zero-element payloads (argument-less invokes) still take a pooled buffer
-  // when one is cheap to give (smallest populated class): pools are per-node,
-  // so an argless message ferries spare capacity to its receiver, whose
-  // release() replenishes a pool that mostly *sends* data. But they are kept
-  // out of payload_acquires/payload_pool_hits — they request nothing, and
-  // counting them made payload_hit_frac measure message traffic instead of
-  // how often real payload requests are served from the pool.
+  // A zero reserve requests nothing: it takes a buffer from the smallest
+  // populated class, if any, and is kept out of payload_acquires and
+  // payload_pool_hits. No send path makes one — short payloads travel inline
+  // (make_payload).
   if (reserve == 0) {
     std::vector<Value> buf;
     payload_pool_.try_acquire(buf, 0);
@@ -249,7 +252,7 @@ void Node::send(Message msg) {
   // Vector-clock stamp (concert-race): taken at the *logical* send, so a
   // staged message carries its staging-time causality and flush_outbox never
   // re-stamps. No-op (and no allocation) unless verification is on.
-  verifier.stamp_send(msg.vclock);
+  if (verifier.enabled()) verifier.stamp_send(msg.box().vclock);
   if (!comms_policy().buffered() && !wave_staging_) {
     // Immediate: fixed software overhead plus processor-driven injection of
     // each packet (on the CM-5 every extra packet costs nearly another
@@ -331,11 +334,11 @@ void Node::deliver(std::span<Message> batch) {
     // boundary, so the pending run retires first, and the bundle's last run
     // before the next message.
     flush_run();
-    const std::uint64_t c = costs().bundle_recv_cost(msg.any_invoke(), msg.bundle.size());
+    const std::uint64_t c = costs().bundle_recv_cost(msg.any_invoke(), msg.bundle().size());
     charge(c);
     stats.comm_instructions += c;
     ++stats.bundles_received;
-    for (Message& e : msg.bundle) {
+    for (Message& e : msg.bundle()) {
       ++stats.msgs_received;
       trace<TraceKind::MsgRecv>(e.method, e.src, e.cause);
       feed(e, /*accounted=*/true);
@@ -419,17 +422,17 @@ void Node::deliver_element(Message& msg, bool accounted) {
   } else {
     handle_invoke_message(*this, msg);
   }
-  // The payload buffer has been consumed (filled into slots, executed from,
-  // swapped into a context, or moved onward); recycle whatever capacity the
-  // message still owns into this node's pool.
-  release_payload(std::move(msg.args));
+  // The payload has been consumed (filled into slots, executed from, copied
+  // or swapped into a context, or moved onward); a spill buffer the message
+  // still owns goes to this node's pool.
+  recycle_payload(msg.args);
 }
 
 void Node::verify_delivery(const Message& msg) {
-  if (!verifier.enabled() || msg.vclock.empty()) return;
-  verifier.join_delivery(msg.vclock);
+  if (!verifier.enabled() || msg.vclock().empty()) return;
+  verifier.join_delivery(msg.vclock());
   if (msg.kind == MsgKind::Invoke && msg.target.valid()) {
-    verifier.record_object_delivery(msg.target.pack(), msg.method, msg.vclock);
+    verifier.record_object_delivery(msg.target.pack(), msg.method, msg.vclock());
   }
 }
 
@@ -480,7 +483,7 @@ void Node::execute_wave() {
                                 wave_nargs_.data() + i, wave_replies_.data() + i});
     }
   }
-  for (Message* m : wave_msgs_) release_payload(std::move(m->args));
+  for (Message* m : wave_msgs_) recycle_payload(m->args);
 }
 
 void Node::init_inbox(std::size_t sources) { inbox_ = std::vector<ChannelFifo<Message>>(sources); }
@@ -570,9 +573,7 @@ void Node::reply_to(const Continuation& k, const Value& v) {
   if (k.target.node == id_) {
     fill_local(k, v);
   } else {
-    std::vector<Value> payload = acquire_payload(1);
-    payload.push_back(v);
-    send(Message::reply(id_, k.target.node, k, std::move(payload)));
+    send(Message::reply(id_, k.target.node, k, make_payload(&v, 1)));
   }
 }
 
@@ -585,9 +586,7 @@ void Node::reply_to_multi(const Continuation& k, const Value* vs, std::size_t n)
       fill_local(ki, vs[i]);
     }
   } else {
-    std::vector<Value> payload = acquire_payload(n);
-    payload.assign(vs, vs + n);
-    send(Message::reply(id_, k.target.node, k, std::move(payload)));
+    send(Message::reply(id_, k.target.node, k, make_payload(vs, n)));
   }
 }
 

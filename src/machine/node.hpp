@@ -170,14 +170,28 @@ class Node {
   const ContextArena& arena() const { return arena_; }
 
   // ---- payload buffers ----
-  /// Hands out a cleared Value buffer for an outgoing message payload,
-  /// recycled from this node's pool when possible (counts the pool hit).
-  /// Callers run on this node's thread (Node::send discipline), so the pool
-  /// needs no locking.
+  /// Builds the payload of an outgoing message from `n` values; every send
+  /// site gets its payload here. Up to Payload::kInline values travel inline
+  /// in the message; a longer payload spills into a buffer from this node's
+  /// pool. Counts every payload of at least one value in payload_acquires,
+  /// and in payload_pool_hits when it took no heap allocation (inline, or a
+  /// pooled spill buffer).
+  Payload make_payload(const Value* vs, std::size_t n) {
+    if (n > Payload::kInline) return spill_payload(vs, n);
+    if (n != 0) {
+      ++stats.payload_acquires;
+      ++stats.payload_pool_hits;
+    }
+    return Payload(vs, n);
+  }
+  /// The spill recycler: hands out a cleared Value buffer for a payload
+  /// longer than Payload::kInline, recycled from this node's pool when
+  /// possible (counts the acquire, and the pool hit). Callers run on this
+  /// node's thread (Node::send discipline), so the pool needs no locking.
   std::vector<Value> acquire_payload(std::size_t reserve);
-  /// Returns a delivered payload buffer to this node's pool. Zero-capacity
+  /// Returns a delivered spill buffer to this node's pool. Zero-capacity
   /// buffers (moved-from, never-grown) are ignored; over-cap releases are
-  /// dropped and counted.
+  /// dropped and counted as discards.
   void release_payload(std::vector<Value>&& buf);
   BufferPool<Value>& payload_pool() { return payload_pool_; }
 
@@ -383,6 +397,12 @@ class Node {
   /// Delivery-order sanitizer probe (concert-race): joins the sender's
   /// vector clock and records Invoke deliveries per target object.
   void verify_delivery(const Message& msg);
+  /// make_payload's spill: a pooled buffer holding the `n` values.
+  Payload spill_payload(const Value* vs, std::size_t n);
+  /// Hands a delivered payload's spill buffer, if any, back to the pool.
+  void recycle_payload(Payload& p) {
+    if (p.spilled()) release_payload(p.take_spill());
+  }
   void bind_dispatch();
   static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) {
     c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_release);
@@ -414,21 +434,24 @@ class Node {
   // nullptr unless MachineConfig::specialize_edges put entries in it.
   const MethodId* spec_ = nullptr;
   Outbox outbox_;  ///< Staged outgoing messages; touched only by this node's thread.
-  /// Recycler for message payload buffers. Acquired by this node's thread on
-  /// send, refilled with buffers arriving in delivered messages — symmetric
-  /// traffic keeps it balanced without cross-thread access.
+  /// Recycler for spilled payload buffers (more than Payload::kInline
+  /// values). Acquired by this node's thread on send, refilled with spills
+  /// arriving in delivered messages; no cross-thread access. Nothing keeps
+  /// it balanced: a node that sends more spills than it receives misses and
+  /// allocates, and one that receives more drops the excess at the cap.
   BufferPool<Value> payload_pool_{kPayloadPoolCap};
   static constexpr std::size_t kPayloadPoolCap = 256;
   /// Buffers kept across quiescence (quiesce_memory trims down to this).
-  /// Kept close to the cap: bursty exchange phases (SOR boundary rows) drain
-  /// the pool faster than deliveries refill it, so a deep trim turns the
-  /// first burst after every quiescent point into fresh heap allocations.
+  /// Kept close to the cap: bursty phases of long payloads (EM3D forward
+  /// chains, MD-Force pushes) drain the pool faster than deliveries refill
+  /// it, so a deep trim turns the first burst after every quiescent point
+  /// into fresh heap allocations.
   static constexpr std::size_t kPayloadPoolKeep = 192;
   std::vector<Message> flush_scratch_;  ///< Reused drain buffer (capacity cycles).
   // The pending run: the struct-of-arrays columns an InvokeWave view points
   // into, rebuilt per run from the delivered messages (capacity cycles, no
   // per-batch allocation). wave_msgs_ keeps the source messages so their
-  // payloads can be released after the run executes.
+  // spilled payloads can be released after the run executes.
   std::vector<GlobalRef> wave_targets_;
   std::vector<const Value*> wave_args_;
   std::vector<std::uint32_t> wave_nargs_;

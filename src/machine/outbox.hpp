@@ -20,7 +20,8 @@ class Outbox {
   /// Sizes the per-destination buckets. Called once by the machine after all
   /// nodes exist (a node cannot know the machine size mid-construction).
   void reset(std::size_t nodes) {
-    by_dst_.assign(nodes, {});
+    by_dst_.clear();  // a Message is move-only, so no assign(n, {})
+    by_dst_.resize(nodes);
     total_ = 0;
   }
 

@@ -14,16 +14,15 @@
 //                      traps at the faulting load instead of corrupting the
 //                      next activation.
 //
-//   * BufferPool<T>  — a recycler for std::vector<T> payload buffers
-//                      (message arguments). Buffers keep their grown
-//                      capacity across acquire/release cycles, so a
-//                      steady-state message flow performs no heap traffic
-//                      for payloads at all.
+//   * BufferPool<T>  — a recycler for std::vector<T> buffers: the node's
+//                      spilled message payloads (more values than a
+//                      message carries inline). Buffers keep their grown
+//                      capacity across acquire/release cycles.
 //
 // Both are single-owner structures: each node owns one of each and touches
 // it only from its own thread (acquire on the sending node, release into the
-// *receiving* node's pool — in message-passing workloads every node does
-// both, so pools self-balance without any locking).
+// *receiving* node's pool, so no locking; a node that sends more spills than
+// it receives still misses and allocates).
 #pragma once
 
 #include <array>
@@ -194,11 +193,11 @@ class SlabArena {
   ArenaCounters counters_;
 };
 
-/// Recycler for std::vector<T> buffers (message payloads). Released buffers
-/// keep their capacity and are bucketed by power-of-two capacity class, so a
-/// sized request goes straight to a bucket whose every entry fits instead of
-/// scanning a mixed LIFO stack. Payload sizes are bimodal (single-value
-/// replies vs. row-sized bulk); with one stack, a burst of small releases
+/// Recycler for std::vector<T> buffers (spilled message payloads). Released
+/// buffers keep their capacity and are bucketed by power-of-two capacity
+/// class, so a sized request goes straight to a bucket whose every entry fits
+/// instead of scanning a mixed LIFO stack. Payload sizes are bimodal (a few
+/// values vs. row-sized bulk); with one stack, a burst of small releases
 /// buries the big buffers and a row-sized acquire either walks past them or
 /// gives up and mallocs. A cap bounds the pool so one-sided flows cannot
 /// hoard memory; trim() releases excess at quiescence.

@@ -80,9 +80,12 @@ namespace concert {
   X(ctx_recycled, sum, "concert_ctx_recycled_total")                         \
   X(arena_slab_bytes, sum, "concert_arena_slab_bytes")                       \
   X(arena_resets, sum, "concert_arena_resets_total")                         \
-  /* Payload buffer pool: buffers requested for outgoing messages, those */  \
-  /* served from the pool, delivered buffers returned to it, releases */     \
-  /* dropped because it was full, and payloads handed over uncopied. */      \
+  /* Message payloads: outgoing payloads of >= 1 value (inline or */         \
+  /* spilled), those built without a heap allocation (inline, or a spill */  \
+  /* buffer from the pool), delivered spill buffers returned to the pool, */ \
+  /* spills dropped at the pool cap or trimmed at quiescence, and */         \
+  /* payloads handed over uncopied (a spill swapped into a context, a */     \
+  /* re-routed payload). */                                                  \
   X(payload_acquires, sum, "concert_payload_acquires_total")                 \
   X(payload_pool_hits, sum, "concert_payload_pool_hits_total")               \
   X(payload_releases, sum, "concert_payload_releases_total")                 \

@@ -1,15 +1,18 @@
 // The memory subsystem: slab arenas, payload buffer pools, the slab-backed
 // context arena, quiescence-time housekeeping, and ASan poisoning of recycled
 // slots. Unit tests cover the primitives; the end-to-end tests check that the
-// runtime actually recycles (arena_recycle_frac on a steady workload), that
-// migrated work lands in the destination's arena, and that a use-after-recycle
-// traps under AddressSanitizer instead of reading the next activation.
+// runtime actually recycles (arena_recycle_frac on a steady workload), that a
+// delivered payload reaches its heap context without a copy when it spilled
+// and without an allocation when it was inline, that migrated work lands in
+// the destination's arena, and that a use-after-recycle traps under
+// AddressSanitizer instead of reading the next activation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 
 #include "apps/seqbench/seqbench.hpp"
+#include "core/invoke.hpp"
 #include "machine/sim_machine.hpp"
 #include "machine/threaded_machine.hpp"
 #include "objects/migration.hpp"
@@ -169,23 +172,78 @@ TEST(ArenaEndToEnd, SteadyWorkloadRecyclesContextsAndPayloads) {
   EXPECT_EQ(s.ctx_fresh + s.ctx_recycled, s.contexts_allocated);
   // One housekeeping pass per node per quiescent run.
   EXPECT_EQ(s.arena_resets, 3u * 2u);
-  // Cross-node invocations recycled payload buffers after the first run.
+  // Cross-node invocations built their payloads without a heap allocation.
   EXPECT_GT(s.payload_acquires, 0u);
   EXPECT_GT(s.payload_pool_hits, 0u);
   EXPECT_LE(s.payload_pool_hits, s.payload_acquires);
 }
 
+// sum(x, ...): adds its arguments. The parallel version records where its
+// heap context's argument buffer lives, so a test can tell a swapped-in
+// payload from a copied one.
+MethodId g_sum = kInvalidMethod;
+const Value* g_sum_args = nullptr;
+
+Context* sum_seq(Node&, Value* ret, const CallerInfo&, GlobalRef, const Value* args,
+                 std::size_t nargs) {
+  std::int64_t sum = 0;
+  for (std::size_t i = 0; i < nargs; ++i) sum += args[i].as_i64();
+  *ret = Value(sum);
+  return nullptr;
+}
+void sum_par(Node& nd, Context& ctx) {
+  g_sum_args = ctx.args.data();
+  Value v;
+  sum_seq(nd, &v, CallerInfo::none(), ctx.self, ctx.args.data(), ctx.args.size());
+  ParFrame(nd, ctx).complete(v);
+}
+
+void register_sum(MethodRegistry& reg) {
+  MethodDecl d;
+  d.name = "sum";
+  d.seq = sum_seq;
+  d.par = sum_par;
+  d.arg_count = 1;
+  d.variadic = true;
+  g_sum = reg.declare(d);
+  reg.finalize();
+}
+
 TEST(ArenaEndToEnd, ZeroCopyDeliveryMovesPayloads) {
-  SimMachine m(2, test_config(ExecMode::ParallelOnly));
-  auto ids = seqbench::register_seqbench(m.registry(), /*distributed=*/true);
-  m.registry().finalize();
-  const GlobalRef arr = seqbench::make_qsort_array(m, 1, 32, 23);
-  const Value v = m.run_main(0, ids.qsort, arr, {Value(0), Value(32)});
-  EXPECT_GT(v.as_i64(), 0);
-  // ParallelOnly forces every delivered Invoke through a heap context, so
-  // each remote invocation's payload must be swapped in, never copied.
+  // ParallelOnly forces every delivered Invoke through a heap context. A
+  // payload longer than Payload::kInline arrives in a spill buffer, which is
+  // swapped into the context, never copied: the body runs on the very buffer
+  // the sender filled.
+  SimMachine m(1, test_config(ExecMode::ParallelOnly));
+  register_sum(m.registry());
+  std::vector<Value> args = {Value(1), Value(2), Value(3), Value(4), Value(5)};
+  const Value* sent = args.data();
+  const Value v = m.run_main(0, g_sum, kNoObject, std::move(args));
+  EXPECT_EQ(v.as_i64(), 15);
+  EXPECT_EQ(g_sum_args, sent);
+  EXPECT_EQ(m.total_stats().payload_moves, 1u);
+  EXPECT_EQ(m.live_contexts(), 0u);
+}
+
+TEST(ArenaEndToEnd, InlinePayloadCopiedIntoRecycledArgs) {
+  // A payload of up to Payload::kInline values travels inside the message, so
+  // the heap context copies it into its own argument buffer. From the second
+  // run on, the context is recycled and so is that buffer: no allocation.
+  SimMachine m(1, test_config(ExecMode::ParallelOnly));
+  register_sum(m.registry());
+  const Value* first = nullptr;
+  for (int round = 0; round < 3; ++round) {
+    const Value v = m.run_main(0, g_sum, kNoObject, {Value(1), Value(2), Value(round)});
+    EXPECT_EQ(v.as_i64(), 3 + round);
+    if (round == 0) {
+      first = g_sum_args;
+    } else {
+      EXPECT_EQ(g_sum_args, first) << "round " << round << " reallocated ctx.args";
+    }
+  }
   const NodeStats s = m.total_stats();
-  EXPECT_GT(s.payload_moves, 0u);
+  EXPECT_EQ(s.payload_moves, 0u);
+  EXPECT_GT(s.ctx_recycled, 0u);
   EXPECT_EQ(m.live_contexts(), 0u);
 }
 

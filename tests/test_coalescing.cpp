@@ -95,9 +95,9 @@ TEST(BundleTest, CarriesElementsAndSharesEnvelope) {
   const Message b = Message::bundle_of(0, 1, std::move(elems));
   EXPECT_TRUE(b.is_bundle());
   EXPECT_TRUE(b.any_invoke());
-  ASSERT_EQ(b.bundle.size(), 3u);
-  EXPECT_EQ(b.bundle[0].method, 10u);
-  EXPECT_EQ(b.bundle[2].method, 30u);
+  ASSERT_EQ(b.bundle().size(), 3u);
+  EXPECT_EQ(b.bundle()[0].method, 10u);
+  EXPECT_EQ(b.bundle()[2].method, 30u);
   // The bundle shares one src/dst envelope: cheaper than three separate wires.
   EXPECT_LT(b.size_bytes(), sum_alone);
 }

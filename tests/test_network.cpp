@@ -33,7 +33,7 @@ TEST(SimNetwork, FifoPerChannelEvenWithClockSkew) {
   // Second message sent "earlier" on the sender clock (can't happen for a
   // single sender, but FIFO must clamp regardless of serialization effects).
   Message big = mk(0, 1, 1);
-  big.args.assign(100, Value{1});  // long message -> late delivery
+  big.args = std::vector<Value>(100, Value{1});  // long message -> late delivery
   net.inject(std::move(big), 100);
   net.inject(mk(0, 1, 2), 101);  // short message right behind it
   const Message first = net.pop_for(1);
@@ -46,7 +46,7 @@ TEST(SimNetwork, FifoPerChannelEvenWithClockSkew) {
 TEST(SimNetwork, IndependentChannelsDontBlock) {
   SimNetwork net(3, CostModel::workstation());
   Message slow = mk(0, 2, 1);
-  slow.args.assign(1000, Value{1});
+  slow.args = std::vector<Value>(1000, Value{1});
   net.inject(std::move(slow), 0);
   net.inject(mk(1, 2, 2), 0);
   // The message from node 1 may overtake node 0's long message.
@@ -93,7 +93,7 @@ TEST(SimNetwork, PerChannelFifoWithInterleavedSources) {
   for (int round = 0; round < 8; ++round) {
     for (NodeId src : {NodeId{0}, NodeId{1}}) {
       Message m = mk(src, 2, tag++);
-      if (round % 3 == 0) m.args.assign(64, Value{1});  // occasional long message
+      if (round % 3 == 0) m.args = std::vector<Value>(64, Value{1});  // occasional long message
       net.inject(std::move(m), static_cast<std::uint64_t>(round * 10));
     }
   }
@@ -112,7 +112,9 @@ TEST(SimNetwork, PopMovesPayloadIntact) {
   // payload must arrive complete after sharing the ring with another message.
   SimNetwork net(2, CostModel::workstation());
   Message big = mk(0, 1, 7);
-  for (int i = 0; i < 100; ++i) big.args.push_back(Value{i});
+  std::vector<Value> vals;
+  for (int i = 0; i < 100; ++i) vals.push_back(Value{i});
+  big.args = std::move(vals);
   net.inject(mk(0, 1, 6), 0);  // a second message ahead of it on the channel
   net.inject(std::move(big), 0);
   ASSERT_EQ(net.pop_for(1).method, 6u);
@@ -282,7 +284,7 @@ TEST_P(NetworkVsReference, SameDeliveriesAfterEveryOperation) {
       Message m = mk(src, dst, static_cast<int>(next_tag));
       // Now and then a long message: it arrives late, so the short messages
       // sent right behind it on its channel are clamped to its deliver_at.
-      if (ops.chance(0.1)) m.args.assign(8 + ops.uniform(200), Value{1});
+      if (ops.chance(0.1)) m.args = std::vector<Value>(8 + ops.uniform(200), Value{1});
       // Sender clocks on a coarse grid make equal deliver_at values common.
       now += 10 * ops.uniform(3);
       const std::uint64_t sent_at = now + 10 * ops.uniform(4);
@@ -333,7 +335,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MessageTest, SizeGrowsWithArgs) {
   Message a = mk(0, 1, 1);
   Message b = mk(0, 1, 1);
-  b.args.assign(10, Value{1});
+  b.args = std::vector<Value>(10, Value{1});
   EXPECT_GT(b.size_bytes(), a.size_bytes());
   EXPECT_EQ(b.size_bytes() - a.size_bytes(), 10 * Value::wire_size());
 }

@@ -391,11 +391,10 @@ TEST(BufferPoolStats, CountsAcquiresAndHitsByRequestedClass) {
 }
 
 TEST(BufferPoolStats, ZeroReservePayloadAcquireIsUncountedButFerriesCapacity) {
-  // Node::acquire_payload(0) must not count an acquire or a hit — argless
-  // invokes request nothing, and counting them made payload_hit_frac measure
-  // message traffic — but it SHOULD still hand out a pooled buffer when one
-  // is available: pools are per-node, so argless messages ferry spare
-  // capacity to their receiver's pool.
+  // Node::acquire_payload(0) must not count an acquire or a hit — a zero
+  // reserve requests nothing, and counting it would make payload_hit_frac
+  // measure something other than payload requests — but it SHOULD still
+  // hand out a pooled buffer when one is available.
   MachineConfig cfg = test_config();
   SimMachine m(1, cfg);
   m.registry().finalize();
