@@ -1,6 +1,6 @@
 #include "core/context.hpp"
 
-#include <algorithm>
+#include <bit>
 
 namespace concert {
 
@@ -78,9 +78,20 @@ const Context* ContextArena::try_resolve(const ContextRef& ref) const {
 }
 
 void ContextArena::reset_at_quiescence() {
-  // Descending sort: freelist_.back() — the next id handed out — becomes the
-  // smallest free id, so post-reset allocation order matches a fresh arena.
-  std::sort(freelist_.begin(), freelist_.end(), std::greater<ContextId>());
+  // The freelist in descending id order, so freelist_.back() — the next id
+  // handed out — is the smallest free id and post-reset allocation order
+  // matches a fresh arena: mark each free id in a bitmap, then read the
+  // bitmap from the top, in O(capacity / 64 + free ids).
+  free_bits_.assign((pool_.size() + 63) / 64, 0);
+  for (const ContextId id : freelist_) free_bits_[id / 64] |= std::uint64_t{1} << (id % 64);
+  std::size_t k = 0;
+  for (std::size_t w = free_bits_.size(); w-- > 0;) {
+    for (std::uint64_t bits = free_bits_[w]; bits != 0;) {
+      const int b = static_cast<int>(std::bit_width(bits)) - 1;
+      freelist_[k++] = static_cast<ContextId>(w * 64 + static_cast<std::size_t>(b));
+      bits &= ~(std::uint64_t{1} << b);
+    }
+  }
 }
 
 }  // namespace concert

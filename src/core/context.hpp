@@ -203,6 +203,7 @@ class ContextArena {
   SlabArena<Context> slab_{kContextSlabSlots};
   std::vector<Context*> pool_;  ///< id -> stable slab address.
   std::vector<ContextId> freelist_;
+  std::vector<std::uint64_t> free_bits_;  ///< reset_at_quiescence's scratch bitmap.
   std::size_t live_ = 0;
 
   static constexpr std::size_t kContextSlabSlots = 64;

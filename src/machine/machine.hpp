@@ -51,8 +51,9 @@ class Machine {
   MethodRegistry& registry() { return registry_; }
 
   /// Routes a message from a node. Called by Node::send after the sender paid
-  /// its overhead. Engine-specific (network timestamping vs inbox push).
-  virtual void route(Node& from, Message msg) = 0;
+  /// its overhead. Engine-specific (network timestamping vs inbox write);
+  /// the message moves once, into the engine's queue.
+  virtual void route(Node& from, Message&& msg) = 0;
 
   /// Runs until no node has work and no message is in flight.
   virtual void run_until_quiescent() = 0;

@@ -45,7 +45,7 @@ Message Message::reply(NodeId src, NodeId dst, Continuation k, Payload payload) 
   return msg;
 }
 
-Message Message::bundle_of(NodeId src, NodeId dst, std::vector<Message> elems) {
+Message Message::bundle_of(NodeId src, NodeId dst, std::span<Message> elems) {
   CONCERT_CHECK(elems.size() >= 2, "bundle of " << elems.size() << " elements (send it plain)");
   Message msg;
   msg.kind = MsgKind::Bundle;
@@ -55,8 +55,24 @@ Message Message::bundle_of(NodeId src, NodeId dst, std::vector<Message> elems) {
     CONCERT_CHECK(e.dst == dst, "bundle element for node " << e.dst << " in bundle to " << dst);
     CONCERT_CHECK(e.kind != MsgKind::Bundle, "nested bundle");
   }
-  msg.box().bundle = std::move(elems);
+  msg.box_.reset(Box::make(elems));
   return msg;
+}
+
+Message::Box* Message::Box::make(std::span<Message> elems) {
+  void* block = ::operator new(sizeof(Box) + elems.size() * sizeof(Message));
+  Box* box = ::new (block) Box;
+  for (Message& e : elems) {
+    ::new (static_cast<void*>(box->elems() + box->size)) Message(std::move(e));
+    ++box->size;
+  }
+  return box;
+}
+
+void Message::BoxDeleter::operator()(Box* b) const noexcept {
+  std::destroy_n(b->elems(), b->size);
+  b->~Box();
+  ::operator delete(b);
 }
 
 }  // namespace concert

@@ -11,7 +11,8 @@
 // need no buffer of their own; a longer payload spills into a
 // std::vector<Value> (from the sending node's pool, see Node::make_payload).
 // What a plain message never uses — a bundle's elements and the sanitizer's
-// vector clock — lives in one box allocated only when needed.
+// vector clock — lives in one box allocated only when needed, a bundle's
+// elements in the same block as the box.
 #pragma once
 
 #include <algorithm>
@@ -143,6 +144,9 @@ class Payload {
 struct Message {
   /// The out-of-line part: what a plain message never uses.
   struct Box;
+  struct BoxDeleter {
+    void operator()(Box* b) const noexcept;
+  };
 
   MsgKind kind = MsgKind::Invoke;
   NodeId src = kInvalidNode;
@@ -204,32 +208,41 @@ struct Message {
   /// Multi-value variant: `payload` (already holding the reply value(s))
   /// becomes the message's args.
   static Message reply(NodeId src, NodeId dst, Continuation k, Payload payload);
-  /// Wraps >= 2 staged messages (all with dst `dst`) into one bundle.
-  static Message bundle_of(NodeId src, NodeId dst, std::vector<Message> elems);
+  /// Wraps >= 2 staged messages (all with dst `dst`) into one bundle, moving
+  /// each out of `elems` into the box: one allocation holds the box and
+  /// every element.
+  static Message bundle_of(NodeId src, NodeId dst, std::span<Message> elems);
 
  private:
   std::uint32_t bundle_size_bytes() const;
 
-  std::unique_ptr<Box> box_;
+  std::unique_ptr<Box, BoxDeleter> box_;
 };
 
-struct Message::Box {
-  std::vector<Message> bundle;
+/// One heap block: the box, then its bundle elements.
+struct alignas(Message) Message::Box {
   std::vector<std::uint32_t> vclock;
+  std::uint32_t size = 0;  ///< Bundle elements that follow the box.
+
+  Message* elems() { return reinterpret_cast<Message*>(this + 1); }
+  const Message* elems() const { return reinterpret_cast<const Message*>(this + 1); }
+  /// Allocates a box with room for `elems`, moving each into it.
+  static Box* make(std::span<Message> elems);
 };
 
 inline std::span<Message> Message::bundle() {
-  return box_ ? std::span<Message>(box_->bundle) : std::span<Message>();
+  return box_ ? std::span<Message>(box_->elems(), box_->size) : std::span<Message>();
 }
 inline std::span<const Message> Message::bundle() const {
-  return box_ ? std::span<const Message>(box_->bundle) : std::span<const Message>();
+  return box_ ? std::span<const Message>(box_->elems(), box_->size)
+              : std::span<const Message>();
 }
 inline const std::vector<std::uint32_t>& Message::vclock() const {
   static const std::vector<std::uint32_t> kNone;
   return box_ ? box_->vclock : kNone;
 }
 inline Message::Box& Message::box() {
-  if (!box_) box_ = std::make_unique<Box>();
+  if (!box_) box_.reset(Box::make({}));
   return *box_;
 }
 

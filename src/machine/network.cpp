@@ -25,14 +25,14 @@ void SimNetwork::Channel::push(Message&& msg) {
   ++size;
 }
 
-Message SimNetwork::Channel::pop() {
-  Message m = std::move(ring[head]);
+Message& SimNetwork::Channel::pop() {
+  Message& m = ring[head];
   head = (head + 1) & static_cast<std::uint32_t>(ring.size() - 1);
   --size;
   return m;
 }
 
-void SimNetwork::inject(Message msg, std::uint64_t sender_clock) {
+void SimNetwork::inject(Message&& msg, std::uint64_t sender_clock) {
   CONCERT_CHECK(msg.dst < nnodes_, "message to nonexistent node " << msg.dst);
   CONCERT_CHECK(msg.src < nnodes_, "message from nonexistent node " << msg.src);
   const std::uint64_t serialization = costs_.per_packet * costs_.packets(msg.size_bytes());
@@ -59,12 +59,12 @@ void SimNetwork::set_shuffle(std::uint64_t seed) {
   shuffle_rng_.seed(seed);
 }
 
-Message SimNetwork::pop_for(NodeId dst) {
+Message& SimNetwork::pop_slot(NodeId dst) {
   CONCERT_CHECK(!heads_[dst].empty(), "pop from empty network queue for node " << dst);
   return pop_channel(dst, 0);
 }
 
-Message SimNetwork::pop_for_shuffled(NodeId dst, std::uint64_t horizon) {
+Message& SimNetwork::pop_slot_shuffled(NodeId dst, std::uint64_t horizon) {
   CONCERT_CHECK(shuffle_, "pop_for_shuffled without set_shuffle");
   Heads& h = heads_[dst];
   CONCERT_CHECK(!h.empty(), "pop from empty network queue for node " << dst);
@@ -92,10 +92,10 @@ Message SimNetwork::pop_for_shuffled(NodeId dst, std::uint64_t horizon) {
   return pop_channel(dst, pos);
 }
 
-Message SimNetwork::pop_channel(NodeId dst, std::size_t pos) {
+Message& SimNetwork::pop_channel(NodeId dst, std::size_t pos) {
   Heads& h = heads_[dst];
   Channel& ch = *channel(h[pos].src, dst);
-  Message m = ch.pop();
+  Message& m = ch.pop();
   if (ch.size != 0) {
     // The channel's next message is never earlier than the one before it,
     // so its key only grows.

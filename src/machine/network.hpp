@@ -29,9 +29,10 @@ class SimNetwork {
   /// Keeps its own copy of `costs`, so a temporary cost model is fine.
   SimNetwork(std::size_t nodes, CostModel costs);
 
-  /// Injects a message. `sender_clock` is the sender's clock *after* it paid
-  /// the send overhead. Computes and stamps deliver_at.
-  void inject(Message msg, std::uint64_t sender_clock);
+  /// Injects a message, moving it once into its channel's ring.
+  /// `sender_clock` is the sender's clock *after* it paid the send overhead.
+  /// Computes and stamps deliver_at.
+  void inject(Message&& msg, std::uint64_t sender_clock);
 
   /// Earliest deliver_at of any message destined for `dst`, or UINT64_MAX.
   std::uint64_t earliest_for(NodeId dst) const {
@@ -39,17 +40,23 @@ class SimNetwork {
     return h.empty() ? UINT64_MAX : h.front().deliver_at;
   }
 
-  /// Pops the earliest (deliver_at, seq) message for `dst` (moved out,
-  /// payload and all — a bundle's element vector never gets copied on
-  /// delivery). Must be non-empty.
-  Message pop_for(NodeId dst);
+  /// Pops the earliest (deliver_at, seq) message for `dst` and returns its
+  /// ring slot, for the caller to move the message out of (once, payload and
+  /// all) before the next inject. Must be non-empty.
+  Message& pop_slot(NodeId dst);
+  /// pop_slot, moved out.
+  Message pop_for(NodeId dst) { return std::move(pop_slot(dst)); }
 
   /// Shuffle mode only: pops a seeded pseudo-random message for `dst` among
   /// the eligible candidates — per-channel heads (FIFO preserved) whose
   /// deliver_at is within `horizon` (the time the receiver would deliver at,
-  /// so no message is ever delivered "early"), in source order. Must be
-  /// non-empty.
-  Message pop_for_shuffled(NodeId dst, std::uint64_t horizon);
+  /// so no message is ever delivered "early"), in source order — and returns
+  /// its ring slot, as pop_slot does. Must be non-empty.
+  Message& pop_slot_shuffled(NodeId dst, std::uint64_t horizon);
+  /// pop_slot_shuffled, moved out.
+  Message pop_for_shuffled(NodeId dst, std::uint64_t horizon) {
+    return std::move(pop_slot_shuffled(dst, horizon));
+  }
 
   /// Enables delivery-order shuffling (MachineConfig::shuffle_seed).
   void set_shuffle(std::uint64_t seed);
@@ -72,7 +79,9 @@ class SimNetwork {
 
     const Message& front() const { return ring[head]; }
     void push(Message&& msg);
-    Message pop();
+    /// Removes the head; returns its slot for the caller to move out of
+    /// before the channel's next push.
+    Message& pop();
   };
 
   /// A non-empty channel's entry in its destination's heap: the head's
@@ -94,7 +103,7 @@ class SimNetwork {
   }
   /// Pops the head of the channel whose key sits at `pos` in heads_[dst],
   /// then re-keys that heap entry, or removes it if the channel is drained.
-  Message pop_channel(NodeId dst, std::size_t pos);
+  Message& pop_channel(NodeId dst, std::size_t pos);
   static void sift_up(Heads& h, std::size_t i);
   static void sift_down(Heads& h, std::size_t i);
 

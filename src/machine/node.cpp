@@ -243,7 +243,7 @@ bool Node::deadlocked_on_ancestor(const Context& ctx) {
   return false;
 }
 
-void Node::send(Message msg) {
+void Node::send(Message&& msg) {
   msg.src = id_;
   const bool is_reply = msg.kind == MsgKind::Reply;
   // Causal id for the send->recv flow: drawn once, travels with the message
@@ -285,11 +285,11 @@ void Node::send(Message msg) {
 }
 
 void Node::flush_outbox(NodeId dst) {
-  const std::size_t n = outbox_.drain_into(dst, flush_scratch_);
+  const std::span<Message> staged = outbox_.staged(dst);
+  const std::size_t n = staged.size();
   if (n == 0) return;
-  Message out = n == 1 ? std::move(flush_scratch_.front())
-                       : Message::bundle_of(id_, dst, std::move(flush_scratch_));
-  flush_scratch_.clear();  // bundle_of move leaves it unspecified; re-arm
+  Message out = n == 1 ? std::move(staged.front()) : Message::bundle_of(id_, dst, staged);
+  outbox_.clear(dst);
   // Amortized accounting: one per-message overhead for the whole bundle plus
   // per-packet costs for the combined payload (a bundle of one is charged
   // exactly like a plain send).
@@ -486,32 +486,38 @@ void Node::execute_wave() {
   for (Message* m : wave_msgs_) recycle_payload(m->args);
 }
 
-void Node::init_inbox(std::size_t sources) { inbox_ = std::vector<ChannelFifo<Message>>(sources); }
+void Node::init_inbox(std::size_t sources) {
+  inbox_ = std::vector<ChannelFifo<Message>>(sources);
+  unpublished_.reserve(sources);
+}
 
-void Node::push_inbox(Message msg) {
-  CONCERT_CHECK(msg.src < inbox_.size(), "inbox push from node " << msg.src << " to node " << id_
-                                                                 << ", which has " << inbox_.size()
-                                                                 << " channels");
-  inbox_[msg.src].push(std::move(msg));
-  // Wake a parked consumer. The load is deliberately relaxed — no fence on
-  // the push fast path — so a push that races the consumer's park decision
-  // can miss the flag; the consumer's park timeout (a few hundred µs) is the
-  // backstop for that window, and quiescence is unaffected because the
-  // sender counted the message's work credit before pushing. The mutex is only
-  // touched when a parked consumer is actually observed.
-  if (parked_.load(std::memory_order_relaxed)) {
-    std::scoped_lock lk(park_mu_);
-    park_cv_.notify_one();
+void Node::post(Node& to, Message&& msg) {
+  ChannelFifo<Message>& ch = to.inbox_[id_];
+  if (!defer_publish_) {
+    ch.push(std::move(msg));
+    to.notify_if_parked();
+    return;
+  }
+  const std::size_t unpublished = ch.write(std::move(msg));
+  if (unpublished == 0) {
+    to.notify_if_parked();  // the write filled its segment and published it
+  } else if (unpublished == 1) {
+    unpublished_.push_back(&to);
   }
 }
 
-bool Node::pop_inbox(Message& out) {
-  for (std::size_t i = 0; i < inbox_.size(); ++i) {
-    ChannelFifo<Message>& ch = inbox_[next_channel_];
-    if (++next_channel_ == inbox_.size()) next_channel_ = 0;
-    if (ch.pop(out)) return true;
+void Node::publish_sends() {
+  for (Node* to : unpublished_) {
+    if (to->inbox_[id_].publish()) to->notify_if_parked();
   }
-  return false;
+  unpublished_.clear();
+}
+
+void Node::push_inbox(Message&& msg) {
+  CONCERT_CHECK(msg.src < inbox_.size(), "inbox push from node " << msg.src << " to node " << id_
+                                                                 << ", which has " << inbox_.size()
+                                                                 << " channels");
+  machine_.node(msg.src).post(*this, std::move(msg));
 }
 
 bool Node::inbox_empty() const {
@@ -522,20 +528,15 @@ bool Node::inbox_empty() const {
 }
 
 std::size_t Node::drain_inbox(std::vector<Message>& out, std::size_t max) {
-  // Round-robin: the cursor moves past every channel visited, so the next
-  // drain starts after the one this drain stopped in.
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < inbox_.size() && n < max; ++i) {
-    ChannelFifo<Message>& ch = inbox_[next_channel_];
-    if (++next_channel_ == inbox_.size()) next_channel_ = 0;
-    n += ch.drain(out, max - n);
-  }
-  if (n > 0) {
-    stats.record_inbox_batch(n);
-    trace<TraceKind::InboxDrain>(kInvalidMethod, static_cast<std::uint32_t>(n));
-    if (metrics_) metrics_->inbox_depth.record(n);
-  }
-  return n;
+  return consume_inbox(max, [&out](std::span<Message> run) {
+    for (Message& msg : run) out.push_back(std::move(msg));
+  });
+}
+
+void Node::note_inbox_batch(std::size_t n) {
+  stats.record_inbox_batch(n);
+  trace<TraceKind::InboxDrain>(kInvalidMethod, static_cast<std::uint32_t>(n));
+  if (metrics_) metrics_->inbox_depth.record(n);
 }
 
 void Node::park_inbox(std::chrono::microseconds timeout) {
@@ -545,7 +546,7 @@ void Node::park_inbox(std::chrono::microseconds timeout) {
     std::unique_lock lk(park_mu_);
     // Re-check under the lock: most pushes that raced our park decision are
     // seen here and skip the wait entirely, and a producer that loads
-    // parked_ == true notifies under this mutex. push_inbox keeps its
+    // parked_ == true notifies under this mutex. A publish keeps its
     // parked_ load unfenced, so a narrow window remains where both sides
     // miss; the timeout bounds that window (and covers shutdown races).
     // Liveness, not correctness, is all that rides on the wake — every

@@ -222,8 +222,9 @@ class Node {
   /// routing right away (the seed behaviour, bit-for-bit). Under a buffered
   /// policy the message is staged in the per-destination outbox and leaves at
   /// flush time, amortizing the per-message overhead over the whole bundle.
-  /// Works for both engines.
-  void send(Message msg);
+  /// Works for both engines. The message moves once, from the caller into
+  /// the outbox or the engine's queue.
+  void send(Message&& msg);
   /// The one way messages enter a node: processes a delivered batch in
   /// order. A bundle pays its receive overhead once on arrival and its
   /// members are then processed like loose messages. Every message runs
@@ -261,23 +262,50 @@ class Node {
 
   /// The threaded engine's inbox: one ChannelFifo per source node, built by
   /// init_inbox (the deterministic engine keeps undelivered messages in
-  /// SimNetwork and builds none). Channel s is pushed only by node s's
+  /// SimNetwork and builds none). Channel s is written only by node s's
   /// thread, or by the thread that runs the machine while no node thread
-  /// runs (seeding, app setup, tests); only the owning node's thread pops,
-  /// drains or probes. FIFO holds per channel and nothing across channels.
+  /// runs (seeding, app setup, tests); only the owning node's thread consumes
+  /// or probes. FIFO holds per channel and nothing across channels.
   void init_inbox(std::size_t sources);
-  /// Appends `msg` to channel `msg.src` (Node::send always sets it).
-  void push_inbox(Message msg);
-  bool pop_inbox(Message& out);
+  /// The one way into an inbox (sender side): writes `msg` into `to`'s
+  /// channel from this node. While this node's engine thread runs
+  /// (set_deferred_publish), the channel publishes when its segment fills or
+  /// at publish_sends(); otherwise at once. A parked receiver is woken when
+  /// its channel publishes.
+  void post(Node& to, Message&& msg);
+  /// Publishes every channel post() left unpublished. The threaded engine
+  /// calls it at the end of each loop turn, before the turn retires its
+  /// credits, so no node idles while its messages are invisible.
+  void publish_sends();
+  /// Set by the threaded engine around its node threads' lifetime.
+  void set_deferred_publish(bool on) { defer_publish_ = on; }
+  /// Appends `msg` to channel `msg.src` and publishes it: a post() from node
+  /// `msg.src`, made outside a run.
+  void push_inbox(Message&& msg);
   /// Consumer-side emptiness probe: every channel's published count equals
   /// its consumed count.
   bool inbox_empty() const;
-  /// Batched drain (consumer only): appends up to `max` messages to `out`,
-  /// visiting channels round-robin from where the last drain stopped (so a
-  /// small `max` starves no channel), and records the batch size in
-  /// `stats`. Returns the number drained.
+  /// The one way out of an inbox (consumer only): hands up to `max`
+  /// published messages to `f` in place, one std::span<Message> per run of a
+  /// channel segment, visiting channels round-robin from where the last call
+  /// stopped (so a small `max` starves no channel). Each run's messages are
+  /// destroyed once `f` returns. Records the batch in `stats`. Returns the
+  /// number consumed.
+  template <typename F>
+  std::size_t consume_inbox(std::size_t max, F&& f) {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < inbox_.size() && n < max; ++i) {
+      ChannelFifo<Message>& ch = inbox_[next_channel_];
+      if (++next_channel_ == inbox_.size()) next_channel_ = 0;
+      n += ch.consume(max - n, f);
+    }
+    if (n > 0) note_inbox_batch(n);
+    return n;
+  }
+  /// Batched drain (consumer only): consume_inbox moving each message onto
+  /// `out`.
   std::size_t drain_inbox(std::vector<Message>& out, std::size_t max);
-  /// Parks the consumer until a producer pushes, `timeout` elapses, or
+  /// Parks the consumer until a producer publishes, `timeout` elapses, or
   /// wake_inbox() is called — the threaded engine's idle path, so quiescence
   /// detection does not spin a whole core per idle node.
   void park_inbox(std::chrono::microseconds timeout);
@@ -404,6 +432,20 @@ class Node {
     if (p.spilled()) release_payload(p.take_spill());
   }
   void bind_dispatch();
+  /// consume_inbox's batch accounting: stats, the InboxDrain record, metrics.
+  void note_inbox_batch(std::size_t n);
+  /// Wakes the owner if it is parked; producers call it after a publish.
+  void notify_if_parked() {
+    // Deliberately relaxed — no fence on the publish path — so a publish
+    // that races the owner's park decision can miss the flag; the park
+    // timeout (a few hundred µs) is the backstop for that window, and
+    // quiescence is unaffected because every queued message holds its work
+    // credit. The mutex is only touched when a parked owner is observed.
+    if (parked_.load(std::memory_order_relaxed)) {
+      std::scoped_lock lk(park_mu_);
+      park_cv_.notify_one();
+    }
+  }
   static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) {
     c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_release);
   }
@@ -414,17 +456,17 @@ class Node {
   std::uint64_t clock_ = 0;
   ContextArena arena_;
   std::deque<ContextId> ready_;  ///< FIFO of ready contexts (by id; gen checked at pop).
-  std::size_t next_channel_ = 0;  ///< Inbox channel the next drain starts at.
+  std::size_t next_channel_ = 0;  ///< Inbox channel the next consume starts at.
   // Idle parking for the inbox consumer (threaded engine only). The mutex is
-  // touched only when parking / waking a parked node — never on the push fast
+  // touched only when parking / waking a parked node — never on the publish
   // path of a running system.
   std::mutex park_mu_;
   std::condition_variable park_cv_;
-  // The producers' line: every push reads the channel array and parked_,
-  // and nothing else the owner writes shares it (owner-hot fields on the
-  // line producers touch once moved threaded EM3D by ~20%). Its alignment
-  // also makes Node 64-byte aligned, so which fields share a line does not
-  // depend on where the allocator placed the node.
+  // The producers' line: every write reads the channel array and every
+  // publish parked_, and nothing else the owner writes shares it (owner-hot
+  // fields on the line producers touch once moved threaded EM3D by ~20%).
+  // Its alignment also makes Node 64-byte aligned, so which fields share a
+  // line does not depend on where the allocator placed the node.
   alignas(64) std::vector<ChannelFifo<Message>> inbox_;  ///< Indexed by source node.
   std::atomic<bool> parked_{false};
   // Flat dispatch table for this machine's mode; bound on first dispatch().
@@ -447,7 +489,13 @@ class Node {
   /// it, so a deep trim turns the first burst after every quiescent point
   /// into fresh heap allocations.
   static constexpr std::size_t kPayloadPoolKeep = 192;
-  std::vector<Message> flush_scratch_;  ///< Reused drain buffer (capacity cycles).
+  /// Receivers whose channel from this node holds unpublished messages
+  /// (publish_sends empties it); a receiver may appear twice after a
+  /// segment published itself. Touched only by this node's thread.
+  std::vector<Node*> unpublished_;
+  /// True while this node's threaded-engine thread runs: post() defers
+  /// publishing to the end of the loop turn.
+  bool defer_publish_ = false;
   // The pending run: the struct-of-arrays columns an InvokeWave view points
   // into, rebuilt per run from the delivered messages (capacity cycles, no
   // per-batch allocation). wave_msgs_ keeps the source messages so their

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "machine/message.hpp"
@@ -26,7 +27,7 @@ class Outbox {
   }
 
   /// Stages `msg` for its destination, preserving send order.
-  void push(Message msg) {
+  void push(Message&& msg) {
     CONCERT_CHECK(msg.dst < by_dst_.size(), "outbox push for nonexistent node " << msg.dst);
     std::vector<Message>& bucket = by_dst_[msg.dst];
     // First touch of a cold bucket: jump straight to a useful capacity
@@ -52,21 +53,18 @@ class Outbox {
     return out;
   }
 
-  /// Moves everything staged for `dst` into `out` (cleared first), leaving the
-  /// bucket's capacity in place. The flush hot path uses this with a reused
-  /// scratch vector so a steady-state flush cycle allocates nothing: drain()'s
-  /// swap would hand the bucket's grown capacity away on every flush and
-  /// reallocate it on the next send.
-  std::size_t drain_into(NodeId dst, std::vector<Message>& out) {
+  /// Everything staged for `dst`, in send order, for a flush to move out;
+  /// clear(dst) then empties the bucket.
+  std::span<Message> staged(NodeId dst) {
     CONCERT_CHECK(dst < by_dst_.size(), "outbox drain for nonexistent node " << dst);
+    return by_dst_[dst];
+  }
+  /// Empties the bucket of `dst` once its messages were moved out, keeping
+  /// its capacity, so a steady-state flush cycle allocates nothing here.
+  void clear(NodeId dst) {
     std::vector<Message>& bucket = by_dst_[dst];
-    out.clear();
-    const std::size_t n = bucket.size();
-    if (out.capacity() < n) out.reserve(n);
-    for (Message& m : bucket) out.push_back(std::move(m));
+    total_ -= bucket.size();
     bucket.clear();
-    total_ -= n;
-    return n;
   }
 
   /// Smallest destination id with staged messages (deterministic flush

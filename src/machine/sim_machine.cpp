@@ -9,7 +9,7 @@ SimMachine::SimMachine(std::size_t nodes, MachineConfig config)
   if (config_.shuffle_seed != 0) network_.set_shuffle(config_.shuffle_seed);
 }
 
-void SimMachine::route(Node& from, Message msg) {
+void SimMachine::route(Node& from, Message&& msg) {
   network_.inject(std::move(msg), from.clock());
 }
 
@@ -111,8 +111,9 @@ void SimMachine::run_loop() {
       // channel).
       batch_.clear();
       do {
-        batch_.push_back(network_.shuffled() ? network_.pop_for_shuffled(best_node, best_t)
-                                             : network_.pop_for(best_node));
+        batch_.push_back(std::move(network_.shuffled()
+                                       ? network_.pop_slot_shuffled(best_node, best_t)
+                                       : network_.pop_slot(best_node)));
       } while (config_.merge_waves && !network_.empty_for(best_node) &&
                network_.earliest_for(best_node) <= best_t);
       nd.advance_clock_to(batch_.front().deliver_at);

@@ -18,7 +18,7 @@ class SimMachine final : public Machine {
  public:
   SimMachine(std::size_t nodes, MachineConfig config);
 
-  void route(Node& from, Message msg) override;
+  void route(Node& from, Message&& msg) override;
   void run_until_quiescent() override;
 
   SimNetwork& network() { return network_; }

@@ -1,6 +1,7 @@
 #include "machine/threaded_machine.hpp"
 
 #include <chrono>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -94,12 +95,12 @@ ThreadedMachine::ThreadedMachine(std::size_t nodes, MachineConfig config)
 
 ThreadedMachine::~ThreadedMachine() = default;
 
-void ThreadedMachine::route(Node& from, Message msg) {
-  const NodeId dst = msg.dst;
-  // The sender counts the create before the push's release store publishes
-  // the message, so the receiver's retire can never be summed without it.
+void ThreadedMachine::route(Node& from, Message&& msg) {
+  // The sender counts the create before the channel's release store
+  // publishes the message, so the receiver's retire can never be summed
+  // without it.
   from.work_created();
-  node(dst).push_inbox(std::move(msg));
+  from.post(node(msg.dst), std::move(msg));
 }
 
 ThreadedMachine::Credits ThreadedMachine::sum_credits() const {
@@ -111,14 +112,15 @@ ThreadedMachine::Credits ThreadedMachine::sum_credits() const {
 
 void ThreadedMachine::node_loop(NodeId id) {
   Node& nd = node(id);
-  // One inbox batch per loop turn: a single drain amortizes the queue walk
-  // over up to kInboxBatch deliveries, and the batch's credits are retired
-  // together once Node::deliver returns, after every product of the batch
-  // (a routed reply, an enqueued context, a staged or flushed message) has
-  // counted its own create — so no instant shows unfinished work as done.
+  // One inbox batch per loop turn: up to kInboxBatch messages delivered in
+  // place, each run of a channel segment through one Node::deliver call.
+  // The messages this turn routed are published when it ends (or when a
+  // channel segment fills), and only then are the batch's credits retired —
+  // after every product of the batch (a routed reply, an enqueued context, a
+  // staged or flushed message) has counted its own create, so no instant
+  // shows unfinished work as done.
   constexpr std::size_t kInboxBatch = 128;
-  std::vector<Message> batch;
-  batch.reserve(kInboxBatch);
+  const auto deliver_run = [&nd](std::span<Message> run) { nd.deliver(run); };
   const bool oversubscribed = std::thread::hardware_concurrency() < nodes_.size() + 1;
   unsigned idle = 0;
   unsigned turns = 0;
@@ -131,10 +133,9 @@ void ThreadedMachine::node_loop(NodeId id) {
       nd.sample_health();
       if (failed_.load(std::memory_order_relaxed)) break;
     }
-    batch.clear();
-    if (const std::size_t drained = nd.drain_inbox(batch, kInboxBatch); drained > 0) {
-      nd.deliver(batch);
-      nd.work_retired(drained);  // the delivered messages' credits
+    if (const std::size_t delivered = nd.consume_inbox(kInboxBatch, deliver_run); delivered > 0) {
+      nd.publish_sends();
+      nd.work_retired(delivered);  // the delivered messages' credits
       idle = 0;
       continue;
     }
@@ -148,11 +149,13 @@ void ThreadedMachine::node_loop(NodeId id) {
       nd.set_wave_staging(false);
       if (ran) {
         nd.flush_all_outboxes();
+        nd.publish_sends();
         nd.work_retired();  // the dequeued context's enqueue credit
         idle = 0;
         continue;
       }
     } else if (nd.run_one()) {
+      nd.publish_sends();
       nd.work_retired();  // the dequeued context's enqueue credit
       idle = 0;
       continue;
@@ -162,6 +165,7 @@ void ThreadedMachine::node_loop(NodeId id) {
     // in Node::send, retired at flush after the bundle's own exists), so
     // quiescence cannot be declared while a message sits in an outbox.
     if (nd.flush_all_outboxes() > 0) {
+      nd.publish_sends();
       idle = 0;
       continue;
     }
@@ -193,6 +197,9 @@ void ThreadedMachine::run_until_quiescent() {
   // touched only by the stats' owning thread.
   std::vector<int> plan;
   if (config_.pin_threads) plan = numa_interleaved_cpus();
+  // Node threads publish their sends once per loop turn; the thread that
+  // seeds and inspects the machine between runs publishes each at once.
+  for (auto& n : nodes_) n->set_deferred_publish(true);
   std::vector<std::thread> threads;
   threads.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -246,6 +253,11 @@ void ThreadedMachine::run_until_quiescent() {
   // not wait out the park timeout per node.
   for (std::size_t i = 0; i < nodes_.size(); ++i) node(static_cast<NodeId>(i)).wake_inbox();
   for (auto& t : threads) t.join();
+  // A thread that threw may have left a turn's sends unpublished.
+  for (auto& n : nodes_) {
+    n->publish_sends();
+    n->set_deferred_publish(false);
+  }
   // Node threads are gone; memory housekeeping and the recorders are safe to
   // touch from here. A detected stall dumps the machine-readable postmortem
   // (concert-insight) before the check throws; a node thread's error, a

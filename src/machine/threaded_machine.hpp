@@ -1,29 +1,40 @@
 // Real-thread engine: one std::thread per node.
 //
 // Messages go straight into the destination node's inbox: one
-// single-producer FIFO per source node (machine/channel_fifo.hpp), pushed by
-// the sender's thread and drained round-robin by the receiver's.
+// single-producer FIFO per source node (machine/channel_fifo.hpp). route()
+// moves each message once, into the next slot of its channel. A node thread
+// publishes a channel (one release store of its count) when the loop turn
+// that routed the messages ends, before the turn retires its credits or the
+// node idles, or earlier when a segment of ChannelFifo::kSeg slots fills; a
+// route made outside a run (seeding, tests) publishes at once, and a parked
+// receiver is woken at publish. The receiver consumes up to 128 published
+// messages per turn, visiting channels round-robin, and hands each run of a
+// channel segment to Node::deliver in place; the segment is recycled only
+// after that call returns.
 // Quiescence is detected with work credits: every routed message, context
 // enqueue and outbox staging creates one, and finishing the corresponding
-// action retires it (a drained inbox batch retires its messages' credits
-// together, once Node::deliver returns). Each node counts its own creates
-// and retires in two counters that only its thread writes
-// (Node::work_created/work_retired), so the accounting costs a plain store,
-// not a read-modify-write on a line every node thread shares. A monitor on
-// the thread that called run_until_quiescent sums them every 50 µs: it reads
-// every node's `retired`, then every node's `created`, and declares
-// quiescence when the two sums are equal.
+// action retires it (an inbox batch retires its messages' credits together,
+// once every Node::deliver call of the batch has returned and the turn's
+// sends are published). Each node counts its own creates and retires in two
+// counters that only its thread writes (Node::work_created/work_retired), so
+// the accounting costs a plain store, not a read-modify-write on a line every
+// node thread shares. A monitor on the thread that called
+// run_until_quiescent sums them every 50 µs: it reads every node's
+// `retired`, then every node's `created`, and declares quiescence when the
+// two sums are equal.
 //
 // Why that read order is sound: a credit's create is published before
 // anything that depends on it can be seen by another thread (route() counts
-// the sender's create before the channel's release store makes the message
-// visible, and a message is visible from exactly that store on; a node
-// counts its local products before retiring the action that made them). So every retire
-// the monitor counts has its create counted too, and equal sums mean every
+// the sender's create before it writes the message, and a message becomes
+// visible only at its channel's later publish; a node counts its local
+// products before retiring the action that made them). So every retire the
+// monitor counts has its create counted too, and equal sums mean every
 // counted create has its retire counted. A credit alive between the two
 // reading phases would have a counted create and an uncounted retire, so none
 // was alive — and with no live credit, no action runs and nothing can create
-// one. Reading `created` first, or counting a message's create after its push,
+// one. A written but unpublished message holds a counted create that no one
+// can retire yet, so it keeps the sums apart like any message in flight.
+// Reading `created` first, or counting a message's create after its write,
 // can declare quiescence early.
 #pragma once
 
@@ -40,7 +51,7 @@ class ThreadedMachine final : public Machine {
   ThreadedMachine(std::size_t nodes, MachineConfig config);
   ~ThreadedMachine() override;
 
-  void route(Node& from, Message msg) override;
+  void route(Node& from, Message&& msg) override;
   /// Runs every node on its own thread until quiescence. A protocol error on
   /// a node thread (a failed CONCERT_CHECK) stops the run and is rethrown
   /// here after the join, as is a work-credit imbalance; both dump the

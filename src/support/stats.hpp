@@ -59,8 +59,8 @@ namespace concert {
   X(bundles_received, sum, "concert_bundles_received_total")                 \
   X(msgs_coalesced, sum, "concert_msgs_coalesced_total")                     \
   X(comm_instructions, sum, "concert_comm_instructions_total")               \
-  /* Threaded-engine inbox: non-empty MPSC drains, messages popped across */ \
-  /* them, the largest single drain, idle parks, and parks that woke to */   \
+  /* Threaded-engine inbox: non-empty batches, messages consumed across */   \
+  /* them, the largest single batch, idle parks, and parks that woke to */   \
   /* find work waiting. */                                                   \
   X(inbox_batches, sum, "concert_inbox_batches_total")                       \
   X(inbox_batched_msgs, sum, "concert_inbox_batched_msgs_total")             \

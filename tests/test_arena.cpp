@@ -150,6 +150,29 @@ TEST(ContextArenaSlab, QuiescenceResetCanonicalizesReuseOrder) {
   EXPECT_EQ(arena.alloc(0, 1).id, 2u);
 }
 
+TEST(ContextArenaSlab, QuiescenceResetSkipsLiveRootProxy) {
+  // run_main's root proxy stays live across quiescence. The reset hands out
+  // every free id lowest first, across several 64-id words, never the live
+  // one, and only then fresh ids.
+  constexpr ContextId kIds = 130;
+  constexpr ContextId kLive = 64;
+  ContextArena arena(0);
+  std::vector<Context*> ctxs;
+  for (ContextId i = 0; i < kIds; ++i) ctxs.push_back(&arena.alloc(0, 1));
+  ctxs[kLive]->status = ContextStatus::Proxy;
+  for (ContextId k = 0; k < kIds; ++k) {
+    const ContextId i = (k * 37) % kIds;  // a scrambled order (37 is prime to 130)
+    if (i != kLive) arena.free(*ctxs[i]);
+  }
+  arena.reset_at_quiescence();
+  for (ContextId want = 0; want < kIds; ++want) {
+    if (want == kLive) continue;
+    EXPECT_EQ(arena.alloc(0, 1).id, want);
+  }
+  EXPECT_EQ(arena.alloc(0, 1).id, kIds);
+  EXPECT_EQ(arena.live_count(), static_cast<std::size_t>(kIds) + 1);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: the runtime recycles, housekeeps at quiescence, and migrated
 // work allocates in the destination node's arena.

@@ -92,7 +92,7 @@ TEST(BundleTest, CarriesElementsAndSharesEnvelope) {
   elems.push_back(mk(0, 1, 30));
   const std::uint32_t sum_alone =
       elems[0].size_bytes() + elems[1].size_bytes() + elems[2].size_bytes();
-  const Message b = Message::bundle_of(0, 1, std::move(elems));
+  const Message b = Message::bundle_of(0, 1, elems);
   EXPECT_TRUE(b.is_bundle());
   EXPECT_TRUE(b.any_invoke());
   ASSERT_EQ(b.bundle().size(), 3u);
@@ -107,7 +107,7 @@ TEST(BundleTest, AllRepliesBundleHasNoInvoke) {
   std::vector<Message> elems;
   elems.push_back(Message::reply(0, 1, k, Value{1}));
   elems.push_back(Message::reply(0, 1, k, Value{2}));
-  const Message b = Message::bundle_of(0, 1, std::move(elems));
+  const Message b = Message::bundle_of(0, 1, elems);
   EXPECT_TRUE(b.is_bundle());
   EXPECT_FALSE(b.any_invoke());
 }

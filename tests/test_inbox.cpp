@@ -1,9 +1,13 @@
 // The threaded engine's inbox. First the single-producer channel FIFO it is
 // built from: order across segment boundaries, bounded drains, teardown, a
-// concurrent producer, and allocation per segment rather than per element.
-// Then Node's inbox over one channel per source: per-source order under
-// several producers, the park/wake protocol, round-robin draining, and
-// quiescence detection staying sound.
+// concurrent producer, allocation per segment rather than per element, and
+// its publish contract (a deferred write is invisible until published, a
+// full segment publishes itself, an in-place consume recycles a segment only
+// after its callback returns, a self-push during a consume queues behind
+// it). Then Node's inbox over one channel per source: per-source order under
+// several producers, the park/wake protocol, round-robin draining, sends
+// deferred to the end of a loop turn, and quiescence detection staying
+// sound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +15,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -50,6 +55,25 @@ std::size_t allocations_in(Body&& body) {
   return t_allocs;
 }
 
+/// Moves the oldest published element into `out` through a drain of one;
+/// false when nothing is published. `buf` is the drain's scratch, so a warm
+/// buffer makes the call allocate nothing.
+template <typename T>
+bool drain_one(ChannelFifo<T>& ch, std::vector<T>& buf, T& out) {
+  buf.clear();
+  if (ch.drain(buf, 1) == 0) return false;
+  out = std::move(buf.front());
+  return true;
+}
+
+/// The same through Node::drain_inbox.
+bool drain_one(Node& nd, Message& out) {
+  std::vector<Message> buf;
+  if (nd.drain_inbox(buf, 1) == 0) return false;
+  out = std::move(buf.front());
+  return true;
+}
+
 TEST(ChannelFifo, FifoAcrossSegmentBoundaries) {
   for (const std::size_t n : {kSeg - 1, kSeg, kSeg + 1, 3 * kSeg + 5}) {
     ChannelFifo<int> ch;
@@ -59,11 +83,12 @@ TEST(ChannelFifo, FifoAcrossSegmentBoundaries) {
       for (std::size_t i = 0; i < n; ++i) ch.push(static_cast<int>(i));
       EXPECT_FALSE(ch.empty());
       int v = -1;
+      std::vector<int> buf;
       for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(ch.pop(v)) << "n=" << n << " round " << round;
+        ASSERT_TRUE(drain_one(ch, buf, v)) << "n=" << n << " round " << round;
         EXPECT_EQ(v, static_cast<int>(i)) << "n=" << n << " round " << round;
       }
-      EXPECT_FALSE(ch.pop(v));
+      EXPECT_FALSE(drain_one(ch, buf, v));
       EXPECT_TRUE(ch.empty());
     }
   }
@@ -89,7 +114,8 @@ TEST(ChannelFifo, DestructorFreesQueuedElements) {
   ChannelFifo<std::vector<int>> ch;
   for (std::size_t i = 0; i < 2 * kSeg + 3; ++i) ch.push(std::vector<int>(64, static_cast<int>(i)));
   std::vector<int> v;
-  for (std::size_t i = 0; i <= kSeg; ++i) ASSERT_TRUE(ch.pop(v));
+  std::vector<std::vector<int>> buf;
+  for (std::size_t i = 0; i <= kSeg; ++i) ASSERT_TRUE(drain_one(ch, buf, v));
   EXPECT_EQ(v.front(), static_cast<int>(kSeg));
 }
 
@@ -129,13 +155,125 @@ TEST(ChannelFifo, AllocatesPerSegmentNotPerElement) {
   EXPECT_EQ(ch.drain(out, kBurst), kBurst);
   // Steady traffic cycles the segment being filled and the spare.
   Message m;
-  const std::size_t steady = allocations_in([&ch, &m] {
+  std::vector<Message> buf;
+  buf.reserve(1);
+  const std::size_t steady = allocations_in([&ch, &m, &buf] {
     for (std::size_t i = 0; i < kBurst; ++i) {
       ch.push(Message{});
-      ASSERT_TRUE(ch.pop(m));
+      ASSERT_TRUE(drain_one(ch, buf, m));
     }
   });
   EXPECT_LE(steady, 1u);
+}
+
+/// An element that logs its value when destroyed (moved-from ones log
+/// nothing), so a test can see when a consume destroys what it handed out.
+std::vector<int> g_destroyed;
+struct Logged {
+  explicit Logged(int v) : value(v) {}
+  Logged(Logged&& o) noexcept : value(o.value) { o.value = -1; }
+  Logged& operator=(Logged&&) = delete;
+  ~Logged() {
+    if (value >= 0) g_destroyed.push_back(value);
+  }
+  int value;
+};
+
+TEST(ChannelFifo, DeferredWriteStaysInvisibleUntilPublish) {
+  ChannelFifo<int> ch;
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(ch.write(int{i}), static_cast<std::size_t>(i + 1));
+  EXPECT_TRUE(ch.empty());
+  std::vector<int> out;
+  EXPECT_EQ(ch.drain(out, 100), 0u);
+  EXPECT_TRUE(ch.publish());
+  EXPECT_FALSE(ch.publish());  // nothing new
+  EXPECT_FALSE(ch.empty());
+  ASSERT_EQ(ch.drain(out, 100), 5u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(ch.empty());
+}
+
+TEST(ChannelFifo, FullSegmentPublishesItself) {
+  ChannelFifo<int> ch;
+  for (std::size_t i = 0; i + 1 < kSeg; ++i) EXPECT_EQ(ch.write(static_cast<int>(i)), i + 1);
+  EXPECT_TRUE(ch.empty());
+  // The write that fills the segment publishes all of it, no publish() call.
+  EXPECT_EQ(ch.write(static_cast<int>(kSeg - 1)), 0u);
+  EXPECT_FALSE(ch.empty());
+  EXPECT_EQ(ch.write(static_cast<int>(kSeg)), 1u);  // the next segment's first: unpublished
+  std::vector<int> out;
+  ASSERT_EQ(ch.drain(out, 1000), kSeg);
+  for (std::size_t i = 0; i < kSeg; ++i) EXPECT_EQ(out[i], static_cast<int>(i));
+  EXPECT_TRUE(ch.empty());
+  EXPECT_TRUE(ch.publish());
+  out.clear();
+  ASSERT_EQ(ch.drain(out, 1000), 1u);
+  EXPECT_EQ(out.front(), static_cast<int>(kSeg));
+}
+
+TEST(ChannelFifo, ConsumeInPlaceCrossesSegments) {
+  ChannelFifo<int> ch;
+  const std::size_t n = 2 * kSeg + 5;
+  for (std::size_t i = 0; i < n; ++i) ch.push(static_cast<int>(i));
+  std::vector<std::size_t> runs;
+  std::vector<int> seen;
+  EXPECT_EQ(ch.consume(1000, [&](std::span<int> run) {
+    runs.push_back(run.size());
+    seen.insert(seen.end(), run.begin(), run.end());
+  }), n);
+  EXPECT_EQ(runs, (std::vector<std::size_t>{kSeg, kSeg, 5}));
+  ASSERT_EQ(seen.size(), n);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(seen[i], static_cast<int>(i));
+  EXPECT_TRUE(ch.empty());
+}
+
+TEST(ChannelFifo, ConsumeRecyclesSegmentOnlyAfterItsCallback) {
+  g_destroyed.clear();
+  ChannelFifo<Logged> ch;
+  for (std::size_t i = 0; i < kSeg; ++i) ch.push(Logged(static_cast<int>(i)));  // one full segment
+  std::size_t during = 0;
+  bool intact = true;
+  ASSERT_EQ(ch.consume(1000, [&](std::span<Logged> run) {
+    EXPECT_TRUE(g_destroyed.empty());  // nothing destroyed under the callback
+    // The producer must not get this segment back while it is being read:
+    // its next write needs a fresh segment.
+    during = allocations_in([&ch] { ch.push(Logged(1000)); });
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      intact = intact && run[i].value == static_cast<int>(i);
+    }
+  }), kSeg);
+  EXPECT_EQ(during, 1u);
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(g_destroyed.size(), kSeg);  // the run, once its callback returned
+  // Moving on to the next segment hands the first one back, so a producer
+  // that fills the second continues in it without allocating.
+  std::vector<Logged> out;
+  out.reserve(1);
+  ASSERT_EQ(ch.drain(out, 1), 1u);
+  EXPECT_EQ(out.front().value, 1000);
+  const std::size_t refill = allocations_in([&ch] {
+    for (std::size_t i = 0; i < kSeg; ++i) ch.push(Logged(static_cast<int>(i)));
+  });
+  EXPECT_EQ(refill, 0u);
+}
+
+TEST(ChannelFifo, SelfPushDuringConsumeLandsAfterTheConsumedSpan) {
+  // One thread as producer and consumer, like a node sending to itself while
+  // it delivers: what the callback pushes is not part of this consume, and
+  // comes out of the next one after everything older.
+  ChannelFifo<int> ch;
+  for (int i = 0; i < 5; ++i) ch.push(int{i});
+  std::vector<int> seen;
+  EXPECT_EQ(ch.consume(1000, [&](std::span<int> run) {
+    for (const int v : run) {
+      seen.push_back(v);
+      ch.push(100 + v);
+    }
+  }), 5u);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
+  std::vector<int> out;
+  ASSERT_EQ(ch.drain(out, 1000), 5u);
+  EXPECT_EQ(out, (std::vector<int>{100, 101, 102, 103, 104}));
 }
 
 TEST(ThreadedInbox, PushBurstAllocatesOnlySegments) {
@@ -245,8 +383,8 @@ TEST(ThreadedInbox, PushWakesParkedConsumer) {
   producer.join();
   EXPECT_LT(waited, std::chrono::seconds(1));
   Message msg;
-  EXPECT_TRUE(nd.pop_inbox(msg));
-  EXPECT_FALSE(nd.pop_inbox(msg));
+  EXPECT_TRUE(drain_one(nd, msg));
+  EXPECT_FALSE(drain_one(nd, msg));
 }
 
 TEST(ThreadedInbox, PushOnLaterChannelWakesParkedOwner) {
@@ -265,7 +403,7 @@ TEST(ThreadedInbox, PushOnLaterChannelWakesParkedOwner) {
   producer.join();
   EXPECT_LT(waited, std::chrono::seconds(1));
   Message msg;
-  ASSERT_TRUE(nd.pop_inbox(msg));
+  ASSERT_TRUE(drain_one(nd, msg));
   EXPECT_EQ(msg.src, 2u);
   EXPECT_EQ(msg.args.at(0).as_i64(), 7);
 }
@@ -279,7 +417,33 @@ TEST(ThreadedInbox, SkipsParkWhenMessagePending) {
   nd.park_inbox(std::chrono::microseconds(2'000'000));  // must return at once
   EXPECT_EQ(nd.stats.inbox_parks, parks_before);        // never actually waited
   Message msg;
-  EXPECT_TRUE(nd.pop_inbox(msg));
+  EXPECT_TRUE(drain_one(nd, msg));
+}
+
+TEST(ThreadedInbox, DeferredSelfSendsPublishAtTurnEnd) {
+  // A node thread's sends during a delivery stay unpublished until the turn
+  // ends (publish_sends), and then queue behind the batch just delivered.
+  ThreadedMachine m(1, test_config());
+  m.registry().finalize();
+  Node& nd = m.node(0);
+  for (int i = 0; i < 3; ++i) nd.push_inbox(Message::reply(0, 0, Continuation{}, Value(i)));
+  nd.set_deferred_publish(true);
+  std::vector<std::int64_t> seen;
+  EXPECT_EQ(nd.consume_inbox(128, [&](std::span<Message> run) {
+    for (const Message& msg : run) {
+      seen.push_back(msg.args.at(0).as_i64());
+      nd.post(nd, Message::reply(0, 0, Continuation{}, Value(10 + seen.back())));
+    }
+  }), 3u);
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{0, 1, 2}));
+  EXPECT_TRUE(nd.inbox_empty());
+  nd.publish_sends();
+  nd.set_deferred_publish(false);
+  std::vector<Message> out;
+  ASSERT_EQ(nd.drain_inbox(out, 128), 3u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].args.at(0).as_i64(), static_cast<std::int64_t>(10 + i));
+  }
 }
 
 TEST(ThreadedInbox, QuiescenceNotDeclaredEarly) {

@@ -1,8 +1,8 @@
 // The compact message: its size and move-only layout, payloads inline up to
 // Payload::kInline values and spilled past it, intact through the message
 // factories and both engines' queues, spill buffers recycled into the
-// receiving node's pool, and no heap allocation per message for 1- to
-// 3-value invocations and replies on either engine.
+// receiving node's pool, no heap allocation per message for 1- to 3-value
+// invocations and replies on either engine, and one per bundle flush.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -118,7 +118,7 @@ TEST(CompactMessage, MovedFromHoldsEmptyPayloadAndNoBox) {
   std::vector<Message> elems;
   elems.push_back(Message::invoke(0, 1, 1, kNoObject, values(4, 1), {}));
   elems.push_back(Message::invoke(0, 1, 2, kNoObject, values(1, 2), {}));
-  Message bundle = Message::bundle_of(0, 1, std::move(elems));
+  Message bundle = Message::bundle_of(0, 1, elems);
   const Message moved = std::move(bundle);
   ASSERT_EQ(moved.bundle().size(), 2u);
   expect_values(moved.bundle()[0].args, 4, 1);
@@ -323,6 +323,35 @@ TEST(CompactMessage, SimBurstInFlightAllocatesOnlyRingGrowth) {
   m.run_until_quiescent();
   expect_burst_delivered(sink, kWarm + kBurst);
   m.node(1).free_context(*sink.replies);
+}
+
+TEST(CompactMessage, BundleFlushAllocatesOnce) {
+  // A flush of n >= 2 staged messages allocates one block, the bundle's box
+  // with its elements in it: the outbox keeps its bucket's capacity and the
+  // network ring its slots. A warm-up flush first grows both.
+  MachineConfig cfg = burst_config();
+  cfg.flush_policy = FlushPolicy::flush_on_idle();
+  SimMachine m(2, cfg);
+  register_sinks(m.registry());
+  Node& from = m.node(0);
+  const auto stage = [&from](std::size_t n, std::int64_t tag) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const Value v(tag + static_cast<std::int64_t>(i));
+      from.send(Message::invoke(0, 1, g_sink1, kNoObject, {v}, kNoContinuation));
+    }
+  };
+  stage(8, 0);
+  from.flush_outbox(1);
+  (void)m.network().pop_for(1);
+  for (const std::size_t n : {std::size_t{2}, std::size_t{5}, std::size_t{8}}) {
+    stage(n, 100);
+    EXPECT_EQ(allocations_in([&from] { from.flush_outbox(1); }), 1u) << "n=" << n;
+    const Message b = m.network().pop_for(1);
+    ASSERT_EQ(b.bundle().size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(b.bundle()[i].args.at(0).as_i64(), 100 + static_cast<std::int64_t>(i));
+    }
+  }
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
 // The std::thread-per-node engine: real concurrency, quiescence detection,
-// protocol errors raised on node threads, and agreement with the
-// deterministic engine's results.
+// protocol errors raised on node threads, messages visible before the slice
+// that sent them ends, and agreement with the deterministic engine's
+// results.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
+#include "core/invoke.hpp"
 #include "support/json.hpp"
 #include "test_util.hpp"
 
@@ -161,6 +166,50 @@ TEST(ThreadedFailure, ExtraRetireIsReportedAsImbalance) {
           << e.what();
     }
   }
+}
+
+// flood(): on one long slice, sends more than a channel segment of mark()
+// invocations to another node, then waits (up to 10 s) until one of them has
+// run there. It returns 1 if one did: the sends were published while the
+// slice still ran.
+MethodId g_mark = kInvalidMethod;
+GlobalRef g_mark_target;
+std::atomic<bool> g_marked{false};
+
+Context* mark_seq(Node&, Value* ret, const CallerInfo&, GlobalRef, const Value*, std::size_t) {
+  g_marked.store(true, std::memory_order_release);
+  *ret = Value::nil();
+  return nullptr;
+}
+void mark_par(Node&, Context&) { CONCERT_UNREACHABLE("mark_par"); }
+
+Context* flood_seq(Node& nd, Value* ret, const CallerInfo&, GlobalRef, const Value*,
+                   std::size_t) {
+  for (std::size_t i = 0; i < ChannelFifo<Message>::kSeg + 8; ++i) {
+    remote_invoke(nd, g_mark, g_mark_target, nullptr, 0, kNoContinuation);
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!g_marked.load(std::memory_order_acquire) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  *ret = Value(std::int64_t{g_marked.load(std::memory_order_acquire) ? 1 : 0});
+  return nullptr;
+}
+void flood_par(Node&, Context&) { CONCERT_UNREACHABLE("flood_par"); }
+
+struct MarkObj {};
+
+TEST(ThreadedMachineTest, LongSliceSendsBecomeVisibleBeforeItEnds) {
+  ThreadedMachine m(2, test_config(ExecMode::Hybrid3));
+  g_mark = declare_leaf(m.registry(), "mark", mark_seq, mark_par);
+  const MethodId flood = declare_leaf(m.registry(), "flood", flood_seq, flood_par);
+  m.registry().finalize();
+  g_mark_target = m.node(1).objects().create<MarkObj>(0x4d41u).first;
+  g_marked.store(false);
+  EXPECT_EQ(m.run_main(0, flood, kNoObject, {}).as_i64(), 1);
+  EXPECT_EQ(m.live_contexts(), 0u);
+  const NodeStats s = m.total_stats();
+  EXPECT_EQ(s.msgs_sent, s.msgs_received);
 }
 
 }  // namespace

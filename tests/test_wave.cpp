@@ -201,9 +201,9 @@ TEST(WaveOrder, BundleArrivalIsPaidOnceAndEndsItsRuns) {
     split.push_back(invoke(g_append, 4));
     split.push_back(invoke(g_append_locked, 5));
     std::vector<Message> batch;
-    batch.push_back(Message::bundle_of(1, 0, std::move(pair)));
+    batch.push_back(Message::bundle_of(1, 0, pair));
     batch.push_back(invoke(g_append, 3));
-    batch.push_back(Message::bundle_of(1, 0, std::move(split)));
+    batch.push_back(Message::bundle_of(1, 0, split));
     Node& nd = m.node(0);
     nd.deliver(batch);
     EXPECT_EQ(obj->entries, (std::vector<std::int64_t>{1, 2, 3, 4, 5})) << "merge " << merge;
