@@ -107,13 +107,14 @@ int main() {
                            static_cast<double>(base_comm)) /
                       static_cast<double>(base_comm)
                 : 0.0;
+        std::string delta_cell = delta <= 0 ? "" : "+";
+        delta_cell.append(fmt_double(delta, 1)).append("%");
         t.add_row({w.name, policy.name(), fmt_double(out.sim_seconds),
                    fmt_count(out.stats.msgs_sent), fmt_count(wire_msgs(out.stats)),
                    out.stats.outbox_flushes != 0
                        ? fmt_double(out.stats.mean_bundle_size(), 2)
                        : std::string("1.00"),
-                   fmt_count(out.stats.comm_instructions),
-                   (delta <= 0 ? "" : "+") + fmt_double(delta, 1) + "%"});
+                   fmt_count(out.stats.comm_instructions), delta_cell});
       }
       t.add_separator();
     }

@@ -165,10 +165,12 @@ bool Node::run_one() {
   if (ready_.empty()) return false;
   const ContextId cid = ready_.front();
   ready_.pop_front();
-  // A queued context cannot be freed (free_context checks), so the id is
-  // stable and we can look it up directly.
+  // A queued context cannot be freed (free_context checks), so its id names
+  // it whatever its generation: one lookup.
   CONCERT_CHECK(cid < arena_.capacity(), "ready queue holds bad context id " << cid);
-  Context& ctx = arena_.resolve(ContextRef{id_, cid, arena_gen_of(cid)});
+  Context* const queued = arena_.try_resolve_any_gen(cid);
+  CONCERT_CHECK(queued != nullptr, "ready queue refers to freed context " << cid);
+  Context& ctx = *queued;
   CONCERT_CHECK(ctx.status == ContextStatus::Ready, "dequeued context " << ctx.ref()
                                                                         << " is not Ready");
   // Implicit locking: an invocation on a held object is deferred (the
@@ -211,14 +213,6 @@ bool Node::run_one() {
   }
   trace<TraceKind::DispatchEnd>(method);
   return true;
-}
-
-std::uint32_t Node::arena_gen_of(ContextId id) {
-  // Helper for the ready queue: queued contexts stay live, so the current
-  // generation is the queued generation.
-  Context* ctx = arena_.try_resolve_any_gen(id);
-  CONCERT_CHECK(ctx != nullptr, "ready queue refers to freed context " << id);
-  return ctx->gen;
 }
 
 bool Node::deadlocked_on_ancestor(const Context& ctx) {

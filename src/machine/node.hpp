@@ -401,7 +401,6 @@ class Node {
   verify::VerifyRecorder verifier;
 
  private:
-  std::uint32_t arena_gen_of(ContextId id);
   /// Dynamic self-deadlock probe (concert-analyze; verify builds only): walks
   /// the deferred context's local continuation chain looking for an ancestor
   /// activation that holds the very lock `ctx` is waiting for. Such an

@@ -112,15 +112,19 @@ ThreadedMachine::Credits ThreadedMachine::sum_credits() const {
 
 void ThreadedMachine::node_loop(NodeId id) {
   Node& nd = node(id);
-  // One inbox batch per loop turn: up to kInboxBatch messages delivered in
-  // place, each run of a channel segment through one Node::deliver call.
-  // The messages this turn routed are published when it ends (or when a
-  // channel segment fills), and only then are the batch's credits retired —
-  // after every product of the batch (a routed reply, an enqueued context, a
-  // staged or flushed message) has counted its own create, so no instant
-  // shows unfinished work as done.
+  // A loop turn is one inbox batch: up to kInboxBatch messages delivered in
+  // place, each run of a channel segment through one Node::deliver call. A
+  // turn whose consume came back empty runs a quantum of up to kReadyBatch
+  // ready context slices instead, so the inbox keeps priority turn by turn.
+  // The messages a turn routed are published when it ends (or when a channel
+  // segment fills), and only then are its credits retired — after every
+  // product of the turn (a routed reply, an enqueued context, a staged or
+  // flushed message) has counted its own create, so no instant shows
+  // unfinished work as done.
   constexpr std::size_t kInboxBatch = 128;
+  constexpr std::size_t kReadyBatch = 32;
   const auto deliver_run = [&nd](std::span<Message> run) { nd.deliver(run); };
+  const bool merge = config_.merge_waves;
   const bool oversubscribed = std::thread::hardware_concurrency() < nodes_.size() + 1;
   unsigned idle = 0;
   unsigned turns = 0;
@@ -139,24 +143,24 @@ void ThreadedMachine::node_loop(NodeId id) {
       idle = 0;
       continue;
     }
-    if (config_.merge_waves) {
-      // Request staging: sends made during this context slice (a driver's
-      // spawn burst, a wrapper's replies) stage in the outbox and leave as
-      // per-destination bundles when the slice ends — fewer inbox pushes,
-      // and the receiver sees contiguous same-method runs to merge.
-      nd.set_wave_staging(true);
-      const bool ran = nd.run_one();
+    // Ready quantum: one publish and one retire for up to kReadyBatch slices
+    // (a lock deferral counts as a slice; its re-queue made a fresh credit).
+    // Under merge_waves each slice still stages its own sends — the spawn
+    // burst that seeds a phase, a wrapper's replies — and flushes them as
+    // per-destination bundles when it ends, so the receiver sees the same
+    // contiguous same-method runs to merge as with one slice per turn.
+    std::size_t ran = 0;
+    while (ran < kReadyBatch) {
+      nd.set_wave_staging(merge);
+      const bool stepped = nd.run_one();
       nd.set_wave_staging(false);
-      if (ran) {
-        nd.flush_all_outboxes();
-        nd.publish_sends();
-        nd.work_retired();  // the dequeued context's enqueue credit
-        idle = 0;
-        continue;
-      }
-    } else if (nd.run_one()) {
+      if (!stepped) break;
+      if (merge) nd.flush_all_outboxes();
+      ++ran;
+    }
+    if (ran > 0) {
       nd.publish_sends();
-      nd.work_retired();  // the dequeued context's enqueue credit
+      nd.work_retired(ran);  // the dequeued contexts' enqueue credits
       idle = 0;
       continue;
     }

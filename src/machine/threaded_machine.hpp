@@ -7,21 +7,23 @@
 // that routed the messages ends, before the turn retires its credits or the
 // node idles, or earlier when a segment of ChannelFifo::kSeg slots fills; a
 // route made outside a run (seeding, tests) publishes at once, and a parked
-// receiver is woken at publish. The receiver consumes up to 128 published
-// messages per turn, visiting channels round-robin, and hands each run of a
+// receiver is woken at publish. Each loop turn first consumes up to 128
+// published messages, visiting channels round-robin, and hands each run of a
 // channel segment to Node::deliver in place; the segment is recycled only
-// after that call returns.
+// after that call returns. Only a turn whose consume found nothing runs
+// ready contexts: a quantum of up to 32 context slices, with one publish,
+// one credit retire and one inbox poll for the whole quantum.
 // Quiescence is detected with work credits: every routed message, context
 // enqueue and outbox staging creates one, and finishing the corresponding
-// action retires it (an inbox batch retires its messages' credits together,
-// once every Node::deliver call of the batch has returned and the turn's
-// sends are published). Each node counts its own creates and retires in two
-// counters that only its thread writes (Node::work_created/work_retired), so
-// the accounting costs a plain store, not a read-modify-write on a line every
-// node thread shares. A monitor on the thread that called
-// run_until_quiescent sums them every 50 µs: it reads every node's
-// `retired`, then every node's `created`, and declares quiescence when the
-// two sums are equal.
+// action retires it (a turn retires its inbox batch's or its quantum's
+// credits together, once every Node::deliver call or context slice of the
+// turn has returned and the turn's sends are published). Each node counts
+// its own creates and retires in two counters that only its thread writes
+// (Node::work_created/work_retired), so the accounting costs a plain store,
+// not a read-modify-write on a line every node thread shares. A monitor on
+// the thread that called run_until_quiescent sums them every 50 µs: it reads
+// every node's `retired`, then every node's `created`, and declares
+// quiescence when the two sums are equal.
 //
 // Why that read order is sound: a credit's create is published before
 // anything that depends on it can be seen by another thread (route() counts

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 
 #include "core/invoke.hpp"
 #include "machine/sim_machine.hpp"
+#include "machine/threaded_machine.hpp"
 #include "test_util.hpp"
 
 namespace concert {
@@ -67,12 +69,18 @@ void bump_par(Node& nd, Context& ctx) {
   }
 }
 
+enum class Engine { Sim, Threaded };
+
 struct LockWorld {
-  std::unique_ptr<SimMachine> machine;
+  std::unique_ptr<Machine> machine;
   GlobalRef counter;
 
-  LockWorld(bool locked, ExecMode mode = ExecMode::Hybrid3) {
-    machine = std::make_unique<SimMachine>(2, test_config(mode));
+  LockWorld(bool locked, ExecMode mode = ExecMode::Hybrid3, Engine engine = Engine::Sim) {
+    if (engine == Engine::Threaded) {
+      machine = std::make_unique<ThreadedMachine>(2, test_config(mode));
+    } else {
+      machine = std::make_unique<SimMachine>(2, test_config(mode));
+    }
     auto& reg = machine->registry();
     MethodDecl d;
     d.name = "delay";
@@ -127,15 +135,23 @@ TEST(ImplicitLocking, LockedSerializesUpdates) {
   EXPECT_EQ(w.machine->live_contexts(), 0u);
 }
 
-class LockCounts : public ::testing::TestWithParam<int> {};
+// Both engines, with counts above the threaded engine's ready quantum (32
+// context slices per loop turn): while the first bump holds the lock, every
+// other one is a ready context that run_one defers to the back of the queue,
+// so on node threads a whole quantum can be nothing but deferrals.
+class LockCounts : public ::testing::TestWithParam<std::tuple<Engine, int>> {};
 
 TEST_P(LockCounts, NOverlappingBumpsAllLand) {
-  LockWorld w(true);
-  EXPECT_EQ(w.overlapping_bumps(GetParam()), GetParam());
-  EXPECT_FALSE(w.machine->node(0).objects().locked(w.counter));
+  const auto [engine, n] = GetParam();
+  LockWorld w(/*locked=*/true, ExecMode::Hybrid3, engine);
+  EXPECT_EQ(w.overlapping_bumps(n), n);
+  EXPECT_FALSE(w.machine->node(0).objects().locked(w.counter)) << "lock leaked";
+  EXPECT_EQ(w.machine->live_contexts(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Counts, LockCounts, ::testing::Values(1, 2, 3, 5, 8, 16));
+INSTANTIATE_TEST_SUITE_P(Counts, LockCounts,
+                         ::testing::Combine(::testing::Values(Engine::Sim, Engine::Threaded),
+                                            ::testing::Values(1, 2, 3, 5, 8, 16, 33, 64, 100)));
 
 TEST(ImplicitLocking, ParallelOnlyModeAlsoSerializes) {
   LockWorld w(true, ExecMode::ParallelOnly);
