@@ -34,7 +34,7 @@ double sor_seconds(FallbackPolicy policy) {
 
 double em3d_seconds(FallbackPolicy policy) {
   em3d::Params p;
-  p.graph_nodes = bench::env_size("EM3D_NODES", 256);
+  p.graph_nodes = bench::env_size("EM3D_NODES", 256, 2);
   p.degree = 8;
   p.iters = 3;
   p.local_fraction = 0.05;

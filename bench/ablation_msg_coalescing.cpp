@@ -34,7 +34,7 @@ MachineConfig cfg_with(const FlushPolicy& policy, const CostModel& costs) {
 
 RunOut run_em3d(em3d::Version v, const FlushPolicy& policy, const CostModel& costs) {
   em3d::Params p;
-  p.graph_nodes = bench::env_size("EM3D_NODES", 512);
+  p.graph_nodes = bench::env_size("EM3D_NODES", 512, 2);
   p.degree = bench::env_size("EM3D_DEGREE", 8);
   p.iters = static_cast<int>(bench::env_size("EM3D_ITERS", 3));
   p.local_fraction = 0.05;  // low locality: communication dominated

@@ -24,17 +24,19 @@ namespace concert::bench {
 
 /// Reads a size or a count from the environment (so the paper-scale runs are
 /// one env var away from the CI-scale defaults). Unset keeps `fallback`; a
-/// set value must be all digits and from 1 to INT_MAX (several harnesses
-/// narrow it to int), or the harness exits 2.
-inline std::size_t env_size(const char* name, std::size_t fallback) {
+/// set value must be all digits and from `min` (1 or more) to INT_MAX
+/// (several harnesses narrow it to int), or the harness exits 2.
+inline std::size_t env_size(const char* name, std::size_t fallback, std::size_t min = 1) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
   const char* end = v + std::strlen(v);
   std::size_t out = 0;
   const auto [ptr, ec] = std::from_chars(v, end, out);
-  if (ec != std::errc() || ptr != end || out == 0 ||
+  if (ec != std::errc() || ptr != end || out < min || out == 0 ||
       out > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
-    bad_env(name, "a whole number from 1 to 2147483647", v);
+    std::string wants = "a whole number from ";
+    wants.append(std::to_string(min > 1 ? min : 1)).append(" to 2147483647");
+    bad_env(name, wants.c_str(), v);
   }
   return out;
 }

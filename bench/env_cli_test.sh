@@ -1,10 +1,11 @@
 #!/bin/sh
 # bench_env_cli: a malformed size variable makes a paper-table harness exit 2
 # with "<NAME> wants ..., got '<value>'"; a small well-formed run exits 0.
-#   sh env_cli_test.sh <table4_sor> <ablation_multireturn> <fig_locality_sweep>
+#   sh env_cli_test.sh <table4_sor> <ablation_multireturn> <fig_locality_sweep> <table6_em3d>
 table4=$1
 multireturn=$2
 sweep=$3
+table6=$4
 status=0
 # expect_reject NAME VALUE BINARY
 expect_reject() {
@@ -24,6 +25,8 @@ done
 expect_reject SOR_P 0 "$table4"
 expect_reject SOR_ITERS x "$table4"
 expect_reject A5_NODES 0 "$multireturn"
+# A one-node graph has no opposite half to draw edges from.
+expect_reject EM3D_NODES 1 "$table6"
 for v in 0 -1 abc nan inf 1e999 ''; do
   expect_reject SWEEP_WORK "$v" "$sweep"
 done

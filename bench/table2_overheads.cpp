@@ -10,6 +10,7 @@
 // microbenchmarks of the same paths.
 #include <benchmark/benchmark.h>
 
+#include "apps/seqbench/seqbench.hpp"
 #include "bench_util.hpp"
 #include "core/invoke.hpp"
 #include "core/registry.hpp"
@@ -257,6 +258,32 @@ void BM_FallbackUnwind(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FallbackUnwind);
+
+// The heap path's host cost: fib(n) on one node with every invocation a heap
+// context (ParallelOnly), next to the same program speculating on the stack
+// (Hybrid3). fib(14) keeps its few hundred contexts in cache; fib(24)'s ready
+// FIFO holds tens of thousands live. `per_inv` is the time per invocation,
+// of which fib(n) makes 2 fib(n + 1) - 1.
+void run_fib(benchmark::State& state, ExecMode mode) {
+  MachineConfig cfg = bench::make_config(mode, CostModel::workstation());
+  cfg.verify = false;
+  SimMachine m(1, cfg);
+  const seqbench::Ids ids = seqbench::register_seqbench(m.registry(), /*distributed=*/false);
+  m.registry().finalize();
+  const std::int64_t n = state.range(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m.run_main(0, ids.fib, kNoObject, {Value(n)}));
+  }
+  const auto invocations = static_cast<double>(2 * seqbench::fib_c(n + 1) - 1);
+  state.counters["per_inv"] = benchmark::Counter(
+      invocations, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+
+void BM_ParallelOnlyFib(benchmark::State& state) { run_fib(state, ExecMode::ParallelOnly); }
+BENCHMARK(BM_ParallelOnlyFib)->Arg(14)->Arg(24);
+
+void BM_Hybrid3Fib(benchmark::State& state) { run_fib(state, ExecMode::Hybrid3); }
+BENCHMARK(BM_Hybrid3Fib)->Arg(14)->Arg(24);
 
 }  // namespace
 }  // namespace concert

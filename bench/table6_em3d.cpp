@@ -37,7 +37,7 @@ RunOut run_em(const em3d::Params& p, std::size_t nodes, em3d::Version v, ExecMod
 int main() {
   using namespace concert;
   em3d::Params base;
-  base.graph_nodes = bench::env_size("EM3D_NODES", 2048);  // paper: 8192 (also feasible here)
+  base.graph_nodes = bench::env_size("EM3D_NODES", 2048, 2);  // paper: 8192 (also feasible here)
   base.degree = bench::env_size("EM3D_DEGREE", 16);        // paper: 16
   base.iters = static_cast<int>(bench::env_size("EM3D_ITERS", 4));  // paper: 100
 

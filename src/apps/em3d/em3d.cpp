@@ -41,6 +41,10 @@ struct Plan {
 };
 
 Plan make_graph(const Params& p, std::size_t nodes) {
+  // Every graph node draws its edges from the opposite half, so each half
+  // needs a member. build(), reference() and register_em3d() all start here.
+  CONCERT_CHECK(p.graph_nodes >= 2,
+                "em3d needs at least 2 graph nodes, got " << p.graph_nodes);
   Plan plan;
   const std::size_t n = p.graph_nodes;
   plan.n_e = n / 2;

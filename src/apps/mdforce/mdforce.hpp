@@ -95,7 +95,7 @@ struct World {
   std::size_t cross_pairs = 0;  ///< pairs whose second atom is remote.
   /// Per-run root-context scratch, reserved once in build(). run() is the
   /// measured body of the wallclock suite, so it must not grow vectors; the
-  /// contexts themselves come from the node slab arenas.
+  /// contexts themselves come from the nodes' context arenas.
   std::vector<Context*> root_scratch;
 };
 World build(Machine& machine, const Ids& ids, const Params& params);

@@ -78,7 +78,7 @@ Context& heap_invoke_local(Node& nd, MethodId callee, GlobalRef target, const Va
   ++nd.stats.heap_invokes;
   Context& ctx = nd.alloc_context(callee);
   ctx.self = target;
-  ctx.args.assign(args, args + nargs);
+  ctx.save_args(args, nargs);
   ctx.ret = reply_to;
   nd.charge(c.heap_invoke_fixed + c.save_word * ctx.args.size() + c.linkage_install);
   ctx.status = ContextStatus::Waiting;  // enqueue() flips it to Ready
@@ -101,7 +101,7 @@ Context& Frame::materialize() {
   nd_.verifier.record_block(method_);
   ctx_ = &nd_.alloc_context(method_);
   ctx_->self = self_;
-  ctx_->args.assign(args_, args_ + nargs_);
+  ctx_->save_args(args_, nargs_);
   nd_.charge(nd_.costs().save_word * nargs_);
   ctx_->status = ContextStatus::Waiting;
   ctx_->reverted = true;  // stays in the parallel version from here on
@@ -226,7 +226,7 @@ bool Frame::call_general(const DispatchEntry& de, MethodId callee, GlobalRef tar
         nd_.verifier.record_block(method_);
         ctx_ = fbk;
         ctx_->self = self_;
-        ctx_->args.assign(args_, args_ + nargs_);
+        ctx_->save_args(args_, nargs_);
         nd_.charge(nd_.costs().save_word * nargs_);
         ctx_->reverted = true;
         ++nd_.stats.fallbacks;

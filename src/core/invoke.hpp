@@ -250,7 +250,7 @@ class ParFrame {
   void complete_multi(const Value* vs, std::size_t n);
 
   /// Reads a filled slot.
-  const Value& get(SlotId s) const { return ctx_.get(s); }
+  Value get(SlotId s) const { return ctx_.get(s); }
   /// Writes a slot as a saved local.
   void save(SlotId s, const Value& v) { ctx_.save(s, v); }
 

@@ -63,6 +63,10 @@ class Value {
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 
  private:
+  // A future slot stores a Value's tag and word apart, with its full bit in
+  // the padding beside the tag (core/context.hpp).
+  friend struct FutureSlot;
+
   Tag tag_;
   // Refs are stored packed so the union stays trivial (GlobalRef's default
   // member initializers would delete the union's default constructor).

@@ -40,9 +40,10 @@ namespace {
 
 /// The conservative path: allocate a heap context and schedule it.
 /// A message-owned `owned` payload that spilled is swapped into the context
-/// instead of copied; the context's previous (cleared, capacity-bearing)
-/// buffer flows back out through the message and into the node's payload
-/// pool. An inline payload is copied into the context's recycled buffer.
+/// as its out-of-line argument buffer instead of copied; the context's
+/// previous (cleared, capacity-bearing) buffer flows back out through the
+/// message and into the node's payload pool. An inline payload is copied
+/// into the context's block.
 void invoke_via_heap(Node& nd, MethodId method, GlobalRef target, const Value* args,
                      std::size_t nargs, const Continuation& k, Payload* owned = nullptr) {
   ++nd.stats.heap_invokes;
@@ -51,10 +52,11 @@ void invoke_via_heap(Node& nd, MethodId method, GlobalRef target, const Value* a
   if (owned != nullptr && owned->spilled()) {
     CONCERT_CHECK(owned->data() == args && owned->size() == nargs,
                   "owned payload does not match the args span");
-    owned->swap_spill(ctx.args);
+    owned->swap_spill(ctx.arg_buffer());
+    ctx.adopt_args();
     ++nd.stats.payload_moves;
   } else {
-    ctx.args.assign(args, args + nargs);
+    ctx.save_args(args, nargs);
   }
   ctx.ret = k;
   nd.charge(nd.costs().heap_invoke_fixed + nd.costs().save_word * nargs +

@@ -15,12 +15,15 @@
 //
 // Storage is a chain of segments of kSeg slots. The producer allocates a
 // segment only when its current one is full, and nothing before the first
-// write. The consumer hands each segment it has left back through a one-slot
-// spare, which the producer takes before it allocates, so a channel in steady
-// traffic cycles two segments and allocates nothing.
+// write. The consumer hands each segment it has left back through a ring of
+// kSpares spares, which the producer takes from before it allocates, so a
+// channel in steady traffic cycles its segments and allocates nothing — also
+// when a sender writes several segments between two consumes, as a threaded
+// node's ready quantum does.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -38,6 +41,9 @@ class ChannelFifo {
   /// Slots per segment: one allocation per kSeg elements in a burst, and the
   /// most elements a producer leaves unpublished.
   static constexpr std::size_t kSeg = 32;
+  /// Emptied segments kept for the producer: room for the sends a 32-slice
+  /// ready quantum makes to one node between two consumes.
+  static constexpr std::size_t kSpares = 8;
 
   ChannelFifo() = default;
   ChannelFifo(const ChannelFifo&) = delete;
@@ -45,7 +51,7 @@ class ChannelFifo {
 
   ~ChannelFifo() {
     // Single-threaded by now: destroy every element written and not yet
-    // consumed (published or not), then free the chain and the spare.
+    // consumed (published or not), then free the chain and the spares.
     Segment* s = head_ != nullptr ? head_ : first_;
     std::size_t i = head_ != nullptr ? head_idx_ : 0;
     for (std::uint64_t left = written_ - popped_; left > 0; --left, ++i) {
@@ -61,7 +67,10 @@ class ChannelFifo {
       delete s;
       s = next;
     }
-    delete spare_.load(std::memory_order_relaxed);
+    const std::uint64_t kept = spares_kept_.load(std::memory_order_relaxed);
+    for (std::uint64_t i = spares_taken_.load(std::memory_order_relaxed); i != kept; ++i) {
+      delete spares_[i % kSpares];
+    }
   }
 
   /// Producer only: appends `v` behind every element written so far. The
@@ -137,11 +146,13 @@ class ChannelFifo {
   };
 
   /// Producer: the current segment is full, or none exists yet. Continues in
-  /// the spare when the consumer has handed one back, else in a new one.
+  /// the oldest spare the consumer has handed back, else in a new segment.
   void grow() {
-    Segment* s = spare_.load(std::memory_order_acquire);
-    if (s != nullptr) {
-      spare_.store(nullptr, std::memory_order_relaxed);
+    Segment* s;
+    const std::uint64_t taken = spares_taken_.load(std::memory_order_relaxed);
+    if (spares_kept_.load(std::memory_order_acquire) != taken) {
+      s = spares_[taken % kSpares];
+      spares_taken_.store(taken + 1, std::memory_order_release);
       s->next = nullptr;
     } else {
       s = new Segment;
@@ -165,12 +176,15 @@ class ChannelFifo {
     head_idx_ = 0;
   }
 
-  /// Consumer: keeps `s` as the producer's spare, or frees it when the spare
-  /// slot is still full. Only the consumer fills the slot and only the
-  /// producer empties it, so a load then a store suffices on either side.
+  /// Consumer: keeps `s` in the spare ring, or frees it when the ring is
+  /// full. Only the consumer advances spares_kept_ and only the producer
+  /// spares_taken_; each side's release of its count orders its access to a
+  /// ring slot before the other side's next access to it.
   void recycle(Segment* s) {
-    if (spare_.load(std::memory_order_relaxed) == nullptr) {
-      spare_.store(s, std::memory_order_release);
+    const std::uint64_t kept = spares_kept_.load(std::memory_order_relaxed);
+    if (kept - spares_taken_.load(std::memory_order_acquire) < kSpares) {
+      spares_[kept % kSpares] = s;
+      spares_kept_.store(kept + 1, std::memory_order_release);
     } else {
       delete s;
     }
@@ -183,12 +197,14 @@ class ChannelFifo {
   std::uint64_t written_ = 0;            ///< Elements written.
   std::uint64_t published_ = 0;          ///< The producer's copy of pushed_.
   // Shared line: the producer stores pushed_ once per publish and the
-  // consumer loads it on every consume; spare_ trades a segment each way
-  // once per segment, and first_ is written before the first publish and
-  // read once after it.
+  // consumer loads it on every consume; the spare counts trade a segment
+  // each way once per segment, and first_ is written before the first
+  // publish and read once after it.
   alignas(64) std::atomic<std::uint64_t> pushed_{0};  ///< Elements published.
-  std::atomic<Segment*> spare_{nullptr};  ///< An emptied segment for reuse.
-  Segment* first_ = nullptr;              ///< The first segment ever filled.
+  std::atomic<std::uint64_t> spares_kept_{0};   ///< Segments the consumer handed back.
+  std::atomic<std::uint64_t> spares_taken_{0};  ///< Of those, taken by the producer.
+  Segment* first_ = nullptr;                    ///< The first segment ever filled.
+  std::array<Segment*, kSpares> spares_{};      ///< Ring of emptied segments.
   // Consumer's line: touched by the consumer only.
   alignas(64) Segment* head_ = nullptr;  ///< Segment being consumed.
   std::size_t head_idx_ = kSeg;          ///< Next slot in head_ (kSeg: done).

@@ -41,8 +41,10 @@ class SimNetwork {
   }
 
   /// Pops the earliest (deliver_at, seq) message for `dst` and returns its
-  /// ring slot, for the caller to move the message out of (once, payload and
-  /// all) before the next inject. Must be non-empty.
+  /// ring slot. The message stays there until the next inject into its
+  /// channel (src -> dst): the caller may deliver it in place if nothing
+  /// injects into that channel meanwhile, else must move it out first
+  /// (once, payload and all). Must be non-empty.
   Message& pop_slot(NodeId dst);
   /// pop_slot, moved out.
   Message pop_for(NodeId dst) { return std::move(pop_slot(dst)); }
@@ -69,8 +71,8 @@ class SimNetwork {
 
  private:
   /// One (src, dst) channel: a power-of-two ring of the messages in flight,
-  /// oldest at `head`. Slots outside [head, head + size) hold moved-from
-  /// messages.
+  /// oldest at `head`. Slots outside [head, head + size) hold delivered or
+  /// moved-from messages.
   struct Channel {
     std::vector<Message> ring;
     std::uint32_t head = 0;
@@ -79,8 +81,8 @@ class SimNetwork {
 
     const Message& front() const { return ring[head]; }
     void push(Message&& msg);
-    /// Removes the head; returns its slot for the caller to move out of
-    /// before the channel's next push.
+    /// Removes the head; returns its slot, which holds the message until
+    /// the channel's next push.
     Message& pop();
   };
 

@@ -33,22 +33,31 @@ void Node::bind_dispatch() {
   spec_ = reg.site_specialization() ? reg.spec_table(mode()) : nullptr;
 }
 
+static_assert(Context::kInlineArgs == Payload::kInline,
+              "an argument list that travels inline is saved inline");
+
 Context& Node::alloc_context(MethodId m) {
-  return alloc_context_raw(m, dispatch(m).frame_slots);
+  const DispatchEntry& de = dispatch(m);
+  // Argument cells for a list that can fit them (a variadic one may be as
+  // long as a message carries inline); a longer list lives out of line.
+  const std::size_t inline_args = de.arg_count > Context::kInlineArgs ? 0
+                                  : de.variadic                       ? Context::kInlineArgs
+                                                                      : de.arg_count;
+  return alloc_context_raw(m, de.frame_slots, inline_args);
 }
 
-Context& Node::alloc_context_raw(MethodId m, std::size_t slots) {
+Context& Node::alloc_context_raw(MethodId m, std::size_t slots, std::size_t inline_args) {
   charge(costs().context_alloc);
   ++stats.contexts_allocated;
   const std::size_t slab_before = arena_.slab_bytes();
   bool recycled = false;
-  Context& ctx = arena_.alloc(m, slots, &recycled);
+  Context& ctx = arena_.alloc(m, slots, inline_args, &recycled);
   if (recycled) {
     ++stats.ctx_recycled;
   } else {
     ++stats.ctx_fresh;
-    stats.arena_slab_bytes += arena_.slab_bytes() - slab_before;
   }
+  stats.arena_slab_bytes += arena_.slab_bytes() - slab_before;
   if (metrics_) ctx.born_ns = machine_.wall_now_ns();
   return ctx;
 }
@@ -320,7 +329,11 @@ std::size_t Node::flush_all_outboxes() {
 void Node::deliver(std::span<Message> batch) {
   for (Message& msg : batch) {
     if (!msg.is_bundle()) {
-      feed(msg, /*accounted=*/false);
+      if (cfg_.merge_waves) {
+        feed(msg, /*accounted=*/false);
+      } else {
+        deliver_element(msg, /*accounted=*/false);  // no run ever forms
+      }
       continue;
     }
     // Bundle arrival, paid once: the amortized receive overhead here, each
@@ -339,7 +352,7 @@ void Node::deliver(std::span<Message> batch) {
     }
     flush_run();
   }
-  flush_run();
+  if (cfg_.merge_waves) flush_run();
 }
 
 void Node::feed(Message& msg, bool accounted) {

@@ -160,11 +160,13 @@ class Node {
   }
 
   // ---- contexts ----
-  /// Allocates a context sized from the method's registry entry, charging the
-  /// cost model and counting the allocation.
+  /// Allocates a context sized from the method's registry entry (its frame
+  /// slots, and inline cells for its arguments), charging the cost model and
+  /// counting the allocation.
   Context& alloc_context(MethodId m);
-  /// Allocates a raw context with an explicit slot count (root and proxies).
-  Context& alloc_context_raw(MethodId m, std::size_t slots);
+  /// Allocates a raw context with an explicit slot count and room for
+  /// `inline_args` saved arguments (root and proxies save none).
+  Context& alloc_context_raw(MethodId m, std::size_t slots, std::size_t inline_args = 0);
   void free_context(Context& ctx);
   ContextArena& arena() { return arena_; }
   const ContextArena& arena() const { return arena_; }
@@ -226,9 +228,10 @@ class Node {
   /// the outbox or the engine's queue.
   void send(Message&& msg);
   /// The one way messages enter a node: processes a delivered batch in
-  /// order. A bundle pays its receive overhead once on arrival and its
-  /// members are then processed like loose messages. Every message runs
-  /// through the wrapper / reply-routing path, except that with
+  /// order, in place. A bundle pays its receive overhead once on arrival and
+  /// its members are then processed like loose messages. Every message runs
+  /// through the wrapper / reply-routing path (with merge_waves off, each
+  /// plain message goes there directly), except that with
   /// MachineConfig::merge_waves on, contiguous same-method wave-eligible
   /// invocations (see DispatchEntry::wave) join a run of up to kWaveCap
   /// that executes as one loop; every send made while a run executes is

@@ -109,15 +109,30 @@ void SimMachine::run_loop() {
       // engine's inbox drain. Per-channel FIFO holds because pops stay in
       // network order (or shuffle-eligible order, which preserves it per
       // channel).
-      batch_.clear();
-      do {
-        batch_.push_back(std::move(network_.shuffled()
-                                       ? network_.pop_slot_shuffled(best_node, best_t)
-                                       : network_.pop_slot(best_node)));
-      } while (config_.merge_waves && !network_.empty_for(best_node) &&
-               network_.earliest_for(best_node) <= best_t);
-      nd.advance_clock_to(batch_.front().deliver_at);
-      nd.deliver(batch_);
+      const auto pop = [&]() -> Message& {
+        return network_.shuffled() ? network_.pop_slot_shuffled(best_node, best_t)
+                                   : network_.pop_slot(best_node);
+      };
+      if (!config_.merge_waves) {
+        // One message, delivered in place from its ring slot. The receiver's
+        // sends go into its own outgoing channels, so only a self-send can
+        // reuse that slot or regrow that ring meanwhile: it moves out first.
+        Message& msg = pop();
+        nd.advance_clock_to(msg.deliver_at);
+        if (msg.src == best_node) {
+          Message own = std::move(msg);
+          nd.deliver(own);
+        } else {
+          nd.deliver(msg);
+        }
+      } else {
+        batch_.clear();
+        do {
+          batch_.push_back(std::move(pop()));
+        } while (!network_.empty_for(best_node) && network_.earliest_for(best_node) <= best_t);
+        nd.advance_clock_to(batch_.front().deliver_at);
+        nd.deliver(batch_);
+      }
     } else if (best_is_flush) {
       nd.flush_all_outboxes();
     } else {

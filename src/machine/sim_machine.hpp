@@ -33,9 +33,9 @@ class SimMachine final : public Machine {
 
   SimNetwork network_;
   std::uint64_t actions_ = 0;
-  /// The messages one delivery action hands to its receiver: one, or with
-  /// MachineConfig::merge_waves every message deliverable at that time.
-  /// Reused across deliveries.
+  /// With MachineConfig::merge_waves, the messages one delivery action
+  /// hands to its receiver: every message deliverable at that time. Reused
+  /// across deliveries. Without it a delivery takes one message, in place.
   std::vector<Message> batch_;
 };
 

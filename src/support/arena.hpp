@@ -1,26 +1,23 @@
-// Per-node memory subsystem: slab arenas and payload buffer pools.
+// Per-node memory subsystem: ASan poisoning and payload buffer pools.
 //
 // The paper's central cost argument is that a heap context creation is ~130
 // instructions against ~5 for a C call — a promise a general-purpose
-// malloc/new on the hot path quietly breaks. This header supplies the two
-// allocation primitives the runtime layers on top of:
+// malloc/new on the hot path quietly breaks. The context arena
+// (core/context.hpp) carves one block per activation out of large chunks and
+// recycles it by id; this header supplies what it and the message layer
+// share:
 //
-//   * SlabArena<T>   — a bump/slab allocator with free-list recycling
-//                      (the SpecificBumpPtrAllocator idiom): objects are
-//                      carved out of large slabs, addresses are stable for
-//                      the arena's lifetime, and destroyed slots are recycled
-//                      LIFO. Under AddressSanitizer, recycled slots and the
-//                      unused slab tail are poisoned, so a use-after-recycle
-//                      traps at the faulting load instead of corrupting the
-//                      next activation.
+//   * arena_poison / arena_unpoison — manual AddressSanitizer poisoning, so
+//                      a freed-but-retained block traps at the faulting load
+//                      instead of corrupting the next activation.
 //
 //   * BufferPool<T>  — a recycler for std::vector<T> buffers: the node's
 //                      spilled message payloads (more values than a
 //                      message carries inline). Buffers keep their grown
 //                      capacity across acquire/release cycles.
 //
-// Both are single-owner structures: each node owns one of each and touches
-// it only from its own thread (acquire on the sending node, release into the
+// A pool is a single-owner structure: each node owns one and touches it only
+// from its own thread (acquire on the sending node, release into the
 // *receiving* node's pool, so no locking; a node that sends more spills than
 // it receives still misses and allocates).
 #pragma once
@@ -28,11 +25,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
-
-#include "support/panic.hpp"
 
 // ASan manual poisoning: no-ops unless the build is instrumented.
 #if defined(__SANITIZE_ADDRESS__)
@@ -80,118 +74,6 @@ constexpr bool arena_poisoning_enabled() {
   return false;
 #endif
 }
-
-/// Event counters for an arena or pool. Plain aggregates; the owning node
-/// folds them into NodeStats at the recording site.
-struct ArenaCounters {
-  std::uint64_t fresh = 0;     ///< Slots served by bumping into a slab.
-  std::uint64_t recycled = 0;  ///< Slots served from the free list.
-  std::uint64_t freed = 0;     ///< destroy() calls (slot entered the free list).
-};
-
-/// Bump/slab allocator with free-list recycling and stable addresses.
-///
-/// Allocation order: free list (LIFO — the hottest slot first), then the
-/// current slab's bump pointer, then a fresh slab. Objects handed out by
-/// create() live until destroy() or the arena's destruction; destroy() runs
-/// the destructor, poisons the slot, and recycles it.
-template <typename T>
-class SlabArena {
- public:
-  /// `slots_per_slab` trades slab-header overhead against worst-case waste;
-  /// 64 puts a slab at a few KB for typical runtime objects.
-  explicit SlabArena(std::size_t slots_per_slab = 64) : slab_slots_(slots_per_slab) {
-    CONCERT_CHECK(slots_per_slab > 0, "slab of zero slots");
-  }
-
-  SlabArena(const SlabArena&) = delete;
-  SlabArena& operator=(const SlabArena&) = delete;
-
-  ~SlabArena() {
-    // Free-listed slots are already destroyed but poisoned; unpoison so the
-    // slab storage can be released cleanly.
-    for (T* slot : freelist_) arena_unpoison(slot, sizeof(T));
-    freelist_.clear();
-    // Live objects die with the arena (single-owner semantics); the unused
-    // tail of the last slab is unpoisoned for the same reason as above.
-    for (auto& slab : slabs_) {
-      T* base = reinterpret_cast<T*>(slab.storage.get());
-      arena_unpoison(base + slab.used, (slab_slots_ - slab.used) * sizeof(T));
-      for (std::size_t i = 0; i < slab.used; ++i) {
-        if (!slab.dead[i]) base[i].~T();
-      }
-    }
-  }
-
-  /// Allocates and constructs one T. The address is stable until destroy().
-  template <typename... Args>
-  T* create(Args&&... args) {
-    if (!freelist_.empty()) {
-      T* slot = freelist_.back();
-      freelist_.pop_back();
-      arena_unpoison(slot, sizeof(T));
-      mark_dead(slot, false);
-      ++counters_.recycled;
-      return new (slot) T(std::forward<Args>(args)...);
-    }
-    if (slabs_.empty() || slabs_.back().used == slab_slots_) new_slab();
-    Slab& slab = slabs_.back();
-    T* slot = reinterpret_cast<T*>(slab.storage.get()) + slab.used;
-    arena_unpoison(slot, sizeof(T));
-    ++slab.used;
-    ++counters_.fresh;
-    return new (slot) T(std::forward<Args>(args)...);
-  }
-
-  /// Destroys `p` and recycles its slot. The slot is poisoned until the next
-  /// create() that reuses it: touching it in between traps under ASan.
-  void destroy(T* p) {
-    CONCERT_CHECK(p != nullptr, "arena destroy of null");
-    p->~T();
-    mark_dead(p, true);
-    arena_poison(p, sizeof(T));
-    freelist_.push_back(p);
-    ++counters_.freed;
-  }
-
-  /// Bytes reserved in slabs (capacity, not live bytes).
-  std::size_t slab_bytes() const { return slabs_.size() * slab_slots_ * sizeof(T); }
-  std::size_t live() const { return counters_.fresh + counters_.recycled - counters_.freed; }
-  const ArenaCounters& counters() const { return counters_; }
-
- private:
-  struct Slab {
-    std::unique_ptr<unsigned char[]> storage;
-    std::vector<bool> dead;  ///< Per-slot "destroyed" bit, for the arena dtor.
-    std::size_t used = 0;    ///< Bump index.
-  };
-
-  void new_slab() {
-    Slab slab;
-    slab.storage = std::make_unique<unsigned char[]>(slab_slots_ * sizeof(T));
-    slab.dead.assign(slab_slots_, false);
-    // The whole slab starts poisoned; create() re-arms one slot at a time,
-    // so a stray pointer into the unused tail traps like a freed slot.
-    arena_poison(slab.storage.get(), slab_slots_ * sizeof(T));
-    slabs_.push_back(std::move(slab));
-  }
-
-  void mark_dead(T* p, bool dead) {
-    for (auto& slab : slabs_) {
-      T* base = reinterpret_cast<T*>(slab.storage.get());
-      if (p >= base && p < base + slab_slots_) {
-        slab.dead[static_cast<std::size_t>(p - base)] = dead;
-        return;
-      }
-    }
-    CONCERT_UNREACHABLE("arena slot not in any slab");
-  }
-
-  std::size_t slab_slots_;
-  std::vector<Slab> slabs_;
-  std::vector<T*> freelist_;
-  ArenaCounters counters_;
-};
 
 /// Recycler for std::vector<T> buffers (spilled message payloads). Released
 /// buffers keep their capacity and are bucketed by power-of-two capacity

@@ -73,9 +73,10 @@ namespace concert {
   X(loc_cache_misses, sum, "concert_loc_cache_misses_total")                 \
   X(loc_cache_invalidations, sum, "concert_loc_cache_invalidations_total")   \
   X(cache_evictions, sum, "concert_cache_evictions_total")                   \
-  /* Context slab arena: allocs that bumped a slab (first use of an id), */  \
-  /* allocs served from the freelist, bytes reserved in slabs, and */        \
-  /* quiescence-time arena/pool housekeeping passes. */                      \
+  /* Context arena: allocs that carved a block (first use of an id), */      \
+  /* allocs served from the freelist, bytes reserved for blocks (chunks, */  \
+  /* own-allocation and grown blocks), and quiescence-time arena/pool */     \
+  /* housekeeping passes. */                                                 \
   X(ctx_fresh, sum, "concert_ctx_fresh_total")                               \
   X(ctx_recycled, sum, "concert_ctx_recycled_total")                         \
   X(arena_slab_bytes, sum, "concert_arena_slab_bytes")                       \

@@ -1,6 +1,6 @@
-// The memory subsystem: slab arenas, payload buffer pools, the slab-backed
+// The memory subsystem: payload buffer pools, the block-per-activation
 // context arena, quiescence-time housekeeping, and ASan poisoning of recycled
-// slots. Unit tests cover the primitives; the end-to-end tests check that the
+// activations. Unit tests cover the primitives; the end-to-end tests check that the
 // runtime actually recycles (arena_recycle_frac on a steady workload), that a
 // delivered payload reaches its heap context without a copy when it spilled
 // and without an allocation when it was inline, that migrated work lands in
@@ -23,54 +23,6 @@ namespace concert {
 namespace {
 
 using testing::test_config;
-
-// ---------------------------------------------------------------------------
-// SlabArena
-// ---------------------------------------------------------------------------
-
-struct Tracked {
-  static int live;
-  int v;
-  explicit Tracked(int x) : v(x) { ++live; }
-  ~Tracked() { --live; }
-};
-int Tracked::live = 0;
-
-TEST(SlabArena, CreateDestroyRecyclesSlot) {
-  SlabArena<Tracked> arena(4);
-  Tracked* a = arena.create(1);
-  EXPECT_EQ(a->v, 1);
-  EXPECT_EQ(arena.live(), 1u);
-  arena.destroy(a);
-  EXPECT_EQ(arena.live(), 0u);
-  Tracked* b = arena.create(2);
-  EXPECT_EQ(b, a);  // LIFO freelist hands the hottest slot back
-  EXPECT_EQ(arena.counters().fresh, 1u);
-  EXPECT_EQ(arena.counters().recycled, 1u);
-  arena.destroy(b);
-}
-
-TEST(SlabArena, AddressesStableAcrossSlabGrowth) {
-  SlabArena<Tracked> arena(2);  // tiny slabs force growth
-  std::vector<Tracked*> ptrs;
-  for (int i = 0; i < 9; ++i) ptrs.push_back(arena.create(i));
-  EXPECT_GE(arena.slab_bytes(), 9 * sizeof(Tracked));
-  for (int i = 0; i < 9; ++i) EXPECT_EQ(ptrs[i]->v, i);  // no moves
-  EXPECT_EQ(arena.counters().fresh, 9u);
-  for (Tracked* p : ptrs) arena.destroy(p);
-  EXPECT_EQ(Tracked::live, 0);
-}
-
-TEST(SlabArena, DestructorRunsLiveDestructorsOnly) {
-  {
-    SlabArena<Tracked> arena(4);
-    Tracked* a = arena.create(1);
-    arena.create(2);  // dies with the arena
-    arena.destroy(a);
-    EXPECT_EQ(Tracked::live, 1);
-  }
-  EXPECT_EQ(Tracked::live, 0);  // no double-destroy of the freed slot
-}
 
 // ---------------------------------------------------------------------------
 // BufferPool
@@ -104,16 +56,16 @@ TEST(BufferPool, CapBoundsPoolAndTrimDrops) {
 }
 
 // ---------------------------------------------------------------------------
-// Slab-backed ContextArena
+// ContextArena
 // ---------------------------------------------------------------------------
 
 TEST(ContextArenaSlab, RecycledAllocReported) {
   ContextArena arena(0);
   bool recycled = true;
-  Context& a = arena.alloc(1, 2, &recycled);
+  Context& a = arena.alloc(1, 2, 0, &recycled);
   EXPECT_FALSE(recycled);  // first use of the id bumps a slab
   arena.free(a);
-  Context& b = arena.alloc(2, 2, &recycled);
+  Context& b = arena.alloc(2, 2, 0, &recycled);
   EXPECT_TRUE(recycled);
   EXPECT_EQ(b.id, 0u);
   EXPECT_GT(arena.slab_bytes(), 0u);
@@ -122,9 +74,10 @@ TEST(ContextArenaSlab, RecycledAllocReported) {
 
 TEST(ContextArenaSlab, RecycledContextKeepsNoStaleState) {
   ContextArena arena(0);
-  Context& a = arena.alloc(1, 3);
+  Context& a = arena.alloc(1, 3, 1);
   a.save(0, Value{42});
-  a.args.push_back(Value{7});
+  const Value seven{7};
+  a.save_args(&seven, 1);
   const std::uint32_t gen0 = a.gen;
   arena.free(a);
   Context& b = arena.alloc(5, 3);
@@ -305,9 +258,10 @@ TEST(ArenaEndToEnd, ThreadedEnginePinKnobRunsToCompletion) {
 }
 
 // ---------------------------------------------------------------------------
-// ASan hardening: a freed-but-retained context's slot buffer is poisoned, so
-// a stale read traps at the faulting load instead of silently reading the
-// next activation's futures. Runs only in sanitized builds.
+// ASan hardening: a freed-but-retained context's slot and argument cells are
+// poisoned, so a stale read traps at the faulting load instead of silently
+// reading the next activation's futures or arguments. Runs only in sanitized
+// builds.
 // ---------------------------------------------------------------------------
 
 TEST(ArenaPoisonDeath, UseAfterRecycleTraps) {
@@ -328,6 +282,20 @@ TEST(ArenaPoisonDeath, UseAfterRecycleTraps) {
         (void)full;
       },
       "use-after-poison");
+  // A stale pointer to a freed context's arguments: in its inline cells, and
+  // in the out-of-line buffer a longer list takes.
+  const auto read_freed_arg = [](std::size_t nargs) {
+    ContextArena arena(0);
+    Context& ctx = arena.alloc(1, 0, nargs);
+    const std::vector<Value> args(nargs, Value{7});
+    ctx.save_args(args.data(), nargs);
+    const Value* stale = ctx.args.data();
+    arena.free(ctx);
+    volatile std::int64_t v = stale[nargs - 1].as_i64();
+    (void)v;
+  };
+  EXPECT_DEATH(read_freed_arg(1), "use-after-poison");
+  EXPECT_DEATH(read_freed_arg(Context::kInlineArgs + 2), "use-after-poison");
 }
 
 }  // namespace

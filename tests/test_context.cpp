@@ -126,5 +126,101 @@ TEST(ContextArena, ManyLiveContexts) {
   EXPECT_LT(again.id, 100u);
 }
 
+// ---------------------------------------------------------------------------
+// One block per activation: header, slots and inline arguments together.
+// ---------------------------------------------------------------------------
+
+/// True when [p, p + bytes) lies inside `ctx`'s block.
+bool inside_block(const Context& ctx, const void* p, std::size_t bytes) {
+  const auto* lo = reinterpret_cast<const unsigned char*>(&ctx);
+  const auto* q = static_cast<const unsigned char*>(p);
+  return q >= lo && q + bytes <= lo + ctx.block_bytes();
+}
+
+TEST(ContextBlock, RecycledIdReadsEmptySlotsAndHoldsItsNewArguments) {
+  ContextArena arena(0);
+  Context& a = arena.alloc(1, 3, 2);
+  const Value old_args[] = {Value{1}, Value{2}};
+  a.save_args(old_args, 2);
+  for (SlotId s = 0; s < 3; ++s) a.save(s, Value{100 + s});
+  arena.free(a);
+  Context& b = arena.alloc(2, 3, 2);
+  ASSERT_EQ(b.id, a.id);
+  for (SlotId s = 0; s < 3; ++s) EXPECT_FALSE(b.slot_full(s)) << "slot " << s;
+  EXPECT_TRUE(b.args.empty());
+  const Value new_args[] = {Value{7}, Value{8}};
+  b.save_args(new_args, 2);
+  ASSERT_EQ(b.args.size(), 2u);
+  EXPECT_EQ(b.args[0].as_i64(), 7);
+  EXPECT_EQ(b.args[1].as_i64(), 8);
+}
+
+TEST(ContextBlock, LargerFrameGrowsTheBlockAndKeepsTheId) {
+  ContextArena arena(0);
+  Context& small = arena.alloc(1, 1);
+  const ContextRef old_ref = small.ref();
+  const std::size_t small_bytes = small.block_bytes();
+  arena.free(small);
+  Context& big = arena.alloc(2, 40, 3);
+  EXPECT_EQ(big.id, old_ref.id);
+  EXPECT_GT(big.block_bytes(), small_bytes);
+  EXPECT_EQ(big.slot_count(), 40u);
+  EXPECT_EQ(arena.try_resolve(big.ref()), &big);
+  EXPECT_EQ(arena.try_resolve(old_ref), nullptr);
+  EXPECT_THROW(arena.resolve(old_ref), ProtocolError);
+  big.expect(39);
+  EXPECT_TRUE(big.fill(39, Value{5}));
+  EXPECT_EQ(arena.resolve(big.ref()).get(39).as_i64(), 5);
+  // Back to a small frame: the id keeps its grown block.
+  arena.free(big);
+  Context& again = arena.alloc(3, 1);
+  EXPECT_EQ(&again, &big);
+  EXPECT_EQ(again.slot_count(), 1u);
+}
+
+TEST(ContextBlock, SlotsAndInlineArgumentsLieInsideTheBlock) {
+  ContextArena arena(0);
+  Context& ctx = arena.alloc(1, 5, 3);
+  const Value args[] = {Value{1}, Value{2}, Value{3}};
+  ctx.save_args(args, 3);
+  EXPECT_TRUE(inside_block(ctx, ctx.args.data(), 3 * sizeof(Value)));
+  ctx.save(4, Value{9});
+  EXPECT_EQ(ctx.get(4).as_i64(), 9);
+  EXPECT_EQ(ctx.block_bytes(), sizeof(Context) + (5 + 3) * sizeof(FutureSlot));
+  // A list longer than the inline cells goes to the out-of-line buffer.
+  const Value many[] = {Value{1}, Value{2}, Value{3}, Value{4}};
+  ctx.save_args(many, 4);
+  EXPECT_FALSE(inside_block(ctx, ctx.args.data(), sizeof(Value)));
+  EXPECT_EQ(ctx.args.size(), 4u);
+  EXPECT_EQ(ctx.args[3].as_i64(), 4);
+}
+
+TEST(ContextBlock, ChecksStillFireAfterRecycling) {
+  ContextArena arena(0);
+  Context& a = arena.alloc(1, 2);
+  a.expect(0);
+  a.fill(0, Value{1});
+  arena.free(a);
+  Context& b = arena.alloc(1, 2);
+  ASSERT_EQ(b.id, a.id);
+  b.expect(1);
+  EXPECT_THROW(b.get(0), ProtocolError);  // slot 0 is empty again
+  EXPECT_THROW(b.get(1), ProtocolError);
+  b.fill(1, Value{2});
+  b.expect(0);
+  b.fill(0, Value{3});
+  EXPECT_THROW(b.fill(0, Value{4}), ProtocolError);
+  EXPECT_THROW(b.expect(2), ProtocolError);
+  EXPECT_THROW(b.save(2, Value{}), ProtocolError);
+}
+
+TEST(ContextBlock, ComputeCellFrameFitsTwoHundredEightBytes) {
+  // SOR's compute_cell: 7 slots, no arguments.
+  ContextArena arena(0);
+  Context& ctx = arena.alloc(1, 7, 0);
+  EXPECT_LE(ctx.block_bytes(), 208u);
+  EXPECT_EQ(sizeof(FutureSlot), 16u);
+}
+
 }  // namespace
 }  // namespace concert

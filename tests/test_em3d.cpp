@@ -89,6 +89,17 @@ INSTANTIATE_TEST_SUITE_P(
         EmCase{em3d::Version::Push, 0.2, ExecMode::Hybrid3, 8}),
     em_name);
 
+TEST(Em3dParams, RejectsAGraphWithAnEmptyHalf) {
+  // A one-node graph has an E node and no H node to draw its edges from.
+  em3d::Params p;
+  p.graph_nodes = 1;
+  EXPECT_THROW(em3d::reference(p, 2), ProtocolError);
+  SimMachine m(2, MachineConfig{});
+  EXPECT_THROW(em3d::register_em3d(m.registry(), p, 2), ProtocolError);
+  p.graph_nodes = 2;
+  EXPECT_EQ(em3d::reference(p, 2).size(), 2u);
+}
+
 TEST(Em3dStructure, ForwardSendsFewerMessagesThanPush) {
   em3d::Params p;
   p.graph_nodes = 128;

@@ -166,6 +166,33 @@ TEST(ChannelFifo, AllocatesPerSegmentNotPerElement) {
   EXPECT_LE(steady, 1u);
 }
 
+TEST(ChannelFifo, QuantumBurstsAllocateOnlyInTheFirstRound) {
+  // A threaded node's ready quantum runs up to 32 context slices before its
+  // receiver consumes, so one channel takes a burst of several segments at
+  // a time. The consumer hands every segment it leaves back to the spare
+  // ring, so from the second burst on the producer writes into spares only.
+  constexpr std::size_t kSlices = 32;
+  constexpr std::size_t kBurst = kSlices * 3 + 4;  // three sends a slice, plus a few
+  static_assert(kBurst > 3 * kSeg && kBurst <= ChannelFifo<Message>::kSpares * kSeg);
+  ChannelFifo<Message> ch;
+  std::vector<Message> out;
+  out.reserve(kBurst);
+  for (int round = 0; round < 6; ++round) {
+    const std::size_t allocs = allocations_in([&ch] {
+      for (std::size_t i = 0; i < kBurst; ++i) ch.write(Message{});
+      ch.publish();
+    });
+    if (round == 0) {
+      EXPECT_EQ(allocs, (kBurst + kSeg - 1) / kSeg);
+    } else {
+      EXPECT_EQ(allocs, 0u) << "round " << round;
+    }
+    out.clear();
+    ASSERT_EQ(ch.drain(out, kBurst), kBurst);
+  }
+  EXPECT_TRUE(ch.empty());
+}
+
 /// An element that logs its value when destroyed (moved-from ones log
 /// nothing), so a test can see when a consume destroys what it handed out.
 std::vector<int> g_destroyed;
