@@ -41,7 +41,7 @@ double em3d_seconds(FallbackPolicy policy) {
   MachineConfig cfg = bench::make_config(ExecMode::Hybrid3, CostModel::cm5());
   cfg.policy = policy;
   SimMachine m(8, cfg);
-  auto ids = em3d::register_em3d(m.registry(), p, 8);
+  auto ids = bench::registered([&] { return em3d::register_em3d(m.registry(), p, 8); });
   m.registry().finalize();
   auto world = em3d::build(m, ids, p);
   CONCERT_CHECK(em3d::run(m, ids, world, em3d::Version::Pull), "em3d failed");

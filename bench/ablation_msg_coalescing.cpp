@@ -40,7 +40,7 @@ RunOut run_em3d(em3d::Version v, const FlushPolicy& policy, const CostModel& cos
   p.local_fraction = 0.05;  // low locality: communication dominated
   const std::size_t nodes = bench::env_size("EM3D_P", 8);
   SimMachine m(nodes, cfg_with(policy, costs));
-  auto ids = em3d::register_em3d(m.registry(), p, nodes);
+  auto ids = bench::registered([&] { return em3d::register_em3d(m.registry(), p, nodes); });
   m.registry().finalize();
   auto world = em3d::build(m, ids, p);
   CONCERT_CHECK(em3d::run(m, ids, world, v), "em3d failed");

@@ -26,7 +26,7 @@ Out run_md(bool batched, const CostModel& costs) {
   p.batched_fetch = batched;
   const std::size_t nodes = bench::env_size("A5_NODES", 16);
   SimMachine m(nodes, bench::make_config(ExecMode::Hybrid3, costs));
-  auto ids = md::register_md(m.registry(), p, nodes);
+  auto ids = bench::registered([&] { return md::register_md(m.registry(), p, nodes); });
   m.registry().finalize();
   auto world = md::build(m, ids, p);
   CONCERT_CHECK(md::run(m, ids, world), "md failed");

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "machine/sim_machine.hpp"
+#include "support/panic.hpp"
 #include "support/table.hpp"
 
 namespace concert::bench {
@@ -53,6 +54,20 @@ inline double env_double(const char* name, double fallback) {
     bad_env(name, "a finite positive number", v);
   }
   return out;
+}
+
+/// Calls an app's register function. A size the app rejects there (a
+/// ProtocolError naming the node, the count and the limit, such as a driver
+/// that would spawn more invocations than a frame holds) is printed and
+/// exits 2, as a malformed size variable does.
+template <typename Register>
+auto registered(Register&& reg) -> decltype(reg()) {
+  try {
+    return reg();
+  } catch (const ProtocolError& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 /// Wall-clock stopwatch.

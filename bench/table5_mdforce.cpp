@@ -21,7 +21,7 @@ struct RunOut {
 
 RunOut run_md(const md::Params& p, std::size_t nodes, ExecMode mode, const CostModel& costs) {
   SimMachine m(nodes, bench::make_config(mode, costs));
-  auto ids = md::register_md(m.registry(), p, nodes);
+  auto ids = bench::registered([&] { return md::register_md(m.registry(), p, nodes); });
   m.registry().finalize();
   auto world = md::build(m, ids, p);
   RunOut out;

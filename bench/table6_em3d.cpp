@@ -21,7 +21,7 @@ struct RunOut {
 RunOut run_em(const em3d::Params& p, std::size_t nodes, em3d::Version v, ExecMode mode,
               const CostModel& costs) {
   SimMachine m(nodes, bench::make_config(mode, costs));
-  auto ids = em3d::register_em3d(m.registry(), p, nodes);
+  auto ids = bench::registered([&] { return em3d::register_em3d(m.registry(), p, nodes); });
   m.registry().finalize();
   auto world = em3d::build(m, ids, p);
   RunOut out;

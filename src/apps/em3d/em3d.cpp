@@ -31,14 +31,28 @@ constexpr SlotId kWork = 2;
 
 // --- the deterministic graph plan --------------------------------------------
 
+/// The whole graph in flat arrays: graph id `id` is owned by machine node
+/// id % P, and its in-edges are entries [id * degree, (id + 1) * degree).
 struct Plan {
-  std::vector<NodeId> owner;                 ///< graph id -> machine node.
-  std::vector<std::vector<std::uint32_t>> srcs;  ///< per graph node.
-  std::vector<std::vector<double>> weights;
-  std::vector<double> init;
+  std::size_t nodes = 1;  ///< P
   std::size_t n_e = 0;
+  std::size_t degree = 0;
+  std::vector<std::uint32_t> srcs;  ///< in-edge sources
+  std::vector<double> weights;      ///< in-edge weights
+  std::vector<double> init;         ///< per graph node
   std::size_t local_edges = 0, remote_edges = 0;
+
+  NodeId owner(std::size_t id) const { return static_cast<NodeId>(id % nodes); }
 };
+
+/// Graph ids in [lo, hi) owned by machine node q of p: first, first + p, ...
+struct Stride {
+  std::uint32_t first = 0, count = 0;
+};
+Stride owned_in(std::uint32_t lo, std::uint32_t hi, std::uint32_t q, std::uint32_t p) {
+  const std::uint32_t first = lo + (q + p - lo % p) % p;
+  return {first, first < hi ? (hi - first + p - 1) / p : 0};
+}
 
 Plan make_graph(const Params& p, std::size_t nodes) {
   // Every graph node draws its edges from the opposite half, so each half
@@ -47,37 +61,36 @@ Plan make_graph(const Params& p, std::size_t nodes) {
                 "em3d needs at least 2 graph nodes, got " << p.graph_nodes);
   Plan plan;
   const std::size_t n = p.graph_nodes;
+  plan.nodes = nodes;
   plan.n_e = n / 2;
-  plan.owner.resize(n);
-  for (std::size_t id = 0; id < n; ++id) plan.owner[id] = static_cast<NodeId>(id % nodes);
-
-  // Opposite-half candidates per machine node, for local edge selection.
-  std::vector<std::vector<std::uint32_t>> e_by_node(nodes), h_by_node(nodes);
-  for (std::uint32_t id = 0; id < plan.n_e; ++id) e_by_node[plan.owner[id]].push_back(id);
-  for (std::uint32_t id = plan.n_e; id < n; ++id) h_by_node[plan.owner[id]].push_back(id);
+  plan.degree = p.degree;
+  const auto P = static_cast<std::uint32_t>(nodes);
+  const auto n_e = static_cast<std::uint32_t>(plan.n_e);
 
   SplitMix64 rng(p.seed);
-  plan.srcs.resize(n);
-  plan.weights.resize(n);
+  plan.srcs.resize(n * p.degree);
+  plan.weights.resize(n * p.degree);
   plan.init.resize(n);
   for (std::size_t id = 0; id < n; ++id) plan.init[id] = rng.next_double() * 2.0 - 1.0;
 
+  std::size_t e = 0;
   for (std::uint32_t id = 0; id < n; ++id) {
     const bool is_e = id < plan.n_e;
-    const auto& local_pool = is_e ? h_by_node[plan.owner[id]] : e_by_node[plan.owner[id]];
-    const std::uint32_t lo = is_e ? static_cast<std::uint32_t>(plan.n_e) : 0u;
-    const std::uint32_t span = is_e ? static_cast<std::uint32_t>(n - plan.n_e)
-                                    : static_cast<std::uint32_t>(plan.n_e);
-    for (std::size_t d = 0; d < p.degree; ++d) {
+    // Opposite-half candidates on this node, for local edge selection.
+    const Stride local_pool = is_e ? owned_in(n_e, static_cast<std::uint32_t>(n), plan.owner(id), P)
+                                   : owned_in(0, n_e, plan.owner(id), P);
+    const std::uint32_t lo = is_e ? n_e : 0u;
+    const std::uint32_t span = is_e ? static_cast<std::uint32_t>(n) - n_e : n_e;
+    for (std::size_t d = 0; d < p.degree; ++d, ++e) {
       std::uint32_t src;
-      if (!local_pool.empty() && rng.chance(p.local_fraction)) {
-        src = local_pool[rng.uniform(local_pool.size())];
+      if (local_pool.count > 0 && rng.chance(p.local_fraction)) {
+        src = local_pool.first + static_cast<std::uint32_t>(rng.uniform(local_pool.count)) * P;
       } else {
         src = lo + static_cast<std::uint32_t>(rng.uniform(span));
       }
-      plan.srcs[id].push_back(src);
-      plan.weights[id].push_back(rng.next_double());
-      if (plan.owner[src] == plan.owner[id]) {
+      plan.srcs[e] = src;
+      plan.weights[e] = rng.next_double();
+      if (plan.owner(src) == plan.owner(id)) {
         ++plan.local_edges;
       } else {
         ++plan.remote_edges;
@@ -92,7 +105,7 @@ Plan make_graph(const Params& p, std::size_t nodes) {
 Context* get_seq(Node& nd, Value* ret, const CallerInfo&, GlobalRef self, const Value* args,
                  std::size_t) {
   auto& c = nd.objects().get<NodeContainer>(self);
-  *ret = Value(c.nodes.at(static_cast<std::uint32_t>(args[0].as_i64())).value);
+  *ret = Value(c.values[c.nodes.local(static_cast<std::uint32_t>(args[0].as_i64()))]);
   return nullptr;
 }
 void get_par(Node& nd, Context& ctx) {
@@ -104,8 +117,7 @@ void get_par(Node& nd, Context& ctx) {
 Context* recv_seq(Node& nd, Value* ret, const CallerInfo&, GlobalRef self, const Value* args,
                   std::size_t) {
   auto& c = nd.objects().get<NodeContainer>(self);
-  GNode& g = c.nodes.at(static_cast<std::uint32_t>(args[0].as_i64()));
-  g.inbox.at(static_cast<std::size_t>(args[1].as_i64())) = args[2].as_f64();
+  c.inbox_slot(static_cast<std::uint32_t>(args[0].as_i64()), args[1].as_i64()) = args[2].as_f64();
   *ret = Value(1);
   return nullptr;
 }
@@ -118,10 +130,12 @@ void recv_par(Node& nd, Context& ctx) {
 Context* combine_seq(Node& nd, Value* ret, const CallerInfo&, GlobalRef self, const Value* args,
                      std::size_t) {
   auto& c = nd.objects().get<NodeContainer>(self);
-  GNode& g = c.nodes.at(static_cast<std::uint32_t>(args[0].as_i64()));
+  const std::uint32_t li = c.nodes.local(static_cast<std::uint32_t>(args[0].as_i64()));
+  const double* w = c.weights.data() + std::size_t{li} * c.degree;
+  const double* in = c.inbox.data() + std::size_t{li} * c.degree;
   double acc = 0.0;
-  for (std::size_t k = 0; k < g.weights.size(); ++k) acc += g.weights[k] * g.inbox[k];
-  g.value -= acc;
+  for (std::size_t k = 0; k < c.degree; ++k) acc += w[k] * in[k];
+  c.values[li] -= acc;
   *ret = Value(1);
   return nullptr;
 }
@@ -144,7 +158,7 @@ void get_wave(Node& nd, const InvokeWave& w) {
     const std::size_t m = std::min(kChunk, w.count - base);
     for (std::size_t i = 0; i < m; ++i) {
       auto& c = os.get<NodeContainer>(w.targets[base + i]);
-      v[i] = c.nodes.at(static_cast<std::uint32_t>(w.args[base + i][0].as_i64())).value;
+      v[i] = c.values[c.nodes.local(static_cast<std::uint32_t>(w.args[base + i][0].as_i64()))];
     }
     for (std::size_t i = 0; i < m; ++i) {
       const Value rv(v[i]);
@@ -157,9 +171,8 @@ void recv_wave(Node& nd, const InvokeWave& w) {
   ObjectSpace& os = nd.objects();
   for (std::size_t i = 0; i < w.count; ++i) {
     const Value* a = w.args[i];
-    auto& c = os.get<NodeContainer>(w.targets[i]);
-    GNode& g = c.nodes.at(static_cast<std::uint32_t>(a[0].as_i64()));
-    g.inbox.at(static_cast<std::size_t>(a[1].as_i64())) = a[2].as_f64();
+    os.get<NodeContainer>(w.targets[i]).inbox_slot(static_cast<std::uint32_t>(a[0].as_i64()),
+                                                   a[1].as_i64()) = a[2].as_f64();
   }
   const Value ack(1);
   for (std::size_t i = 0; i < w.count; ++i) nd.reply_to_multi(w.replies[i], &ack, 1);
@@ -170,27 +183,31 @@ void recv_wave(Node& nd, const InvokeWave& w) {
 Context* pull_seq(Node& nd, Value* ret, const CallerInfo& ci, GlobalRef self, const Value* args,
                   std::size_t nargs) {
   auto& c = nd.objects().get<NodeContainer>(self);
-  GNode& g = c.nodes.at(static_cast<std::uint32_t>(args[0].as_i64()));
+  const std::uint32_t li = c.nodes.local(static_cast<std::uint32_t>(args[0].as_i64()));
+  const std::uint32_t* srcs = c.srcs.data() + std::size_t{li} * c.degree;
+  const double* w = c.weights.data() + std::size_t{li} * c.degree;
   Frame f(nd, g_pull, self, ci, args, nargs);
   double acc = 0.0;
-  for (std::size_t d = 0; d < g.srcs.size(); ++d) {
+  for (std::size_t d = 0; d < c.degree; ++d) {
     Value v;
-    if (!f.call(g_get, c.owner_container[g.srcs[d]], {Value(std::int64_t{g.srcs[d]})},
+    if (!f.call(g_get, c.container_of(srcs[d]), {Value(std::int64_t{srcs[d]})},
                 static_cast<SlotId>(kIn + d), &v)) {
       return f.fallback(1, {{kAcc, Value(acc)},
                             {kFrom, Value(static_cast<std::int64_t>(d))},
                             {kSpawnFrom, Value(static_cast<std::int64_t>(d + 1))}});
     }
-    acc += g.weights[d] * v.as_f64();
+    acc += w[d] * v.as_f64();
   }
-  g.value -= acc;
+  c.values[li] -= acc;
   *ret = Value(1);
   return nullptr;
 }
 
 void pull_par(Node& nd, Context& ctx) {
   auto& c = nd.objects().get<NodeContainer>(ctx.self);
-  GNode& g = c.nodes.at(static_cast<std::uint32_t>(ctx.args[0].as_i64()));
+  const std::uint32_t li = c.nodes.local(static_cast<std::uint32_t>(ctx.args[0].as_i64()));
+  const std::uint32_t* srcs = c.srcs.data() + std::size_t{li} * c.degree;
+  const double* w = c.weights.data() + std::size_t{li} * c.degree;
   ParFrame f(nd, ctx);
   switch (ctx.pc) {
     case 0:
@@ -199,9 +216,9 @@ void pull_par(Node& nd, Context& ctx) {
       f.save(kSpawnFrom, Value(std::int64_t{0}));
       [[fallthrough]];
     case 1: {
-      for (std::size_t d = static_cast<std::size_t>(f.get(kSpawnFrom).as_i64());
-           d < g.srcs.size(); ++d) {
-        f.spawn(g_get, c.owner_container[g.srcs[d]], {Value(std::int64_t{g.srcs[d]})},
+      for (std::size_t d = static_cast<std::size_t>(f.get(kSpawnFrom).as_i64()); d < c.degree;
+           ++d) {
+        f.spawn(g_get, c.container_of(srcs[d]), {Value(std::int64_t{srcs[d]})},
                 static_cast<SlotId>(kIn + d));
       }
       if (!f.touch(2)) return;
@@ -209,11 +226,10 @@ void pull_par(Node& nd, Context& ctx) {
     }
     case 2: {
       double acc = f.get(kAcc).as_f64();
-      for (std::size_t d = static_cast<std::size_t>(f.get(kFrom).as_i64()); d < g.srcs.size();
-           ++d) {
-        acc += g.weights[d] * f.get(static_cast<SlotId>(kIn + d)).as_f64();
+      for (std::size_t d = static_cast<std::size_t>(f.get(kFrom).as_i64()); d < c.degree; ++d) {
+        acc += w[d] * f.get(static_cast<SlotId>(kIn + d)).as_f64();
       }
-      g.value -= acc;
+      c.values[li] -= acc;
       f.complete(Value(1));
       return;
     }
@@ -232,9 +248,8 @@ std::size_t apply_local_prefix(Node& nd, NodeContainer& c, const Value* args,
   std::size_t k = 1;
   while (k + 1 < nargs) {
     const auto dst = static_cast<std::uint32_t>(args[k].as_i64());
-    if (c.owner_container[dst].node != nd.id()) break;
-    GNode& g = c.nodes.at(dst);
-    g.inbox.at(static_cast<std::size_t>(args[k + 1].as_i64())) = v;
+    if (c.nodes.home_of(dst) != nd.id()) break;
+    c.inbox_slot(dst, args[k + 1].as_i64()) = v;
     nd.charge(2);
     k += 2;
   }
@@ -254,7 +269,7 @@ Context* fwd_seq(Node& nd, Value* ret, const CallerInfo& ci, GlobalRef self, con
   rest.reserve(nargs - k + 1);
   rest.push_back(args[0]);
   rest.insert(rest.end(), args + k, args + nargs);
-  const GlobalRef next = c.owner_container[static_cast<std::uint32_t>(args[k].as_i64())];
+  const GlobalRef next = c.container_of(static_cast<std::uint32_t>(args[k].as_i64()));
   Frame f(nd, g_fwd, self, ci, args, nargs);
   return f.forward(g_fwd, next, rest.data(), rest.size(), ret);
 }
@@ -272,7 +287,7 @@ void fwd_par(Node& nd, Context& ctx) {
   rest.reserve(ctx.args.size() - k + 1);
   rest.push_back(ctx.args[0]);
   rest.insert(rest.end(), ctx.args.begin() + static_cast<std::ptrdiff_t>(k), ctx.args.end());
-  const GlobalRef next = c.owner_container[static_cast<std::uint32_t>(ctx.args[k].as_i64())];
+  const GlobalRef next = c.container_of(static_cast<std::uint32_t>(ctx.args[k].as_i64()));
   nd.free_context(ctx);
   reply.forwarded = true;
   ++nd.stats.continuations_forwarded;
@@ -288,36 +303,40 @@ Context* driver_seq(Node& nd, Value* ret, const CallerInfo& ci, GlobalRef self,
   return f.yield_to_parallel(0, {});
 }
 
-void spawn_pushes(Node& nd, ParFrame& f, NodeContainer& c,
-                  const std::vector<std::uint32_t>& sources, bool forward_version) {
+/// Spawns one half-step's pushes: every owned source in local indices
+/// [lo, hi) sends its value to each of its consumers, in consumer order.
+void spawn_pushes(Node& nd, ParFrame& f, NodeContainer& c, std::uint32_t lo, std::uint32_t hi,
+                  bool forward_version) {
   SlotId s = kWork;
-  for (std::uint32_t src : sources) {
-    auto it = c.consumers.find(src);
-    if (it == c.consumers.end()) continue;
-    const double v = c.nodes.at(src).value;
+  std::vector<Value> chain;  // the forward version's chain, reused per source
+  for (std::uint32_t li = lo; li < hi; ++li) {
+    const Consumer* first = c.consumers.data() + c.consumer_begin[li];
+    const Consumer* last = c.consumers.data() + c.consumer_begin[li + 1];
+    if (first == last) continue;
+    const double v = c.values[li];
     if (!forward_version) {
-      for (const Consumer& cons : it->second) {
-        f.spawn(g_recv, c.owner_container[cons.dst],
-                {Value(std::int64_t{cons.dst}), Value(std::int64_t{cons.slot}), Value(v)}, s++);
+      for (const Consumer* cons = first; cons != last; ++cons) {
+        f.spawn(g_recv, c.container_of(cons->dst),
+                {Value(std::int64_t{cons->dst}), Value(std::int64_t{cons->slot}), Value(v)}, s++);
       }
       continue;
     }
     // forward version: local consumers delivered directly; remote ones as one
     // chain message following the (node-sorted) consumer order.
-    std::vector<Value> chain;
+    chain.clear();
     chain.push_back(Value(v));
-    for (const Consumer& cons : it->second) {
-      if (c.owner_container[cons.dst].node == nd.id()) {
-        f.spawn(g_recv, c.owner_container[cons.dst],
-                {Value(std::int64_t{cons.dst}), Value(std::int64_t{cons.slot}), Value(v)}, s++);
+    for (const Consumer* cons = first; cons != last; ++cons) {
+      if (c.nodes.home_of(cons->dst) == nd.id()) {
+        f.spawn(g_recv, c.container_of(cons->dst),
+                {Value(std::int64_t{cons->dst}), Value(std::int64_t{cons->slot}), Value(v)}, s++);
       } else {
-        chain.push_back(Value(std::int64_t{cons.dst}));
-        chain.push_back(Value(std::int64_t{cons.slot}));
+        chain.push_back(Value(std::int64_t{cons->dst}));
+        chain.push_back(Value(std::int64_t{cons->slot}));
       }
     }
     if (chain.size() > 1) {
-      const GlobalRef first = c.owner_container[static_cast<std::uint32_t>(chain[1].as_i64())];
-      f.spawn(g_fwd, first, chain.data(), chain.size(), s++);
+      const GlobalRef next = c.container_of(static_cast<std::uint32_t>(chain[1].as_i64()));
+      f.spawn(g_fwd, next, chain.data(), chain.size(), s++);
     }
   }
 }
@@ -328,6 +347,10 @@ void driver_par(Node& nd, Context& ctx) {
   const auto version = static_cast<Version>(ctx.args[0].as_i64());
   const std::int64_t iters = ctx.args[1].as_i64();
   const bool pull = version == Version::Pull;
+  // Local indices [0, e_end) are this container's E nodes, [e_end, h_end)
+  // its H nodes.
+  const std::uint32_t e_end = c.nodes.first_h();
+  const std::uint32_t h_end = c.nodes.size();
   for (;;) {
     switch (ctx.pc) {
       case 0:
@@ -341,9 +364,11 @@ void driver_par(Node& nd, Context& ctx) {
         }
         if (pull) {
           SlotId s = kWork;
-          for (std::uint32_t id : c.my_e) f.spawn(g_pull, ctx.self, {Value(std::int64_t{id})}, s++);
+          for (std::uint32_t li = 0; li < e_end; ++li) {
+            f.spawn(g_pull, ctx.self, {Value(std::int64_t{c.nodes.id(li)})}, s++);
+          }
         } else {
-          spawn_pushes(nd, f, c, c.my_h, version == Version::Forward);
+          spawn_pushes(nd, f, c, e_end, h_end, version == Version::Forward);
         }
         ctx.pc = 2;
         if (!f.touch(2)) return;
@@ -357,8 +382,8 @@ void driver_par(Node& nd, Context& ctx) {
       case 3: {  // E half completion (push/forward combine); pull already done
         if (!pull) {
           SlotId s = kWork;
-          for (std::uint32_t id : c.my_e) {
-            f.spawn(g_combine, ctx.self, {Value(std::int64_t{id})}, s++);
+          for (std::uint32_t li = 0; li < e_end; ++li) {
+            f.spawn(g_combine, ctx.self, {Value(std::int64_t{c.nodes.id(li)})}, s++);
           }
         }
         ctx.pc = 4;
@@ -373,9 +398,11 @@ void driver_par(Node& nd, Context& ctx) {
       case 5: {  // H half
         if (pull) {
           SlotId s = kWork;
-          for (std::uint32_t id : c.my_h) f.spawn(g_pull, ctx.self, {Value(std::int64_t{id})}, s++);
+          for (std::uint32_t li = e_end; li < h_end; ++li) {
+            f.spawn(g_pull, ctx.self, {Value(std::int64_t{c.nodes.id(li)})}, s++);
+          }
         } else {
-          spawn_pushes(nd, f, c, c.my_e, version == Version::Forward);
+          spawn_pushes(nd, f, c, 0, e_end, version == Version::Forward);
         }
         ctx.pc = 6;
         if (!f.touch(6)) return;
@@ -389,8 +416,8 @@ void driver_par(Node& nd, Context& ctx) {
       case 7: {
         if (!pull) {
           SlotId s = kWork;
-          for (std::uint32_t id : c.my_h) {
-            f.spawn(g_combine, ctx.self, {Value(std::int64_t{id})}, s++);
+          for (std::uint32_t li = e_end; li < h_end; ++li) {
+            f.spawn(g_combine, ctx.self, {Value(std::int64_t{c.nodes.id(li)})}, s++);
           }
         }
         ctx.pc = 8;
@@ -415,21 +442,32 @@ void driver_par(Node& nd, Context& ctx) {
 }  // namespace
 
 Ids register_em3d(MethodRegistry& reg, const Params& params, std::size_t nodes) {
+  // Frame sizing. A frame counts its slots in 16 bits, so a graph that needs
+  // a larger one is rejected here rather than when a spawn runs past it.
+  CONCERT_CHECK(kIn + params.degree <= Context::kMaxSlots,
+                "em3d degree " << params.degree << " needs compute_pull frames of "
+                               << kIn + params.degree << " slots, over the limit of "
+                               << Context::kMaxSlots);
   const Plan plan = make_graph(params, nodes);
 
-  // Frame sizing: the widest spawn wave any driver issues.
+  // The driver's frame holds the widest spawn wave any driver issues.
   std::vector<std::size_t> e_cnt(nodes, 0), h_cnt(nodes, 0), push_e(nodes, 0), push_h(nodes, 0);
-  for (std::uint32_t id = 0; id < params.graph_nodes; ++id) {
+  for (std::size_t id = 0, e = 0; id < params.graph_nodes; ++id) {
     const bool is_e = id < plan.n_e;
-    (is_e ? e_cnt : h_cnt)[plan.owner[id]]++;
-    for (std::uint32_t src : plan.srcs[id]) {
+    (is_e ? e_cnt : h_cnt)[plan.owner(id)]++;
+    for (std::size_t d = 0; d < plan.degree; ++d, ++e) {
       // An edge id<-src makes src push one value (counted at src's owner).
-      (is_e ? push_e : push_h)[plan.owner[src]]++;
+      (is_e ? push_e : push_h)[plan.owner(plan.srcs[e])]++;
     }
   }
   std::size_t max_work = 1;
   for (std::size_t nid = 0; nid < nodes; ++nid) {
-    max_work = std::max({max_work, e_cnt[nid], h_cnt[nid], push_e[nid], push_h[nid]});
+    const std::size_t work = std::max({e_cnt[nid], h_cnt[nid], push_e[nid], push_h[nid]});
+    CONCERT_CHECK(kWork + work <= Context::kMaxSlots,
+                  "em3d driver on node " << nid << " spawns " << work
+                                         << " invocations in one phase, over the limit of "
+                                         << Context::kMaxSlots - kWork);
+    max_work = std::max(max_work, work);
   }
 
   Ids ids;
@@ -502,7 +540,7 @@ Ids register_em3d(MethodRegistry& reg, const Params& params, std::size_t nodes) 
   d.name = "em3d.driver";
   d.seq = driver_seq;
   d.par = driver_par;
-  d.frame_slots = static_cast<std::uint16_t>(std::min<std::size_t>(kWork + max_work, 0xfff0));
+  d.frame_slots = static_cast<std::uint16_t>(kWork + max_work);
   d.arg_count = 2;
   d.blocks_locally = true;
   d.class_id = 1;  // Its target is the node's own container.
@@ -544,10 +582,14 @@ World build(Machine& machine, const Ids& ids, const Params& params) {
   (void)ids;
   const std::size_t nodes = machine.node_count();
   const Plan plan = make_graph(params, nodes);
+  const std::size_t n = params.graph_nodes;
+  const std::size_t deg = plan.degree;
+  const auto P = static_cast<std::uint32_t>(nodes);
 
   World w;
   w.params = params;
-  w.owner = plan.owner;
+  w.owner.resize(n);
+  for (std::size_t id = 0; id < n; ++id) w.owner[id] = plan.owner(id);
   w.local_edges = plan.local_edges;
   w.remote_edges = plan.remote_edges;
   w.barrier = make_barrier(machine, 0, static_cast<int>(nodes));
@@ -558,42 +600,68 @@ World build(Machine& machine, const Ids& ids, const Params& params) {
     auto [ref, c] = machine.node(nid).objects().create<NodeContainer>(kContainerType);
     w.containers[nid] = ref;
     cs[nid] = c;
-    c->barrier = w.barrier;
   }
 
-  for (std::uint32_t id = 0; id < params.graph_nodes; ++id) {
-    NodeContainer& c = *cs[plan.owner[id]];
-    GNode g;
-    g.value = plan.init[id];
-    g.srcs = plan.srcs[id];
-    g.weights = plan.weights[id];
-    g.inbox.assign(g.srcs.size(), 0.0);
-    c.nodes.emplace(id, std::move(g));
-    (id < plan.n_e ? c.my_e : c.my_h).push_back(id);
-  }
+  // Each container's nodes and their in-edges, copied out of the plan in
+  // local-index order.
   for (NodeId nid = 0; nid < nodes; ++nid) {
-    cs[nid]->owner_container.resize(params.graph_nodes);
-    for (std::uint32_t id = 0; id < params.graph_nodes; ++id) {
-      cs[nid]->owner_container[id] = w.containers[plan.owner[id]];
+    NodeContainer& c = *cs[nid];
+    const Stride all = owned_in(0, static_cast<std::uint32_t>(n), nid, P);
+    const Stride e_half = owned_in(0, static_cast<std::uint32_t>(plan.n_e), nid, P);
+    c.nodes = OwnedNodes(nid, P, all.count, e_half.count);
+    c.degree = static_cast<std::uint32_t>(deg);
+    c.barrier = w.barrier;
+    c.containers = w.containers;
+    c.values.resize(all.count);
+    c.srcs.resize(all.count * deg);
+    c.weights.resize(all.count * deg);
+    c.inbox.assign(all.count * deg, 0.0);
+    for (std::uint32_t li = 0; li < all.count; ++li) {
+      const std::size_t id = c.nodes.id(li);
+      c.values[li] = plan.init[id];
+      std::copy_n(plan.srcs.begin() + static_cast<std::ptrdiff_t>(id * deg), deg,
+                  c.srcs.begin() + static_cast<std::ptrdiff_t>(li * deg));
+      std::copy_n(plan.weights.begin() + static_cast<std::ptrdiff_t>(id * deg), deg,
+                  c.weights.begin() + static_cast<std::ptrdiff_t>(li * deg));
     }
   }
-  // Consumer lists (sorted by owner node, then id, then slot — the forward
-  // chain order).
-  for (std::uint32_t id = 0; id < params.graph_nodes; ++id) {
-    for (std::size_t d = 0; d < plan.srcs[id].size(); ++d) {
-      const std::uint32_t src = plan.srcs[id][d];
-      cs[plan.owner[src]]->consumers[src].push_back(
-          Consumer{id, static_cast<std::uint16_t>(d)});
+
+  // Consumer lists in CSR. Counting pass: next[src] = consumers of src;
+  // prefix pass: next[src] = where src's list starts in its container.
+  std::vector<std::uint32_t> next(n, 0);
+  for (const std::uint32_t src : plan.srcs) ++next[src];
+  for (NodeId nid = 0; nid < nodes; ++nid) {
+    NodeContainer& c = *cs[nid];
+    c.consumer_begin.resize(std::size_t{c.nodes.size()} + 1);
+    std::uint32_t at = 0;
+    for (std::uint32_t li = 0; li < c.nodes.size(); ++li) {
+      const std::uint32_t count = next[c.nodes.id(li)];
+      c.consumer_begin[li] = at;
+      next[c.nodes.id(li)] = at;
+      at += count;
+    }
+    c.consumer_begin[c.nodes.size()] = at;
+    c.consumers.resize(at);
+  }
+  // Fill pass, visiting consumers by owner node, then id, then slot: each
+  // source's list comes out in the forward-chain order.
+  for (NodeId q = 0; q < nodes; ++q) {
+    const Stride owned = owned_in(0, static_cast<std::uint32_t>(n), q, P);
+    for (std::uint32_t k = 0; k < owned.count; ++k) {
+      const std::uint32_t dst = owned.first + k * P;
+      for (std::size_t d = 0; d < deg; ++d) {
+        const std::uint32_t src = plan.srcs[dst * deg + d];
+        cs[plan.owner(src)]->consumers[next[src]++] = Consumer{dst, static_cast<std::uint16_t>(d)};
+      }
     }
   }
-  for (NodeId nid = 0; nid < nodes; ++nid) {
-    for (auto& [src, list] : cs[nid]->consumers) {
-      std::sort(list.begin(), list.end(), [&](const Consumer& a, const Consumer& b) {
-        const NodeId na = plan.owner[a.dst], nb = plan.owner[b.dst];
-        if (na != nb) return na < nb;
-        if (a.dst != b.dst) return a.dst < b.dst;
-        return a.slot < b.slot;
-      });
+
+  for (NodeContainer* c : cs) {
+    c->nodes.views.reserve(c->nodes.size());
+    for (std::uint32_t li = 0; li < c->nodes.size(); ++li) {
+      const std::size_t e = std::size_t{li} * deg;
+      c->nodes.views.push_back(GNode{c->values[li], {c->srcs.data() + e, deg},
+                                     {c->weights.data() + e, deg}, {c->inbox.data() + e, deg}});
     }
   }
   return w;
@@ -623,33 +691,30 @@ bool run(Machine& machine, const Ids& ids, World& w, Version version) {
 
 std::vector<double> extract(Machine& machine, const World& w) {
   std::vector<double> out(w.params.graph_nodes);
-  for (std::uint32_t id = 0; id < w.params.graph_nodes; ++id) {
-    const GlobalRef cref = w.containers[w.owner[id]];
-    out[id] = machine.node(cref.node).objects().get<NodeContainer>(cref).nodes.at(id).value;
+  for (const GlobalRef& cref : w.containers) {
+    const auto& c = machine.node(cref.node).objects().get<NodeContainer>(cref);
+    for (std::uint32_t li = 0; li < c.nodes.size(); ++li) out[c.nodes.id(li)] = c.values[li];
   }
   return out;
 }
 
 std::vector<double> reference(const Params& params, std::size_t machine_nodes) {
   const Plan plan = make_graph(params, machine_nodes);
+  const std::size_t deg = plan.degree;
   std::vector<double> value = plan.init;
+  // E half from H, then H half from the *new* E values.
+  const auto half = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t id = lo; id < hi; ++id) {
+      double acc = 0.0;
+      for (std::size_t e = id * deg; e < (id + 1) * deg; ++e) {
+        acc += plan.weights[e] * value[plan.srcs[e]];
+      }
+      value[id] -= acc;
+    }
+  };
   for (int it = 0; it < params.iters; ++it) {
-    // E half from H, then H half from the *new* E values.
-    for (std::uint32_t id = 0; id < plan.n_e; ++id) {
-      double acc = 0.0;
-      for (std::size_t d = 0; d < plan.srcs[id].size(); ++d) {
-        acc += plan.weights[id][d] * value[plan.srcs[id][d]];
-      }
-      value[id] -= acc;
-    }
-    for (std::uint32_t id = static_cast<std::uint32_t>(plan.n_e); id < params.graph_nodes;
-         ++id) {
-      double acc = 0.0;
-      for (std::size_t d = 0; d < plan.srcs[id].size(); ++d) {
-        acc += plan.weights[id][d] * value[plan.srcs[id][d]];
-      }
-      value[id] -= acc;
-    }
+    half(0, plan.n_e);
+    half(plan.n_e, params.graph_nodes);
   }
   return value;
 }

@@ -450,10 +450,18 @@ Ids register_md(MethodRegistry& reg, const Params& params, std::size_t nodes) {
   const Plan plan = make_plan(params, nodes);
   g_cutoff2 = params.cutoff * params.cutoff;
 
+  // The driver's frame holds the widest spawn wave any driver issues. A
+  // frame counts its slots in 16 bits, so a plan that needs a larger one is
+  // rejected here rather than when a spawn runs past it.
   std::size_t max_work = 1;
   for (std::size_t nid = 0; nid < nodes; ++nid) {
-    max_work = std::max({max_work, plan.pushes[nid].size(), plan.pairs[nid].size(),
-                         plan.needed_in[nid]});
+    const std::size_t work =
+        std::max({plan.pushes[nid].size(), plan.pairs[nid].size(), plan.needed_in[nid]});
+    CONCERT_CHECK(kWork + work <= Context::kMaxSlots,
+                  "md driver on node " << nid << " spawns " << work
+                                       << " invocations in one phase, over the limit of "
+                                       << Context::kMaxSlots - kWork);
+    max_work = std::max(max_work, work);
   }
 
   Ids ids;
@@ -520,8 +528,7 @@ Ids register_md(MethodRegistry& reg, const Params& params, std::size_t nodes) {
   d.name = "md.driver";
   d.seq = driver_seq;
   d.par = driver_par;
-  d.frame_slots = static_cast<std::uint16_t>(
-      std::min<std::size_t>(kWork + max_work, 0xfff0));
+  d.frame_slots = static_cast<std::uint16_t>(kWork + max_work);
   d.arg_count = 0;
   d.blocks_locally = true;
   d.class_id = 1;  // Its target is the node's own container.

@@ -11,8 +11,13 @@
 namespace concert::seqbench {
 
 std::int64_t chain_c(std::int64_t depth) {
-  // The C equivalent is a tail-recursive walk.
-  while (depth > 0) --depth;
+  // The C equivalent is a tail-recursive walk, one step per link. The empty
+  // asm makes each step opaque to the optimizer, which would otherwise drop
+  // the loop and return 42 at once.
+  while (depth > 0) {
+    --depth;
+    asm volatile("" : "+r"(depth));
+  }
   return 42;
 }
 

@@ -5,7 +5,10 @@
 
 namespace concert::seqbench {
 
-double cheby_c(std::int64_t n, double x) {
+// Never inlined, not even into itself: inlining lets GCC unroll the
+// recursion and share the repeated T_{n-2} calls, which collapses the call
+// tree that the runtime versions make.
+[[gnu::noinline]] double cheby_c(std::int64_t n, double x) {
   if (n == 0) return 1.0;
   if (n == 1) return x;
   return 2.0 * x * cheby_c(n - 1, x) - cheby_c(n - 2, x);

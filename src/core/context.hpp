@@ -77,6 +77,9 @@ class Context {
   /// Arguments a frame can hold in its block; equals Payload::kInline, so
   /// an argument list that travels inline in a message is saved inline too.
   static constexpr std::size_t kInlineArgs = 3;
+  /// Most future slots a frame may declare: a block counts its slot and
+  /// inline argument cells in 16 bits.
+  static constexpr std::size_t kMaxSlots = 0xffff - kInlineArgs;
 
   // --- identity (immutable once allocated) ---
   NodeId home = kInvalidNode;

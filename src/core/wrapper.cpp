@@ -16,6 +16,14 @@ inline std::uint64_t site_now_ns() {
                                         std::chrono::steady_clock::now().time_since_epoch())
                                         .count());
 }
+
+/// Records the run_end that closes a wrapper stack run when it leaves scope,
+/// so every return path (and an unwinding check) closes the run.
+struct StackRunEnd {
+  Node& nd;
+  MethodId method;
+  ~StackRunEnd() { nd.trace<TraceKind::RunEnd>(method); }
+};
 }  // namespace
 
 Context& make_proxy_context(Node& nd, const Continuation& k) {
@@ -184,6 +192,7 @@ void invoke_with_continuation(Node& nd, MethodId method, GlobalRef target, const
     }
   };
   nd.trace<TraceKind::StackRun>(method);
+  const StackRunEnd run_end{nd, method};
   // Inclusive wall latency of the stack execution (records on every return
   // path below); a no-op when metrics are off.
   ScopedInvokeLatency lat(nd.metrics(), method);

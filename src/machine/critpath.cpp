@@ -31,12 +31,22 @@ std::string method_name_of(const TraceDump& dump, MethodId m) {
   return dump.method_names[m];
 }
 
-/// Batch-level annotations (drains, waves, parks) mark no causal step of
-/// their own. Walking through them would let a drain recorded between a send
-/// and its receive outrank the send as the receive's predecessor, hiding
-/// every network hop, so the analysis skips them.
+/// Batch-level annotations (drains, parks, and waves no run_end closes) mark
+/// no causal step of their own. Walking through them would let a drain
+/// recorded between a send and its receive outrank the send as the
+/// receive's predecessor, hiding every network hop, so the analysis skips
+/// them.
 bool annotation(TraceKind k) {
   return k == TraceKind::InboxDrain || k == TraceKind::WaveRun || k == TraceKind::Park;
+}
+
+/// A run opens at a dispatch, a wrapper stack run or a wave, and closes at
+/// the matching end record on the same node.
+bool opens_run(TraceKind k) {
+  return k == TraceKind::DispatchBegin || k == TraceKind::StackRun || k == TraceKind::WaveRun;
+}
+bool closes_run(TraceKind begin, TraceKind end) {
+  return end == (begin == TraceKind::DispatchBegin ? TraceKind::DispatchEnd : TraceKind::RunEnd);
 }
 
 }  // namespace
@@ -46,17 +56,72 @@ CritPathReport analyze_critical_path(const TraceDump& dump) {
   const std::size_t n_ev = dump.events.size();
   if (n_ev == 0) return rep;
 
-  // Flatten: per-event display timestamp, per-node program-order index lists,
-  // and each event's position within its node's list (its program-order
-  // predecessor is the previous entry). Annotations stay out of the lists.
   std::vector<double> ts(n_ev);
+  for (std::size_t i = 0; i < n_ev; ++i) ts[i] = display_ts(dump, dump.events[i].rec);
+
+  // Runs. Each begin is paired with the end that closes it on its node; runs
+  // nest (a dispatch or a stack run may invoke a local method through the
+  // wrapper path). run_of[i] is the begin of the innermost closed run that
+  // event i lies in, after the begin and up to the end (n_ev: none); every
+  // program-order hop inside a run is that run's compute. run_self holds
+  // each method's runs' self time, nested runs excluded.
+  std::vector<std::size_t> run_of(n_ev, n_ev);
+  std::vector<bool> closed(n_ev, false);
+  std::unordered_map<MethodId, double> run_self;
+  {
+    std::vector<std::vector<std::size_t>> all_by_node(dump.node_count);
+    for (std::size_t i = 0; i < n_ev; ++i) {
+      const NodeId nd = dump.events[i].node;
+      if (nd >= all_by_node.size()) all_by_node.resize(nd + 1);
+      all_by_node[nd].push_back(i);
+    }
+    struct Open {
+      std::size_t at;  ///< position of the begin in its node's list
+      double nested_us = 0.0;
+    };
+    std::vector<Open> open;
+    for (const std::vector<std::size_t>& evs : all_by_node) {
+      open.clear();
+      for (std::size_t k = 0; k < evs.size(); ++k) {
+        const TraceKind kind = dump.events[evs[k]].rec.kind;
+        if (opens_run(kind)) {
+          open.push_back(Open{k});
+          continue;
+        }
+        if (kind == TraceKind::DispatchEnd) {
+          // A stack or wave run still open inside a dispatch was never
+          // closed (a trace written before run_end existed).
+          while (!open.empty() &&
+                 dump.events[evs[open.back().at]].rec.kind != TraceKind::DispatchBegin) {
+            open.pop_back();
+          }
+        }
+        if (open.empty() || !closes_run(dump.events[evs[open.back().at]].rec.kind, kind)) {
+          continue;
+        }
+        const Open run = open.back();
+        open.pop_back();
+        const std::size_t begin = evs[run.at];
+        closed[begin] = true;
+        for (std::size_t j = run.at + 1; j <= k; ++j) {
+          if (run_of[evs[j]] == n_ev) run_of[evs[j]] = begin;
+        }
+        const double us = ts[evs[k]] - ts[begin];
+        run_self[dump.events[begin].rec.method] += us - run.nested_us;
+        if (!open.empty()) open.back().nested_us += us;
+      }
+    }
+  }
+
+  // Flatten: per-node program-order index lists, and each event's position
+  // within its node's list (its program-order predecessor is the previous
+  // entry). Annotations stay out of the lists.
   std::vector<std::vector<std::size_t>> by_node(dump.node_count);
   std::vector<std::size_t> pos(n_ev);
   std::vector<std::size_t> live;  // non-annotation events, in dump order
   live.reserve(n_ev);
   for (std::size_t i = 0; i < n_ev; ++i) {
-    ts[i] = display_ts(dump, dump.events[i].rec);
-    if (annotation(dump.events[i].rec.kind)) continue;
+    if (annotation(dump.events[i].rec.kind) && !closed[i]) continue;
     live.push_back(i);
     const NodeId nd = dump.events[i].node;
     if (nd >= by_node.size()) by_node.resize(nd + 1);
@@ -145,10 +210,10 @@ CritPathReport analyze_critical_path(const TraceDump& dump) {
     } else if (causal && pe.rec.kind == TraceKind::Suspend && ce.rec.kind == TraceKind::Resume) {
       seg.kind = CritKind::Wait;
       seg.method = ce.rec.method;
-    } else if (pe.node == ce.node && pe.rec.kind == TraceKind::DispatchBegin &&
-               ce.rec.kind == TraceKind::DispatchEnd) {
+    } else if (!causal && run_of[cur] != n_ev) {
+      // A program-order hop that ends inside a run starts inside it too.
       seg.kind = CritKind::Compute;
-      seg.method = ce.rec.method;
+      seg.method = dump.events[run_of[cur]].rec.method;
     } else {
       seg.kind = CritKind::Sched;
     }
@@ -191,22 +256,8 @@ CritPathReport analyze_critical_path(const TraceDump& dump) {
         (rep.compute_us + rep.network_us + rep.wait_us + rep.sched_us) / rep.span_us;
   }
 
-  // Slack: each method's total dispatch self-time minus its on-path share.
-  // Begin/end pairing is per node (dispatches never nest within a node).
-  std::unordered_map<MethodId, double> dispatch_total;
-  for (const auto& evs : by_node) {
-    double open = -1.0;
-    for (std::size_t i : evs) {
-      const TraceRecord& r = dump.events[i].rec;
-      if (r.kind == TraceKind::DispatchBegin) {
-        open = ts[i];
-      } else if (r.kind == TraceKind::DispatchEnd && open >= 0) {
-        dispatch_total[r.method] += ts[i] - open;
-        open = -1.0;
-      }
-    }
-  }
-  for (const auto& [m, total] : dispatch_total) {
+  // Slack: each method's total run self-time minus its on-path share.
+  for (const auto& [m, total] : run_self) {
     CritMethodRow& row = methods[m];
     row.method = m;
     row.slack_us = std::max(0.0, total - row.on_path_us);

@@ -13,12 +13,16 @@
 // MsgRecv, the Suspend matching a Resume), whichever is later. Each hop
 // becomes a classified segment:
 //
-//   compute  same-node DispatchBegin -> DispatchEnd (a context step ran)
+//   compute  a same-node hop inside a run: a DispatchBegin -> DispatchEnd
+//            context step, or a wrapper StackRun or merged WaveRun up to the
+//            RunEnd that closes it; the run's method is charged
 //   network  MsgSend -> MsgRecv across the matching flow id (wire + buffer)
 //   wait     same-node Suspend -> Resume on one flow id (blocked on a reply)
-//   sched    everything else on-node (queueing, flush, stack runs)
+//   sched    everything else on-node (queueing, flush, dispatch overhead)
 //
-// InboxDrain, WaveRun and Park records are batch annotations, not causal
+// Runs nest (a run may invoke a local method through the wrapper path); a
+// hop inside nested runs is charged to the innermost. InboxDrain and Park
+// records, and a WaveRun no RunEnd closes, are batch annotations, not causal
 // steps: the walk skips them, so a drain recorded between a send and its
 // receive cannot hide the network hop.
 //
@@ -28,7 +32,7 @@
 // Attribution therefore always sums to the traced span — audited by tests.
 //
 // Beyond the path itself the report carries per-method attribution: on-path
-// compute time versus *slack* (that method's total dispatch self-time that is
+// compute time versus *slack* (that method's total run self-time that is
 // NOT on the path — time that parallelizes away and would not shorten the run
 // if optimized), and per-edge network totals. `concert_trace critpath`
 // renders the report as a ranked table, JSON, or a Perfetto overlay;
@@ -65,9 +69,9 @@ struct CritSegment {
   double us() const { return t1_us - t0_us; }
 };
 
-/// Per-method attribution row. `on_path_us` is dispatch time on the critical
+/// Per-method attribution row. `on_path_us` is run time on the critical
 /// path (shortening it shortens the run); `slack_us` is the method's
-/// remaining dispatch self-time, which overlaps the path and would not.
+/// remaining run self-time, which overlaps the path and would not.
 struct CritMethodRow {
   MethodId method;
   std::string name;

@@ -490,6 +490,7 @@ void Node::execute_wave() {
                                 wave_nargs_.data() + i, wave_replies_.data() + i});
     }
   }
+  trace<TraceKind::RunEnd>(method);
   for (Message* m : wave_msgs_) recycle_payload(m->args);
 }
 

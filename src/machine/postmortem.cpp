@@ -29,7 +29,7 @@ namespace {
 
 /// POSTMORTEM.json schema version. 2: `flight` holds the newest records of
 /// the node's one event ring, so kind "deliver" became "msg_recv" and traced
-/// runs add the fine kinds (msg_send, dispatch_end, stack_run).
+/// runs add the fine kinds (msg_send, dispatch_end, stack_run, run_end).
 constexpr int kPostmortemSchema = 2;
 
 std::string method_name(const Machine& m, MethodId id) {

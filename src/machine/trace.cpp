@@ -24,6 +24,7 @@ const char* trace_kind_name(TraceKind k) {
     case TraceKind::InboxDrain: return "inbox_drain";
     case TraceKind::WaveRun: return "wave_run";
     case TraceKind::Park: return "park";
+    case TraceKind::RunEnd: return "run_end";
   }
   return "?";
 }
@@ -247,6 +248,10 @@ void write_chrome_trace(const TraceDump& dump, std::ostream& os,
   // dropped a begin leaves an unmatched end (skipped), a dropped end leaves
   // a zero-duration begin.
   std::vector<double> open_ts(dump.node_count, -1.0);
+  // Stack and wave runs can nest (a run may invoke a local method through
+  // the wrapper path), so each node keeps a stack of open runs; a run_end
+  // closes the innermost.
+  std::vector<std::vector<double>> open_runs(dump.node_count);
 
   for (const TraceEvent& e : dump.events) {
     const TraceRecord& r = e.rec;
@@ -285,12 +290,21 @@ void write_chrome_trace(const TraceDump& dump, std::ostream& os,
         break;
       }
       case TraceKind::StackRun:
+      case TraceKind::WaveRun:
+        open_runs[e.node].push_back(ts);
+        [[fallthrough]];
       case TraceKind::OutboxFlush:
       case TraceKind::InboxDrain:
-      case TraceKind::WaveRun:
       case TraceKind::Park:
         emit_head(e.node, "i", trace_kind_name(r.kind), ts);
         os << ",\"s\":\"t\",\"args\":{\"method\":\"" << method_name_of(dump, r.method) << "\"}}";
+        break;
+      case TraceKind::RunEnd:
+        if (!open_runs[e.node].empty()) {
+          emit_head(e.node, "X", method_name_of(dump, r.method), open_runs[e.node].back());
+          os << ",\"cat\":\"run\",\"dur\":" << (ts - open_runs[e.node].back()) << "}";
+          open_runs[e.node].pop_back();
+        }
         break;
     }
   }

@@ -58,14 +58,16 @@ enum class TraceKind : std::uint8_t {
   InboxDrain,     ///< coarse: inbox batch pulled, threaded engine (arg = batch size)
   WaveRun,        ///< coarse: merged wave executed on the stack (arg = run length)
   Park,           ///< coarse: inbox consumer parked idle, threaded engine
+  RunEnd,         ///< fine: the innermost open StackRun or WaveRun on this node returned
 };
 
-inline constexpr std::size_t kTraceKindCount = 11;
+inline constexpr std::size_t kTraceKindCount = 12;
 
 /// True for the kinds recorded at coarse detail (always on); the rest are
 /// recorded only when MachineConfig::trace is set.
 constexpr bool trace_kind_coarse(TraceKind k) {
-  return k != TraceKind::MsgSend && k != TraceKind::DispatchEnd && k != TraceKind::StackRun;
+  return k != TraceKind::MsgSend && k != TraceKind::DispatchEnd && k != TraceKind::StackRun &&
+         k != TraceKind::RunEnd;
 }
 
 const char* trace_kind_name(TraceKind k);
@@ -196,9 +198,10 @@ constexpr std::uint32_t kTraceMaxNodes = 1u << 16;
 bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err = nullptr);
 
 /// Chrome trace-event JSON (object form): {"traceEvents": [...],
-/// "metadata": {...}}. Dispatch begin/end pairs become duration events,
-/// send/recv and suspend/resume pairs become Perfetto flow events bound to
-/// their causal ids, everything else becomes instants. Timestamps come from
+/// "metadata": {...}}. Dispatch begin/end pairs, and stack or wave runs
+/// closed by a run_end, become duration events; send/recv and
+/// suspend/resume pairs become Perfetto flow events bound to their causal
+/// ids; everything else becomes instants. Timestamps come from
 /// the dump's display domain (wall ns -> us, or sim instructions -> us).
 /// The metadata block surfaces the dropped-record and incomplete-flow counts.
 void write_chrome_trace(const TraceDump& dump, std::ostream& os);

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "apps/sor/sor.hpp"
+#include "core/invoke.hpp"
 #include "machine/critpath.hpp"
 #include "machine/trace.hpp"
 #include "support/json.hpp"
@@ -173,6 +174,94 @@ TEST(CritPath, TracedSorAttributesAtLeast95Percent) {
   // SOR is message-dominated in sim time: the path crosses the network.
   EXPECT_GT(r.network_us, 0.0);
   EXPECT_FALSE(r.edges.empty());
+}
+
+TEST(CritPath, RunsClosedByRunEndAreCompute) {
+  // A wrapper stack run on node 1 that sends its reply inside the run, then
+  // a merged wave on node 0 nested in a dispatch: every hop inside a run is
+  // the innermost run's compute.
+  DumpBuilder b(2, {"m0", "m1", "m2"});
+  b.ev(0, 10, TraceKind::MsgSend, 1, /*cause=*/7)
+      .ev(1, 50, TraceKind::MsgRecv, 1, 7)
+      .ev(1, 55, TraceKind::StackRun, 1)
+      .ev(1, 70, TraceKind::MsgSend, 0, /*cause=*/8)
+      .ev(1, 80, TraceKind::RunEnd, 1)
+      .ev(0, 100, TraceKind::MsgRecv, 0, 8)
+      .ev(0, 110, TraceKind::DispatchBegin, 0)
+      .ev(0, 120, TraceKind::WaveRun, 2)
+      .ev(0, 150, TraceKind::RunEnd, 2)
+      .ev(0, 160, TraceKind::DispatchEnd, 0);
+  const CritPathReport r = analyze_critical_path(b.d);
+  EXPECT_DOUBLE_EQ(r.span_us, 150.0);
+  EXPECT_DOUBLE_EQ(r.network_us, 40.0 + 30.0);  // 10 -> 50 and 70 -> 100
+  EXPECT_DOUBLE_EQ(r.compute_us, 15.0 + 50.0);  // 55 -> 70 and 110 -> 160
+  EXPECT_DOUBLE_EQ(r.sched_us, 5.0 + 10.0);     // recv -> run, recv -> dispatch
+  EXPECT_DOUBLE_EQ(r.attributed_frac, 1.0);
+  const auto on_path = [&](const char* name) {
+    for (const CritMethodRow& m : r.methods) {
+      if (m.name == name) return m.on_path_us;
+    }
+    return -1.0;
+  };
+  EXPECT_DOUBLE_EQ(on_path("m1"), 15.0);  // the stack run up to its reply
+  EXPECT_DOUBLE_EQ(on_path("m2"), 30.0);  // the wave
+  EXPECT_DOUBLE_EQ(on_path("m0"), 20.0);  // the dispatch around the wave
+}
+
+/// A remote-only program: every invocation of `echo` reaches node 1 as a
+/// message and runs there on the wrapper path, so its time on the critical
+/// path is stack runs, which must classify as compute.
+Context* echo_seq(Node&, Value* ret, const CallerInfo&, GlobalRef, const Value* args,
+                  std::size_t) {
+  *ret = args[0];
+  return nullptr;
+}
+void echo_par(Node& nd, Context& ctx) { ParFrame(nd, ctx).complete(ctx.args[0]); }
+
+TEST(CritPath, WrapperStackRunsOfARemoteOnlyProgramAreCompute) {
+  MachineConfig cfg = test_config(ExecMode::Hybrid3);
+  cfg.trace = true;
+  SimMachine m(2, cfg);
+  MethodDecl d;
+  d.name = "echo";
+  d.seq = echo_seq;
+  d.par = echo_par;
+  d.arg_count = 1;
+  const MethodId echo = m.registry().declare(d);
+  m.registry().finalize();
+
+  constexpr SlotId kCalls = 16;
+  Node& nd = m.node(0);
+  Context& root = nd.alloc_context_raw(kInvalidMethod, kCalls);
+  root.status = ContextStatus::Proxy;
+  for (SlotId s = 0; s < kCalls; ++s) {
+    root.expect(s);
+    nd.send(
+        Message::invoke(0, 1, echo, kNoObject, {Value(std::int64_t{s})}, {root.ref(), s, false}));
+  }
+  m.run_until_quiescent();
+  for (SlotId s = 0; s < kCalls; ++s) ASSERT_EQ(root.get(s).as_i64(), s);
+  nd.free_context(root);
+  EXPECT_EQ(m.node(1).stats.stack_calls, kCalls);
+  EXPECT_EQ(m.node(1).stats.contexts_allocated, 0u);
+
+  const TraceDump dump = dump_trace(m, /*wall_time=*/false);
+  std::size_t runs = 0, ends = 0;
+  for (const TraceEvent& e : dump.events) {
+    runs += e.rec.kind == TraceKind::StackRun;
+    ends += e.rec.kind == TraceKind::RunEnd;
+  }
+  EXPECT_EQ(runs, kCalls);
+  EXPECT_EQ(ends, kCalls);
+  const CritPathReport r = analyze_critical_path(dump);
+  EXPECT_GT(r.compute_us, 0.0);
+  const auto row = std::find_if(r.methods.begin(), r.methods.end(),
+                                [](const CritMethodRow& row) { return row.name == "echo"; });
+  ASSERT_NE(row, r.methods.end());
+  EXPECT_GT(row->on_path_us, 0.0);
+  EXPECT_DOUBLE_EQ(row->on_path_us, r.compute_us);  // no other method runs
+  const double sum = r.compute_us + r.network_us + r.wait_us + r.sched_us + r.untraced_us;
+  EXPECT_NEAR(sum, r.span_us, 1e-9 * std::max(1.0, r.span_us));
 }
 
 TEST(CritPath, JsonReportParsesAndMatchesReport) {

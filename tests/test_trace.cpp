@@ -1,6 +1,7 @@
 // The per-node event ring: the always-on coarse window of untraced runs,
 // full-detail recording, causal flow-id pairing across nodes and engines,
-// chrome-trace export well formed, binary round-trip, and the binary
+// every stack or wave run closed by a run_end, chrome-trace export well
+// formed, binary round-trip, and the binary
 // reader's rejection of corrupt dumps. Simulated-time identity lives in
 // test_observability.cpp.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/sor/sor.hpp"
 #include "machine/trace.hpp"
 #include "support/metrics.hpp"
 #include "test_util.hpp"
@@ -191,6 +193,47 @@ TEST(Trace, StackRunsRecordedInHybridMode) {
   // bump stack_calls, so the trace count is a strictly positive lower bound.
   EXPECT_GT(stack_runs, 0);
   EXPECT_LE(static_cast<std::uint64_t>(stack_runs), w.machine->node(0).stats.stack_calls);
+}
+
+TEST(Trace, EveryStackAndWaveRunIsClosedByRunEnd) {
+  // SOR on 2x2 nodes in 1x1 tiles, merged waves on: remote get_value
+  // invocations run as wrapper stack runs and as waves.
+  sor::Params p;
+  p.n = 8;
+  p.pgrid = 2;
+  p.block = 1;
+  p.iters = 1;
+  MachineConfig cfg = test_config();
+  cfg.trace = true;
+  cfg.merge_waves = true;
+  SimMachine m(p.nodes(), cfg);
+  const sor::Ids ids = sor::register_sor(m.registry(), p);
+  m.registry().finalize();
+  sor::World world = sor::build(m, ids, p);
+  ASSERT_TRUE(sor::run(m, ids, world));
+  std::size_t stack_runs = 0, waves = 0;
+  for (NodeId n = 0; n < m.node_count(); ++n) {
+    std::vector<TraceRecord> open;  // runs nest: a run_end closes the innermost
+    for (const TraceRecord& r : m.node(n).tracer.snapshot()) {
+      if (r.kind == TraceKind::StackRun || r.kind == TraceKind::WaveRun) {
+        stack_runs += r.kind == TraceKind::StackRun;
+        waves += r.kind == TraceKind::WaveRun;
+        open.push_back(r);
+      } else if (r.kind == TraceKind::RunEnd) {
+        ASSERT_FALSE(open.empty()) << "run_end with no open run on node " << n;
+        EXPECT_EQ(r.method, open.back().method);
+        EXPECT_GE(r.clock, open.back().clock);
+        open.pop_back();
+      }
+    }
+    EXPECT_TRUE(open.empty()) << open.size() << " runs left open on node " << n;
+  }
+  EXPECT_GT(stack_runs, 0u);
+  EXPECT_GT(waves, 0u);
+  // The Chrome export draws each closed run as a duration slice.
+  std::ostringstream os;
+  write_chrome_trace(m, os);
+  EXPECT_NE(os.str().find("\"cat\":\"run\""), std::string::npos);
 }
 
 TEST(Trace, CoarseWindowMatchesTracedCoarseEvents) {

@@ -2,13 +2,15 @@
 // digits only and reject anything else with an error naming the flag and the
 // value, instead of reading it as 0 or wrapping it. The binary is spawned
 // (CONCERT_TRACE_PATH is injected by CMake) on a small CTRACE02 file that a
-// traced four-node SOR run writes.
+// traced four-node SOR run writes. The summary also times wrapper stack
+// runs, which run_end records close.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "apps/sor/sor.hpp"
@@ -103,6 +105,23 @@ TEST(TraceCli, WellFormedNumbersStillWork) {
   EXPECT_NE(node.out.find("4 nodes"), std::string::npos) << node.out;
   const RunResult critpath = run_trace("critpath " + f + " --top 5");
   EXPECT_EQ(critpath.exit_code, 0) << critpath.out;
+}
+
+TEST(TraceCli, SummaryTimesStackRuns) {
+  // Remote get_value invocations run on the wrapper path; their run_end
+  // records give the method a self time although it has no dispatch.
+  const TraceFile t;
+  const RunResult r = run_trace(t.path + " --summary");
+  ASSERT_EQ(r.exit_code, 0) << r.out;
+  EXPECT_NE(r.out.find(" run_end="), std::string::npos) << r.out;
+  const std::size_t row = r.out.find("| sor.get_value");
+  ASSERT_NE(row, std::string::npos) << r.out;
+  // | method | self (us) | dispatches | stack runs |
+  std::istringstream cells(r.out.substr(row, r.out.find('\n', row) - row));
+  std::string bar, name, self, dispatches;
+  cells >> bar >> name >> bar >> self >> bar >> dispatches;
+  EXPECT_GT(std::stod(self), 0.0) << r.out;
+  EXPECT_EQ(dispatches, "0") << r.out;
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 //   --node/--method/--kind restrict both modes to one node id, one method
 //               name, or one event kind (msg_send, msg_recv, dispatch,
 //               dispatch_end, suspend, resume, stack_run, outbox_flush,
-//               inbox_drain, wave_run, park).
+//               inbox_drain, wave_run, park, run_end).
 //
 //   critpath    extracts the causal critical path: ranked per-method
 //               on-path/slack table (default), machine-readable JSON
@@ -170,35 +170,52 @@ struct MethodSelf {
   std::string name;
   std::uint64_t dispatches = 0;
   std::uint64_t stack_runs = 0;
-  double self_us = 0.0;  ///< summed dispatch durations (display domain)
+  double self_us = 0.0;  ///< summed run durations, nested runs excluded (display domain)
 };
 
 std::vector<MethodSelf> method_self_times(const TraceDump& d) {
-  // Linear scan with one open dispatch per node (steps run to completion,
-  // so dispatches cannot nest within a node).
+  // One stack of open runs per node: a dispatch closes at its dispatch_end,
+  // a stack or wave run at its run_end, and a run may nest inside another
+  // (a local invocation through the wrapper path).
   struct Open {
-    double ts = -1.0;
-    MethodId method = kInvalidMethod;
+    double ts;
+    MethodId method;
+    bool dispatch;
+    double nested_us = 0.0;
   };
-  std::vector<Open> open(d.node_count + 1);
+  std::vector<std::vector<Open>> open(d.node_count + 1);
   std::unordered_map<MethodId, MethodSelf> by_method;
   for (const TraceEvent& e : d.events) {
-    const std::size_t slot = std::min<std::size_t>(e.node, d.node_count);
+    std::vector<Open>& runs = open[std::min<std::size_t>(e.node, d.node_count)];
     MethodSelf& ms = by_method[e.rec.method];
     if (ms.name.empty()) ms.name = method_name_of(d, e.rec.method);
     switch (e.rec.kind) {
       case TraceKind::DispatchBegin:
         ++ms.dispatches;
-        open[slot] = Open{display_us(d, e.rec), e.rec.method};
-        break;
-      case TraceKind::DispatchEnd:
-        if (open[slot].ts >= 0 && open[slot].method == e.rec.method) {
-          by_method[e.rec.method].self_us += display_us(d, e.rec) - open[slot].ts;
-          open[slot].ts = -1.0;
-        }
+        runs.push_back(Open{display_us(d, e.rec), e.rec.method, true});
         break;
       case TraceKind::StackRun:
-      case TraceKind::WaveRun: ++ms.stack_runs; break;
+      case TraceKind::WaveRun:
+        ++ms.stack_runs;
+        runs.push_back(Open{display_us(d, e.rec), e.rec.method, false});
+        break;
+      case TraceKind::DispatchEnd:
+      case TraceKind::RunEnd: {
+        const bool dispatch = e.rec.kind == TraceKind::DispatchEnd;
+        // A stack or wave run still open inside a dispatch was never closed
+        // (a trace written before run_end existed).
+        while (dispatch && !runs.empty() && !runs.back().dispatch) runs.pop_back();
+        if (runs.empty() || runs.back().dispatch != dispatch ||
+            runs.back().method != e.rec.method) {
+          break;
+        }
+        const Open run = runs.back();
+        runs.pop_back();
+        const double us = display_us(d, e.rec) - run.ts;
+        ms.self_us += us - run.nested_us;
+        if (!runs.empty()) runs.back().nested_us += us;
+        break;
+      }
       default: break;
     }
   }
