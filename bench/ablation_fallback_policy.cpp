@@ -25,7 +25,7 @@ double sor_seconds(FallbackPolicy policy) {
   MachineConfig cfg = bench::make_config(ExecMode::Hybrid3, CostModel::cm5());
   cfg.policy = policy;
   SimMachine m(p.nodes(), cfg);
-  auto ids = sor::register_sor(m.registry(), p);
+  auto ids = bench::registered([&] { return sor::register_sor(m.registry(), p); });
   m.registry().finalize();
   auto world = sor::build(m, ids, p);
   CONCERT_CHECK(sor::run(m, ids, world), "sor failed");

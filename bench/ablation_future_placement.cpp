@@ -33,7 +33,7 @@ double sor_seconds(bool in_context) {
   MachineConfig cfg = bench::make_config(ExecMode::Hybrid3, CostModel::cm5());
   cfg.futures_in_context = in_context;
   SimMachine m(p.nodes(), cfg);
-  auto ids = sor::register_sor(m.registry(), p);
+  auto ids = bench::registered([&] { return sor::register_sor(m.registry(), p); });
   m.registry().finalize();
   auto world = sor::build(m, ids, p);
   CONCERT_CHECK(sor::run(m, ids, world), "sor failed");

@@ -54,7 +54,7 @@ RunOut run_sor(const FlushPolicy& policy, const CostModel& costs) {
   p.block = 1;  // smallest block: every neighbor access crosses nodes
   p.iters = static_cast<int>(bench::env_size("SOR_ITERS", 3));
   SimMachine m(p.nodes(), cfg_with(policy, costs));
-  auto ids = sor::register_sor(m.registry(), p);
+  auto ids = bench::registered([&] { return sor::register_sor(m.registry(), p); });
   m.registry().finalize();
   auto world = sor::build(m, ids, p);
   CONCERT_CHECK(sor::run(m, ids, world), "sor failed");

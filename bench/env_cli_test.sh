@@ -52,6 +52,8 @@ expect_too_large "$table6" EM3D_NODES=16384 EM3D_DEGREE=16 EM3D_CM5_P=2 EM3D_T3D
 expect_too_large "$table6" EM3D_NODES=4 EM3D_DEGREE=70000 EM3D_CM5_P=2 EM3D_T3D_P=2 EM3D_ITERS=1
 # One node computes more pairs than its driver frame holds.
 expect_too_large "$table5" MD_ATOMS=40000 MD_NODES=1
+# One node owns more interior cells than its driver frame holds.
+expect_too_large "$table4" SOR_N=300 SOR_P=1 SOR_ITERS=1
 for v in 0 -1 abc nan inf 1e999 ''; do
   expect_reject SWEEP_WORK "$v" "$sweep"
 done

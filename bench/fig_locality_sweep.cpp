@@ -22,7 +22,7 @@ struct RunOut {
 
 RunOut run_sor_out(const sor::Params& p, ExecMode mode, const CostModel& costs) {
   SimMachine m(p.nodes(), bench::make_config(mode, costs));
-  auto ids = sor::register_sor(m.registry(), p);
+  auto ids = bench::registered([&] { return sor::register_sor(m.registry(), p); });
   m.registry().finalize();
   auto world = sor::build(m, ids, p);
   CONCERT_CHECK(sor::run(m, ids, world), "sor run failed");

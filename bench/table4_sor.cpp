@@ -21,7 +21,7 @@ struct RunOut {
 
 RunOut run_sor(const sor::Params& p, ExecMode mode, const CostModel& costs) {
   SimMachine m(p.nodes(), bench::make_config(mode, costs));
-  auto ids = sor::register_sor(m.registry(), p);
+  auto ids = bench::registered([&] { return sor::register_sor(m.registry(), p); });
   m.registry().finalize();
   auto world = sor::build(m, ids, p);
   RunOut out;

@@ -202,18 +202,28 @@ void driver_par(Node& nd, Context& ctx) {
   }
 }
 
-std::size_t max_interior_cells_per_node(const Params& p) {
+/// The driver's frame: kCells plus one ack slot per interior cell of the node
+/// that owns the most. A frame counts its slots in 16 bits, so a grid that
+/// needs a larger one is rejected here rather than when a spawn runs past it.
+std::uint16_t driver_frame_slots(const Params& p) {
   const BlockCyclic2D layout = p.layout();
   std::vector<std::size_t> count(p.nodes(), 0);
   for (std::size_t i = 1; i + 1 < p.n; ++i) {
     for (std::size_t j = 1; j + 1 < p.n; ++j) ++count[layout.owner(i, j)];
   }
-  return *std::max_element(count.begin(), count.end());
+  for (std::size_t nid = 0; nid < count.size(); ++nid) {
+    CONCERT_CHECK(kCells + count[nid] <= Context::kMaxSlots,
+                  "sor driver on node " << nid << " spawns " << count[nid]
+                                        << " invocations in one phase, over the limit of "
+                                        << Context::kMaxSlots - kCells);
+  }
+  return static_cast<std::uint16_t>(kCells + *std::max_element(count.begin(), count.end()));
 }
 
 }  // namespace
 
 Ids register_sor(MethodRegistry& reg, const Params& params) {
+  const std::uint16_t driver_slots = driver_frame_slots(params);
   Ids ids;
   ids.barrier = register_barrier_methods(reg);
   ids.tree = register_tree_barrier_methods(reg);
@@ -259,7 +269,7 @@ Ids register_sor(MethodRegistry& reg, const Params& params) {
   d.name = "sor.driver";
   d.seq = driver_seq;
   d.par = driver_par;
-  d.frame_slots = static_cast<std::uint16_t>(kCells + max_interior_cells_per_node(params));
+  d.frame_slots = driver_slots;
   d.arg_count = 1;
   d.blocks_locally = true;
   d.class_id = 2;  // Driver (one per node; reads its cell list only)

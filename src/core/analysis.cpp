@@ -103,7 +103,7 @@ void analyze_schemas(std::vector<MethodInfo>& methods) {
     // call site. The compiler would reject such a class; so do we.
     CONCERT_CHECK(!(m.locks_self && m.schema == Schema::ContinuationPassing),
                   m.name << ": implicit locking is not supported on CP methods");
-    CONCERT_CHECK(m.multi_return >= 1 && m.multi_return <= 8,
+    CONCERT_CHECK(m.multi_return >= 1 && m.multi_return <= kMaxReturns,
                   m.name << ": multi_return out of range");
     CONCERT_CHECK(!(m.multi_return > 1 && m.schema == Schema::ContinuationPassing),
                   m.name << ": multiple return values are not supported on CP methods");

@@ -11,12 +11,17 @@
 //                 set the resume point, install linkage, and produce the value
 //                 to return up the stack (per this method's own schema).
 //
-//   * ParFrame  — the caller side inside a *parallel* (heap) version.
-//                 ParFrame::spawn issues child invocations whose results land
-//                 in this context's future slots (children may still complete
-//                 inline on the stack — the hybrid fast path works from
-//                 parallel callers too); ParFrame::touch is the single
+//   * ParFrame  — the caller side inside a *parallel* (heap) version: a
+//                 Frame whose context already exists and is running.
+//                 ParFrame::spawn is Frame::call from such a caller, so
+//                 children still try the stack (the hybrid fast path works
+//                 from parallel callers too) and their results land in this
+//                 context's future slots; ParFrame::touch is the single
 //                 counter-based multi-future touch of Fig. 4.
+//
+// Every invoke entry — Frame::call, ParFrame::spawn, Frame::forward and the
+// wrapper (core/wrapper.hpp) — sends what does not run on its stack through
+// divert_invoke, and reports to the site profiler through one SiteProbe.
 //
 // The protocol invariants (what non-null seq returns mean, who creates which
 // context) are documented on SeqFn in core/registry.hpp.
@@ -28,6 +33,7 @@
 #include "core/caller_info.hpp"
 #include "core/context.hpp"
 #include "core/registry.hpp"
+#include "core/wrapper.hpp"
 #include "machine/node.hpp"
 
 namespace concert {
@@ -73,6 +79,11 @@ void release_implicit_lock(Node& nd, GlobalRef target);
 /// returned a fallback context. Always throws ProtocolError.
 [[noreturn]] void nb_callee_fell_back(Node& nd, MethodId callee);
 
+/// The CallerInfo of a call that passes none: NB and MB callees, wrapper
+/// executions of them, and the frame of an activation that already runs in
+/// its parallel version (its context exists, so it is never adopted).
+inline constexpr CallerInfo kNoCaller = CallerInfo::none();
+
 /// True when a call of `de` may take the inline NB stack-hit path
 /// (nb_stack_hit): the callee's effective schema is NB and it takes no
 /// implicit lock, and nothing observes individual calls — the verifier,
@@ -103,7 +114,6 @@ inline bool nb_stack_hit(Node& nd, const DispatchEntry& de, MethodId callee, Glo
   CONCERT_CHECK(de.variadic ? nargs >= de.arg_count : nargs == de.arg_count,
                 "call of " << nd.registry().info(callee).name << " with " << nargs
                            << " args, wants " << de.arg_count);
-  static constexpr CallerInfo kNoCaller = CallerInfo::none();
   if (de.seq(nd, out, kNoCaller, target, args, nargs) != nullptr) {
     nb_callee_fell_back(nd, callee);
   }
@@ -173,17 +183,47 @@ class Frame {
   /// The materialized context, if any (tests).
   Context* ctx() { return ctx_; }
 
- private:
-  Context& materialize();
+ protected:
+  /// A frame over an activation already running in its parallel version
+  /// (ParFrame): its context exists, so a failed call never materializes or
+  /// adopts one, and it passes no caller info of its own.
+  Frame(Node& nd, Context& running)
+      : nd_(nd), ctx_(&running), method_(running.method), self_(running.self), ci_(kNoCaller) {}
+
   /// call() for everything nb_fast_path rejects: MB and CP linkage, edge
-  /// specialization, implicit locks, site profiling, verification and
-  /// block injection.
+  /// specialization, implicit locks, site profiling, verification, block
+  /// injection and the parallel-only mode (which runs no stack version, so
+  /// only a ParFrame reaches that divert).
   bool call_general(const DispatchEntry& de, MethodId callee, GlobalRef target,
                     const Value* args, std::size_t nargs, SlotId slot, Value* out);
-  /// Common "the callee must run in parallel" path: expect `slot` (..+K-1),
-  /// then send a message (remote) or enqueue a local heap context.
+  /// Common "the callee must run in parallel" path: expect_reply, then
+  /// divert_invoke.
   void go_parallel(MethodId callee, GlobalRef target, const Value* args, std::size_t nargs,
                    SlotId slot, std::size_t nret);
+  /// Drops the guard a CP callee that fell back put on this frame's context
+  /// (once the context may run: it is saved, or it is already running).
+  void drop_guard() {
+    if (have_guard_) {
+      have_guard_ = false;
+      nd_.release_guard(*ctx_);
+    }
+  }
+
+  Node& nd_;
+  Context* ctx_ = nullptr;  ///< Null only in a sequential frame that has not fallen back.
+
+ private:
+  /// This activation's context, created now if it does not exist yet, or
+  /// `adopted`: the one a CP callee created lazily from our CallerInfo.
+  Context& materialize(Context* adopted = nullptr);
+  /// Expects `slot` (..+nret-1) in this activation's context (materialized
+  /// if need be) and returns the continuation the callee replies through.
+  Continuation expect_reply(SlotId slot, std::size_t nret);
+  /// fallback() and yield_to_parallel() once the context exists: saves the
+  /// resume point and state, suspends it (or enqueues it when `runnable`),
+  /// links the reply per this method's schema and drops the guard.
+  Context* unwind(std::uint32_t resume_pc, std::initializer_list<std::pair<SlotId, Value>> saved,
+                  bool runnable);
   /// This activation's own effective schema, looked up once per frame and
   /// cached (fallback() and yield_to_parallel() both consult it).
   Schema my_schema() {
@@ -194,24 +234,19 @@ class Frame {
     return my_schema_;
   }
 
-  Node& nd_;
   MethodId method_;
   GlobalRef self_;
   const CallerInfo& ci_;
-  const Value* args_;
-  std::size_t nargs_;
-  Context* ctx_ = nullptr;
-  bool have_guard_ = false;  ///< A CP callee guarded our context; fallback() releases it.
+  const Value* args_ = nullptr;
+  std::size_t nargs_ = 0;
+  bool have_guard_ = false;  ///< A CP callee guarded our context; drop_guard() releases it.
   Schema my_schema_ = Schema::NonBlocking;  ///< Valid when schema_cached_.
   bool schema_cached_ = false;
 };
 
-class ParFrame {
+class ParFrame : private Frame {
  public:
-  ParFrame(Node& nd, Context& ctx) : nd_(nd), ctx_(ctx) {}
-
-  ParFrame(const ParFrame&) = delete;
-  ParFrame& operator=(const ParFrame&) = delete;
+  ParFrame(Node& nd, Context& ctx) : Frame(nd, ctx) {}
 
   /// Issues a child invocation whose result lands in `slot`. In hybrid modes
   /// the child may complete inline on the stack (slot filled immediately);
@@ -222,18 +257,20 @@ class ParFrame {
   void spawn(MethodId callee, GlobalRef target, const Value* args, std::size_t nargs,
              SlotId slot) {
     const DispatchEntry& de = nd_.dispatch(callee);
-    if (nd_.mode() == ExecMode::ParallelOnly || de.multi_return > kMaxStackReturns ||
-        !nb_fast_path(nd_, de)) {
-      spawn_general(de, callee, target, args, nargs, slot);
-      return;
-    }
-    Value out[kMaxStackReturns];
-    if (!nb_stack_hit(nd_, de, callee, target, args, nargs, out)) {
+    Value out[kMaxReturns];
+    if (nd_.mode() == ExecMode::ParallelOnly || !nb_fast_path(nd_, de)) {
+      if (!call_general(de, callee, target, args, nargs, slot, out)) {
+        // A CP callee that fell back guarded our return slot. We are Running
+        // (a fill cannot enqueue us), so the guard can drop at once.
+        drop_guard();
+        return;
+      }
+    } else if (!nb_stack_hit(nd_, de, callee, target, args, nargs, out)) {
       go_parallel(callee, target, args, nargs, slot, de.multi_return);
       return;
     }
     for (std::size_t i = 0; i < de.multi_return; ++i) {
-      ctx_.save(static_cast<SlotId>(slot + i), out[i]);
+      ctx_->save(static_cast<SlotId>(slot + i), out[i]);
     }
   }
 
@@ -250,36 +287,41 @@ class ParFrame {
   void complete_multi(const Value* vs, std::size_t n);
 
   /// Reads a filled slot.
-  Value get(SlotId s) const { return ctx_.get(s); }
+  Value get(SlotId s) const { return ctx_->get(s); }
   /// Writes a slot as a saved local.
-  void save(SlotId s, const Value& v) { ctx_.save(s, v); }
+  void save(SlotId s, const Value& v) { ctx_->save(s, v); }
 
-  Context& ctx() { return ctx_; }
-
- private:
-  /// Widest multi_return a child can complete on the stack with.
-  static constexpr std::size_t kMaxStackReturns = 8;
-  /// spawn() for everything the inline NB stack-hit path does not take
-  /// (see Frame::call_general), plus the parallel-only mode.
-  void spawn_general(const DispatchEntry& de, MethodId callee, GlobalRef target,
-                     const Value* args, std::size_t nargs, SlotId slot);
-  /// Expects `slot` (..+nret-1) in this context, then sends the invocation
-  /// (remote) or enqueues a local heap context for it.
-  void go_parallel(MethodId callee, GlobalRef target, const Value* args, std::size_t nargs,
-                   SlotId slot, std::size_t nret);
-
-  Node& nd_;
-  Context& ctx_;
+  Context& ctx() { return *ctx_; }
 };
 
 /// Local heap invocation: allocates the callee's context, marshals arguments,
 /// installs the reply continuation, and enqueues it. The paper's ~130
-/// instruction parallel invocation path. Returns the new context.
+/// instruction parallel invocation path. Returns the new context. `owned`,
+/// when non-null, is the message-owned payload `args` points into: a spilled
+/// one is swapped into the context as its argument buffer instead of copied
+/// (the context's previous, cleared buffer flows back out through the message
+/// into the node's payload pool).
 Context& heap_invoke_local(Node& nd, MethodId callee, GlobalRef target, const Value* args,
-                           std::size_t nargs, Continuation reply_to);
+                           std::size_t nargs, Continuation reply_to, Payload* owned = nullptr);
 
-/// Remote invocation: builds and sends an Invoke message.
+/// Remote invocation: builds and sends an Invoke message. An `owned` payload
+/// (a delivered message's, being re-routed) travels onward unchanged.
 void remote_invoke(Node& nd, MethodId callee, GlobalRef target, const Value* args,
-                   std::size_t nargs, Continuation reply_to);
+                   std::size_t nargs, Continuation reply_to, Payload* owned = nullptr);
+
+/// The parallel path of every invoke entry: chases local forwarding records
+/// (a migrated object's stale name reaches its new home), then sends the
+/// invocation (remote_invoke) or enqueues a heap context for it
+/// (heap_invoke_local). Inline, so each go_parallel calls those directly.
+inline void divert_invoke(Node& nd, MethodId callee, GlobalRef target, const Value* args,
+                          std::size_t nargs, const Continuation& reply_to,
+                          Payload* owned = nullptr) {
+  target = resolve_forwarding(nd, target);
+  if (target.valid() && target.node != nd.id()) {
+    remote_invoke(nd, callee, target, args, nargs, reply_to, owned);
+  } else {
+    heap_invoke_local(nd, callee, target, args, nargs, reply_to, owned);
+  }
+}
 
 }  // namespace concert

@@ -19,6 +19,7 @@
 // schema; thereafter call sites and wrappers must use the matching convention.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -79,6 +80,10 @@ using WaveFn = void (*)(Node& nd, const InvokeWave& w);
 /// Default wave body: loops the method's sequential version over the run
 /// members and replies per member. Defined in core/wrapper.cpp.
 void generic_nb_wave(Node& nd, const InvokeWave& w);
+
+/// Widest multi_return a method may declare (seal() rejects more): every
+/// buffer a call's values land in holds this many.
+inline constexpr std::size_t kMaxReturns = 8;
 
 /// What the app declares per method (the compiler's input facts).
 struct MethodDecl {

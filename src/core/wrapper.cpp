@@ -1,22 +1,11 @@
 #include "core/wrapper.hpp"
 
-#include <chrono>
-#include <vector>
-
 #include "core/invoke.hpp"
 #include "core/registry.hpp"
 
 namespace concert {
 
 namespace {
-// concert-insight site profiling: wall stamps are read only when the profiler
-// is enabled and never enter the cost model.
-inline std::uint64_t site_now_ns() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
-}
-
 /// Records the run_end that closes a wrapper stack run when it leaves scope,
 /// so every return path (and an unwinding check) closes the run.
 struct StackRunEnd {
@@ -43,37 +32,6 @@ CallerInfo proxy_caller_info(const Context& proxy) {
   ci.return_slot = 0;
   return ci;
 }
-
-namespace {
-
-/// The conservative path: allocate a heap context and schedule it.
-/// A message-owned `owned` payload that spilled is swapped into the context
-/// as its out-of-line argument buffer instead of copied; the context's
-/// previous (cleared, capacity-bearing) buffer flows back out through the
-/// message and into the node's payload pool. An inline payload is copied
-/// into the context's block.
-void invoke_via_heap(Node& nd, MethodId method, GlobalRef target, const Value* args,
-                     std::size_t nargs, const Continuation& k, Payload* owned = nullptr) {
-  ++nd.stats.heap_invokes;
-  Context& ctx = nd.alloc_context(method);
-  ctx.self = target;
-  if (owned != nullptr && owned->spilled()) {
-    CONCERT_CHECK(owned->data() == args && owned->size() == nargs,
-                  "owned payload does not match the args span");
-    owned->swap_spill(ctx.arg_buffer());
-    ctx.adopt_args();
-    ++nd.stats.payload_moves;
-  } else {
-    ctx.save_args(args, nargs);
-  }
-  ctx.ret = k;
-  nd.charge(nd.costs().heap_invoke_fixed + nd.costs().save_word * nargs +
-            nd.costs().linkage_install);
-  ctx.status = ContextStatus::Waiting;
-  nd.enqueue(ctx);
-}
-
-}  // namespace
 
 namespace {
 
@@ -120,50 +78,30 @@ void invoke_with_continuation(Node& nd, MethodId method, GlobalRef target, const
                 "invoke of " << nd.registry().info(method).name << " with " << nargs
                              << " args, wants " << de.arg_count);
 
-  // concert-insight: wrapper executions have no declared caller and record
-  // under the "(message)" pseudo-caller (slot 0 of the SiteProfiler). The
-  // invokes/remote counts mirror `count_invocation` exactly so the profile
-  // totals reconcile with local_invokes + remote_invokes.
-  SiteRecord* site = nullptr;
-  if (nd.sites().enabled()) {
-    site = &nd.sites().at(kInvalidMethod, method);
-    if (count_invocation) ++site->invokes;
-  }
-
-  if (target.valid() && target.node != nd.id()) {
-    if (count_invocation) ++nd.stats.remote_invokes;
-    if (site != nullptr) {
-      if (count_invocation) ++site->remote;
-      ++site->diverts;
-    }
-    Payload payload;
-    if (owned != nullptr) {
-      // Re-route: the delivered payload travels onward unchanged.
-      payload = std::move(*owned);
-      ++nd.stats.payload_moves;
+  const bool is_remote = target.valid() && target.node != nd.id();
+  if (count_invocation) {
+    if (is_remote) {
+      ++nd.stats.remote_invokes;
     } else {
-      payload = nd.make_payload(args, nargs);
+      ++nd.stats.local_invokes;
     }
-    nd.send(Message::invoke(nd.id(), target.node, method, target, std::move(payload), k));
-    return;
   }
-  if (count_invocation) ++nd.stats.local_invokes;
+  // concert-insight: wrapper executions have no declared caller and record
+  // under the "(message)" pseudo-caller (slot 0 of the SiteProfiler).
+  SiteProbe site(nd.sites(), kInvalidMethod, method, is_remote, count_invocation);
 
-  if (nd.mode() == ExecMode::ParallelOnly) {
-    if (site != nullptr) ++site->diverts;
-    invoke_via_heap(nd, method, target, args, nargs, k, owned);
-    return;
-  }
-
-  // The handler may not run the method on its stack if the target object is
-  // locked; divert to the scheduler.
-  if (target.valid()) {
+  // The handler runs the method on its stack unless the target is remote
+  // (the message is re-routed), the mode runs no stack version, or the target
+  // object is locked.
+  bool divert = is_remote || nd.mode() == ExecMode::ParallelOnly;
+  if (!divert && target.valid()) {
     nd.charge(nd.costs().lock_check);
-    if (nd.objects().locked(target)) {
-      if (site != nullptr) ++site->diverts;
-      invoke_via_heap(nd, method, target, args, nargs, k, owned);
-      return;
-    }
+    divert = nd.objects().locked(target);
+  }
+  if (divert) {
+    site.divert();
+    divert_invoke(nd, method, target, args, nargs, k, owned);
+    return;
   }
 
   // The exported interface deliberately keeps the *global* effective schema:
@@ -174,82 +112,49 @@ void invoke_with_continuation(Node& nd, MethodId method, GlobalRef target, const
   const Schema schema = de.schema;
   charge_seq_call(nd, schema);
   ++nd.stats.stack_calls;
-  std::uint64_t site_t0 = 0;
-  if (site != nullptr) {
-    ++site->attempts;
-    site_t0 = site_now_ns();
-  }
-  const auto site_hit = [&] {
-    if (site != nullptr) {
-      ++site->nb_hits;
-      site->stack_ns.record(site_now_ns() - site_t0);
-    }
-  };
-  const auto site_fell_back = [&] {
-    if (site != nullptr) {
-      ++site->fallbacks;
-      site->fallback_ns.record(site_now_ns() - site_t0);
-    }
-  };
+  site.attempt();
   nd.trace<TraceKind::StackRun>(method);
   const StackRunEnd run_end{nd, method};
   // Inclusive wall latency of the stack execution (records on every return
   // path below); a no-op when metrics are off.
   ScopedInvokeLatency lat(nd.metrics(), method);
 
-  Value rv[8];
-  switch (schema) {
-    case Schema::NonBlocking: {
-      const bool locked_here = acquire_implicit_lock(nd, de, method, target);
-      Context* fbk = de.seq(nd, rv, CallerInfo::none(), target, args, nargs);
-      CONCERT_CHECK(fbk == nullptr, "non-blocking method " << nd.registry().info(method).name
-                                                           << " fell back");
-      if (locked_here) release_implicit_lock(nd, target);
+  Value rv[kMaxReturns];
+  if (schema == Schema::ContinuationPassing) {
+    Context& proxy = make_proxy_context(nd, k);
+    Context* fbk = de.seq(nd, rv, proxy_caller_info(proxy), target, args, nargs);
+    site.end(fbk == nullptr);
+    if (fbk == nullptr) {
+      // The method replied by storing through return_val: forward the value
+      // to the original caller; the continuation was never materialized.
       ++nd.stats.stack_completions;
-      site_hit();
-      // A purely reactive invocation carries no continuation; otherwise pass
-      // the return value(s) to the waiting future(s).
-      nd.reply_to_multi(k, rv, de.multi_return);
-      return;
+      nd.reply_to(k, rv[0]);
+    } else {
+      // The continuation was extracted from the proxy (stored, forwarded,
+      // or attached to a suspended context); the reply obligation has moved.
+      CONCERT_CHECK(fbk == &proxy, "CP wrapper got a foreign holder context");
     }
-    case Schema::MayBlock: {
-      const bool locked_here = acquire_implicit_lock(nd, de, method, target);
-      Context* fbk = de.seq(nd, rv, CallerInfo::none(), target, args, nargs);
-      if (fbk == nullptr) {
-        if (locked_here) release_implicit_lock(nd, target);
-        ++nd.stats.stack_completions;
-        site_hit();
-        nd.reply_to_multi(k, rv, de.multi_return);
-      } else {
-        site_fell_back();
-        if (locked_here) fbk->holds_lock = true;
-        // Place the continuation in the callee's context in case the method
-        // suspended (Fig. 8, May-block row).
-        nd.charge(nd.costs().linkage_install);
-        fbk->ret = k;
-      }
-      return;
-    }
-    case Schema::ContinuationPassing: {
-      Context& proxy = make_proxy_context(nd, k);
-      const CallerInfo ci = proxy_caller_info(proxy);
-      Context* fbk = de.seq(nd, rv, ci, target, args, nargs);
-      if (fbk == nullptr) {
-        // The method replied by storing through return_val: forward the value
-        // to the original caller; the continuation was never materialized.
-        ++nd.stats.stack_completions;
-        site_hit();
-        nd.reply_to(k, rv[0]);
-      } else {
-        // The continuation was extracted from the proxy (stored, forwarded,
-        // or attached to a suspended context); the reply obligation has moved.
-        site_fell_back();
-        CONCERT_CHECK(fbk == &proxy, "CP wrapper got a foreign holder context");
-      }
-      nd.free_context(proxy);
-      return;
-    }
+    nd.free_context(proxy);
+    return;
   }
+  const bool locked_here = acquire_implicit_lock(nd, de, method, target);
+  Context* fbk = de.seq(nd, rv, kNoCaller, target, args, nargs);
+  CONCERT_CHECK(fbk == nullptr || schema == Schema::MayBlock,
+                "non-blocking method " << nd.registry().info(method).name << " fell back");
+  site.end(fbk == nullptr);
+  if (fbk == nullptr) {
+    if (locked_here) release_implicit_lock(nd, target);
+    ++nd.stats.stack_completions;
+    // A purely reactive invocation carries no continuation; otherwise pass
+    // the return value(s) to the waiting future(s).
+    nd.reply_to_multi(k, rv, de.multi_return);
+    return;
+  }
+  if (locked_here) fbk->holds_lock = true;
+  // Place the continuation in the callee's context in case the method
+  // suspended (Fig. 8, May-block row).
+  nd.charge(nd.costs().linkage_install);
+  fbk->ret = k;
 }
 
 void generic_nb_wave(Node& nd, const InvokeWave& w) {
@@ -258,9 +163,9 @@ void generic_nb_wave(Node& nd, const InvokeWave& w) {
   // at run-partition time) guarantees every member is non-blocking, unlocked
   // and local, so there is no fallback path and no implicit-lock bracket.
   const DispatchEntry& de = nd.dispatch(w.method);
-  Value rv[8];
+  Value rv[kMaxReturns];
   for (std::size_t i = 0; i < w.count; ++i) {
-    Context* fbk = de.seq(nd, rv, CallerInfo::none(), w.targets[i], w.args[i], w.nargs[i]);
+    Context* fbk = de.seq(nd, rv, kNoCaller, w.targets[i], w.args[i], w.nargs[i]);
     CONCERT_CHECK(fbk == nullptr, "non-blocking method " << nd.registry().info(w.method).name
                                                          << " fell back inside a wave");
     nd.reply_to_multi(w.replies[i], rv, de.multi_return);

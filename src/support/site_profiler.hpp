@@ -15,6 +15,10 @@
 // and recording happens outside the simulated cost model, so enabling the
 // profiler never changes clocks or paper tables (test-guarded).
 //
+// Every invoke entry (Frame::call's general path and ParFrame::spawn,
+// Frame::forward, the wrapper) records through one SiteProbe; merged waves
+// add their whole batch to the record at once (node.cpp).
+//
 // Two paths have no declared caller and record under reserved pseudo-callers:
 //   - kInvalidMethod ("(message)"): the wrapper path — a method invoked by an
 //     arriving message runs with no stack caller (core/wrapper.cpp), and
@@ -26,6 +30,7 @@
 //   sum(remote)              == stats.remote_invokes
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -80,8 +85,9 @@ class SiteProfiler {
   bool enabled() const { return enabled_; }
 
   /// Slot 0 is the "(message)" pseudo-caller (caller == kInvalidMethod);
-  /// declared callers live at caller + 1.
-  SiteRecord& at(MethodId caller, MethodId callee) {
+  /// declared callers live at caller + 1. Never inlined: only a profiled run
+  /// looks a record up, and a SiteProbe stays one inline branch without it.
+  [[gnu::noinline]] SiteRecord& at(MethodId caller, MethodId callee) {
     const std::size_t c = caller == kInvalidMethod ? 0 : static_cast<std::size_t>(caller) + 1;
     if (c >= by_caller_.size()) by_caller_.resize(c + 1);
     std::vector<SiteRecord>& sites = by_caller_[c];
@@ -97,6 +103,58 @@ class SiteProfiler {
  private:
   bool enabled_ = false;
   std::vector<std::vector<SiteRecord>> by_caller_;
+};
+
+/// One invocation's updates to its call-site record. Inert when the profiler
+/// is off: a null record, no clock reads.
+class SiteProbe {
+ public:
+  /// Counts the invocation at the edge caller -> callee. `counted` is false
+  /// when the sender already counted it (a delivered message), so the totals
+  /// mirror local_invokes + remote_invokes.
+  SiteProbe(SiteProfiler& profiler, MethodId caller, MethodId callee, bool remote,
+            bool counted = true)
+      : site_(profiler.enabled() ? &profiler.at(caller, callee) : nullptr) {
+    if (site_ != nullptr && counted) {
+      ++site_->invokes;
+      if (remote) ++site_->remote;
+    }
+  }
+
+  /// The invocation went to the heap or another node without a stack attempt.
+  void divert() {
+    if (site_ != nullptr) ++site_->diverts;
+  }
+  /// A stack attempt begins.
+  void attempt() {
+    if (site_ == nullptr) return;
+    ++site_->attempts;
+    t0_ = now_ns();
+  }
+  /// The attempt completed on the stack (`hit`) or fell back.
+  void end(bool hit) {
+    if (site_ == nullptr) return;
+    const std::uint64_t ns = now_ns() - t0_;
+    if (hit) {
+      ++site_->nb_hits;
+      site_->stack_ns.record(ns);
+    } else {
+      ++site_->fallbacks;
+      site_->fallback_ns.record(ns);
+    }
+  }
+
+ private:
+  // Wall stamps are read only when the profiler is enabled and never enter
+  // the cost model.
+  static std::uint64_t now_ns() {
+    return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                          std::chrono::steady_clock::now().time_since_epoch())
+                                          .count());
+  }
+
+  SiteRecord* site_;
+  std::uint64_t t0_ = 0;
 };
 
 }  // namespace concert

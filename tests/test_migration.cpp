@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/seqbench/seqbench.hpp"
+#include "core/invoke.hpp"
 #include "machine/sim_machine.hpp"
 #include "objects/migration.hpp"
 #include "test_util.hpp"
@@ -132,6 +133,62 @@ TEST(Migration, LocalityAdaptsAfterMigration) {
   // Only the seed message; the invocation itself was a local stack call.
   EXPECT_EQ(w.machine->total_stats().msgs_sent - base, 1u);
 }
+
+// ---- forwarding to a migrated object ----
+
+MethodId g_relay = kInvalidMethod;
+MethodId g_read = kInvalidMethod;
+
+/// CP (a forwarding target): replies with the int64 object it targets.
+Context* read_seq(Node& nd, Value* ret, const CallerInfo&, GlobalRef self, const Value*,
+                  std::size_t) {
+  *ret = Value(nd.objects().get<std::int64_t>(self));
+  return nullptr;
+}
+void read_par(Node& nd, Context& ctx) {
+  ParFrame(nd, ctx).complete(Value(nd.objects().get<std::int64_t>(ctx.self)));
+}
+
+/// CP: forwards its continuation to `read` of the object named by args[0].
+Context* relay_seq(Node& nd, Value* ret, const CallerInfo& ci, GlobalRef self,
+                   const Value* args, std::size_t nargs) {
+  Frame f(nd, g_relay, self, ci, args, nargs);
+  return f.forward(g_read, args[0].as_ref(), {}, ret);
+}
+void relay_par(Node&, Context&) { CONCERT_UNREACHABLE("relay went parallel"); }
+
+class ForwardToMigrated : public ::testing::TestWithParam<ExecMode> {};
+
+TEST_P(ForwardToMigrated, ReachesTheMovedObject) {
+  SimMachine m(2, test_config(GetParam()));
+  MethodDecl d;
+  d.name = "read";
+  d.seq = read_seq;
+  d.par = read_par;
+  g_read = m.registry().declare(d);
+  d = MethodDecl{};
+  d.name = "relay";
+  d.seq = relay_seq;
+  d.par = relay_par;
+  d.arg_count = 1;
+  g_relay = m.registry().declare(d);
+  m.registry().add_callee(g_relay, g_read, /*forwards=*/true);
+  m.registry().finalize();
+  ASSERT_EQ(m.registry().schema(g_read), Schema::ContinuationPassing);
+
+  auto [stale, obj] = m.node(0).objects().create<std::int64_t>(1, 42);
+  (void)obj;
+  const GlobalRef moved = migrate_object<std::int64_t>(m, stale, 1);
+  m.node(1).objects().get<std::int64_t>(moved) = 7;
+  // relay runs on node 0 and forwards through the stale local name: the
+  // forward must chase the forwarding record to node 1, not read the copy
+  // the migration left behind.
+  EXPECT_EQ(m.run_main(0, g_relay, kNoObject, {Value(stale)}).as_i64(), 7);
+  EXPECT_EQ(m.live_contexts(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ForwardToMigrated,
+                         ::testing::Values(ExecMode::Hybrid3, ExecMode::Hybrid1));
 
 }  // namespace
 }  // namespace concert

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "apps/sor/sor.hpp"
 #include "machine/sim_machine.hpp"
@@ -173,6 +174,26 @@ TEST(SorInjection, FallbackStormStaysExact) {
   const auto want = sor::reference(p);
   for (std::size_t k = 0; k < got.size(); ++k) ASSERT_DOUBLE_EQ(got[k], want[k]);
   EXPECT_EQ(r.machine->live_contexts(), 0u);
+}
+
+TEST(SorFrame, RejectsADriverFrameOverTheSlotLimit) {
+  // One node owns all 298 * 298 interior cells: its driver frame would need
+  // one ack slot per cell, more than a frame can address.
+  const sor::Params p{300, 1, 8, 1};
+  SimMachine m(p.nodes(), MachineConfig{});
+  try {
+    sor::register_sor(m.registry(), p);
+    ADD_FAILURE() << "no ProtocolError thrown";
+  } catch (const ProtocolError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sor driver on node 0 spawns 88804 invocations in one phase, over the "
+                        "limit of " +
+                        std::to_string(Context::kMaxSlots - 2)),
+              std::string::npos)
+        << what;
+  }
+  // Rejected before anything was declared.
+  EXPECT_EQ(m.registry().size(), 0u);
 }
 
 }  // namespace
