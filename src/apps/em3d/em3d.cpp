@@ -265,9 +265,8 @@ Context* fwd_seq(Node& nd, Value* ret, const CallerInfo& ci, GlobalRef self, con
     return nullptr;
   }
   // Forward the remainder (value + unconsumed entries) to the next node.
-  std::vector<Value> rest;
-  rest.reserve(nargs - k + 1);
-  rest.push_back(args[0]);
+  std::vector<Value>& rest = c.fwd_rest;
+  rest.assign(args, args + 1);
   rest.insert(rest.end(), args + k, args + nargs);
   const GlobalRef next = c.container_of(static_cast<std::uint32_t>(args[k].as_i64()));
   Frame f(nd, g_fwd, self, ci, args, nargs);
@@ -283,9 +282,8 @@ void fwd_par(Node& nd, Context& ctx) {
     nd.reply_to(reply, Value(1));
     return;
   }
-  std::vector<Value> rest;
-  rest.reserve(ctx.args.size() - k + 1);
-  rest.push_back(ctx.args[0]);
+  std::vector<Value>& rest = c.fwd_rest;
+  rest.assign(ctx.args.begin(), ctx.args.begin() + 1);
   rest.insert(rest.end(), ctx.args.begin() + static_cast<std::ptrdiff_t>(k), ctx.args.end());
   const GlobalRef next = c.container_of(static_cast<std::uint32_t>(ctx.args[k].as_i64()));
   nd.free_context(ctx);

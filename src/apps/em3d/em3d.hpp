@@ -142,6 +142,9 @@ struct NodeContainer {
   std::vector<Consumer> consumers;
   std::vector<GlobalRef> containers;  ///< machine node -> its container (P entries)
   GlobalRef barrier;
+  /// A forward hop's remainder, rebuilt per hop: the hop's invocation copies
+  /// it into the message before the next hop can run on this node.
+  std::vector<Value> fwd_rest;
 
   /// The container owning graph id `id`.
   GlobalRef container_of(std::uint32_t id) const { return containers[nodes.home_of(id)]; }

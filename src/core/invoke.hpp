@@ -128,6 +128,8 @@ class Frame {
   Frame(Node& nd, MethodId my_method, GlobalRef self, const CallerInfo& my_ci,
         const Value* args, std::size_t nargs)
       : nd_(nd), method_(my_method), self_(self), ci_(my_ci), args_(args), nargs_(nargs) {}
+  /// The frame keeps a reference to its CallerInfo: a temporary would dangle.
+  Frame(Node&, MethodId, GlobalRef, CallerInfo&&, const Value*, std::size_t) = delete;
 
   Frame(const Frame&) = delete;
   Frame& operator=(const Frame&) = delete;

@@ -7,7 +7,8 @@ namespace concert {
 
 namespace {
 /// Records the run_end that closes a wrapper stack run when it leaves scope,
-/// so every return path (and an unwinding check) closes the run.
+/// so every return path (and an unwinding check) closes the run, in the
+/// trace and in the metrics sink.
 struct StackRunEnd {
   Node& nd;
   MethodId method;
@@ -115,9 +116,6 @@ void invoke_with_continuation(Node& nd, MethodId method, GlobalRef target, const
   site.attempt();
   nd.trace<TraceKind::StackRun>(method);
   const StackRunEnd run_end{nd, method};
-  // Inclusive wall latency of the stack execution (records on every return
-  // path below); a no-op when metrics are off.
-  ScopedInvokeLatency lat(nd.metrics(), method);
 
   Value rv[kMaxReturns];
   if (schema == Schema::ContinuationPassing) {

@@ -21,16 +21,6 @@ const char* crit_kind_name(CritKind k) {
 
 namespace {
 
-double display_ts(const TraceDump& dump, const TraceRecord& r) {
-  return dump.wall_time ? static_cast<double>(r.wall_ns) / 1e3
-                        : static_cast<double>(r.clock) * dump.us_per_insn;
-}
-
-std::string method_name_of(const TraceDump& dump, MethodId m) {
-  if (m == kInvalidMethod || m >= dump.method_names.size()) return "(root)";
-  return dump.method_names[m];
-}
-
 /// Batch-level annotations (drains, parks, and waves no run_end closes) mark
 /// no causal step of their own. Walking through them would let a drain
 /// recorded between a send and its receive outrank the send as the
@@ -38,15 +28,6 @@ std::string method_name_of(const TraceDump& dump, MethodId m) {
 /// them.
 bool annotation(TraceKind k) {
   return k == TraceKind::InboxDrain || k == TraceKind::WaveRun || k == TraceKind::Park;
-}
-
-/// A run opens at a dispatch, a wrapper stack run or a wave, and closes at
-/// the matching end record on the same node.
-bool opens_run(TraceKind k) {
-  return k == TraceKind::DispatchBegin || k == TraceKind::StackRun || k == TraceKind::WaveRun;
-}
-bool closes_run(TraceKind begin, TraceKind end) {
-  return end == (begin == TraceKind::DispatchBegin ? TraceKind::DispatchEnd : TraceKind::RunEnd);
 }
 
 }  // namespace
@@ -57,60 +38,24 @@ CritPathReport analyze_critical_path(const TraceDump& dump) {
   if (n_ev == 0) return rep;
 
   std::vector<double> ts(n_ev);
-  for (std::size_t i = 0; i < n_ev; ++i) ts[i] = display_ts(dump, dump.events[i].rec);
+  for (std::size_t i = 0; i < n_ev; ++i) ts[i] = dump.display_us(dump.events[i].rec);
 
-  // Runs. Each begin is paired with the end that closes it on its node; runs
-  // nest (a dispatch or a stack run may invoke a local method through the
-  // wrapper path). run_of[i] is the begin of the innermost closed run that
-  // event i lies in, after the begin and up to the end (n_ev: none); every
-  // program-order hop inside a run is that run's compute. run_self holds
-  // each method's runs' self time, nested runs excluded.
+  // Runs (trace_runs pairs them; they nest). run_of[i] is the begin of the
+  // innermost closed run that event i lies in, after the begin and up to
+  // the end (n_ev: none); every program-order hop inside a run is that
+  // run's compute. run_self holds each method's runs' self time, nested
+  // runs excluded.
   std::vector<std::size_t> run_of(n_ev, n_ev);
   std::vector<bool> closed(n_ev, false);
   std::unordered_map<MethodId, double> run_self;
-  {
-    std::vector<std::vector<std::size_t>> all_by_node(dump.node_count);
-    for (std::size_t i = 0; i < n_ev; ++i) {
-      const NodeId nd = dump.events[i].node;
-      if (nd >= all_by_node.size()) all_by_node.resize(nd + 1);
-      all_by_node[nd].push_back(i);
+  for (const TraceRun& run : trace_runs(dump)) {
+    const NodeId nd = dump.events[run.begin].node;
+    closed[run.begin] = true;
+    // Inner runs close first, so the innermost claims each event.
+    for (std::size_t j = run.begin + 1; j <= run.end; ++j) {
+      if (dump.events[j].node == nd && run_of[j] == n_ev) run_of[j] = run.begin;
     }
-    struct Open {
-      std::size_t at;  ///< position of the begin in its node's list
-      double nested_us = 0.0;
-    };
-    std::vector<Open> open;
-    for (const std::vector<std::size_t>& evs : all_by_node) {
-      open.clear();
-      for (std::size_t k = 0; k < evs.size(); ++k) {
-        const TraceKind kind = dump.events[evs[k]].rec.kind;
-        if (opens_run(kind)) {
-          open.push_back(Open{k});
-          continue;
-        }
-        if (kind == TraceKind::DispatchEnd) {
-          // A stack or wave run still open inside a dispatch was never
-          // closed (a trace written before run_end existed).
-          while (!open.empty() &&
-                 dump.events[evs[open.back().at]].rec.kind != TraceKind::DispatchBegin) {
-            open.pop_back();
-          }
-        }
-        if (open.empty() || !closes_run(dump.events[evs[open.back().at]].rec.kind, kind)) {
-          continue;
-        }
-        const Open run = open.back();
-        open.pop_back();
-        const std::size_t begin = evs[run.at];
-        closed[begin] = true;
-        for (std::size_t j = run.at + 1; j <= k; ++j) {
-          if (run_of[evs[j]] == n_ev) run_of[evs[j]] = begin;
-        }
-        const double us = ts[evs[k]] - ts[begin];
-        run_self[dump.events[begin].rec.method] += us - run.nested_us;
-        if (!open.empty()) open.back().nested_us += us;
-      }
-    }
+    run_self[dump.events[run.begin].rec.method] += ts[run.end] - ts[run.begin] - run.nested_us;
   }
 
   // Flatten: per-node program-order index lists, and each event's position
@@ -264,7 +209,7 @@ CritPathReport analyze_critical_path(const TraceDump& dump) {
   }
 
   for (auto& [m, row] : methods) {
-    row.name = method_name_of(dump, m);
+    row.name = dump.method_name(m);
     rep.methods.push_back(row);
   }
   std::sort(rep.methods.begin(), rep.methods.end(), [](const auto& a, const auto& b) {
@@ -330,7 +275,7 @@ void write_critpath_json(const CritPathReport& r, const TraceDump& dump, std::os
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\"kind\": \"" << crit_kind_name(s.kind) << "\", \"from_node\": " << s.from_node
        << ", \"node\": " << s.node << ", \"method\": \""
-       << json_escape(method_name_of(dump, s.method)) << "\", \"t0_us\": " << s.t0_us
+       << json_escape(dump.method_name(s.method)) << "\", \"t0_us\": " << s.t0_us
        << ", \"t1_us\": " << s.t1_us << "}";
   }
   os << (r.path.empty() ? "]" : "\n  ]") << "\n}\n";
@@ -388,7 +333,7 @@ void write_critpath_chrome(const CritPathReport& r, const TraceDump& dump, std::
     slice.cat = crit_kind_name(s.kind);
     slice.name = crit_kind_name(s.kind);
     if (s.method != kInvalidMethod) {
-      slice.name.append(":").append(method_name_of(dump, s.method));
+      slice.name.append(":").append(dump.method_name(s.method));
     }
     if (s.kind == CritKind::Network) {
       slice.name.append(" ").append(std::to_string(s.from_node)).append("->");

@@ -87,24 +87,18 @@ std::string Machine::stall_report() const {
   os << "stall report (" << nodes_.size() << " nodes):\n";
   for (NodeId n = 0; n < nodes_.size(); ++n) {
     const Node& nd = *nodes_[n];
+    const std::vector<const Context*> susp = nd.suspended_contexts();
     os << "  node " << n << ": ready=" << nd.ready_count() << " outbox=" << nd.outbox_pending()
-       << " live_ctx=" << nd.arena().live_count();
+       << " live_ctx=" << nd.arena().live_count() << " suspended=" << susp.size();
+    for (const Context* ctx : susp) {
+      os << "\n    ctx " << n << ":" << ctx->id << " in "
+         << method_name_or_id(registry_.methods(), ctx->method) << " (flow " << ctx->trace_flow
+         << ")";
+    }
     const verify::VerifyRecorder& rec = nd.verifier;
-    if (rec.enabled()) {
-      // Deterministic order: the suspended table is hash-ordered.
-      std::vector<std::pair<ContextId, verify::VerifyRecorder::SuspendedCtx>> susp(
-          rec.suspended().begin(), rec.suspended().end());
-      std::sort(susp.begin(), susp.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      os << " suspended=" << susp.size();
-      for (const auto& [id, sc] : susp) {
-        os << "\n    ctx " << n << ":" << id << " in "
-           << method_name_or_id(registry_.methods(), sc.method) << " (flow " << sc.flow << ")";
-      }
-      if (!rec.vclock().empty()) {
-        os << "\n    vclock frontier:";
-        for (std::uint32_t c : rec.vclock()) os << " " << c;
-      }
+    if (rec.enabled() && !rec.vclock().empty()) {
+      os << "\n    vclock frontier:";
+      for (std::uint32_t c : rec.vclock()) os << " " << c;
     }
     os << "\n";
   }

@@ -36,10 +36,12 @@ struct MachineConfig {
   /// bound.
   std::size_t trace_capacity = std::size_t{1} << 20;
   /// concert-scope latency/queue-depth histograms: per-method invocation
-  /// latency, inbox depth at drain, context lifetime, outbox flush size.
-  /// One branch per hot-path site when off; steady_clock stamps when on.
-  /// Recording is outside the cost model either way, so simulated clocks,
-  /// message counts and the paper tables are bit-identical with it on or off.
+  /// latency, inbox depth at drain, context lifetime, outbox flush and wave
+  /// size. NodeMetrics is a sink of Node::trace: each run the trace pairs is
+  /// one latency record, whether or not `trace` is on. One branch per
+  /// metered trace site when off; steady_clock stamps when on. Recording is
+  /// outside the cost model either way, so simulated clocks, message counts
+  /// and the paper tables are bit-identical with it on or off.
   bool metrics = false;
   /// Ablation A2: when false, futures are modeled as separately allocated
   /// (one extra memory indirection charged on every touch and fill, as in
@@ -80,7 +82,7 @@ struct MachineConfig {
   /// Merged-wave dispatch: after an inbox drain, maximal contiguous runs of
   /// same-method non-blocking invocations execute as ONE loop over a
   /// struct-of-arrays view of the drained messages (one dispatch lookup, one
-  /// receive charge, one tracer/metrics bracket per run; per-element costs
+  /// receive charge, one wave_run record and latency sample per run; per-element costs
   /// collapse to CostModel::wave_member). Delivery order inside a run is the
   /// drain order, so per-channel FIFO and per-object order are untouched.
   /// Off by default — with it off, the merged path is never entered and every

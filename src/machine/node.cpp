@@ -7,6 +7,33 @@
 
 namespace concert {
 
+void NodeMetrics::note(TraceKind kind, MethodId method, std::uint32_t arg) {
+  switch (kind) {
+    case TraceKind::WaveRun:
+      wave_size.record(arg);
+      [[fallthrough]];
+    case TraceKind::DispatchBegin:
+    case TraceKind::StackRun:
+      open_runs.push_back(OpenRun{method, std::chrono::steady_clock::now()});
+      break;
+    case TraceKind::DispatchEnd:
+    case TraceKind::RunEnd: {
+      if (open_runs.empty()) break;
+      const OpenRun run = open_runs.back();
+      open_runs.pop_back();
+      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - run.t0)
+                          .count();
+      invoke_latency_ns.record(static_cast<std::uint64_t>(ns));
+      method_latency(run.method).record(static_cast<std::uint64_t>(ns));
+      break;
+    }
+    case TraceKind::InboxDrain: inbox_depth.record(arg); break;
+    case TraceKind::OutboxFlush: flush_size.record(arg); break;
+    default: break;
+  }
+}
+
 Node::Node(NodeId id, Machine& machine)
     : id_(id),
       machine_(machine),
@@ -113,8 +140,18 @@ void Node::free_context(Context& ctx) {
     const std::uint64_t now = machine_.wall_now_ns();
     metrics_->ctx_lifetime_ns.record(now > ctx.born_ns ? now - ctx.born_ns : 0);
   }
-  verifier.record_ctx_free(ctx.id);
   arena_.free(ctx);
+}
+
+std::vector<const Context*> Node::suspended_contexts() const {
+  std::vector<const Context*> out;
+  for (ContextId id = 0; id < arena_.capacity(); ++id) {
+    const Context* ctx = arena_.try_resolve_any_gen(id);
+    if (ctx != nullptr && ctx->status == ContextStatus::Waiting && ctx->join > 0) {
+      out.push_back(ctx);
+    }
+  }
+  return out;
 }
 
 void Node::enqueue(Context& ctx) {
@@ -142,17 +179,11 @@ void Node::suspend(Context& ctx) {
     // context suspends again later.
     if (tracer.enabled()) ctx.trace_flow = machine_.next_trace_cause();
     trace<TraceKind::Suspend>(ctx.method, ctx.id, ctx.trace_flow);
-    // After the tracer so the entry carries this suspension's flow id; the
-    // join==0 fast path above and run_one's deadlock quarantine are
-    // deliberately untracked (the former resumes immediately, the latter is
-    // already reported as ReentrantAcquire).
-    verifier.record_suspend(ctx.id, ctx.method, ctx.trace_flow);
   }
 }
 
 void Node::resume(Context& ctx) {
   ++stats.resumptions;
-  verifier.record_resume(ctx.id);
   trace<TraceKind::Resume>(ctx.method, ctx.id, ctx.trace_flow);
   if (fallback_policy() == FallbackPolicy::AlwaysRetrySequential && ctx.reverted) {
     // Ablation A1: this policy re-runs the method on the stack at every
@@ -215,11 +246,7 @@ bool Node::run_one() {
   trace<TraceKind::DispatchBegin>(method, ctx.id);
   const ParStep par = dispatch(method).par;
   CONCERT_CHECK(par != nullptr, "context " << ctx.ref() << " has no parallel version");
-  {
-    // The step may free ctx; the latency probe keys on the saved method id.
-    ScopedInvokeLatency lat(metrics_.get(), method);
-    par(*this, ctx);
-  }
+  par(*this, ctx);  // may free ctx: the end record keys on the saved method id
   trace<TraceKind::DispatchEnd>(method);
   return true;
 }
@@ -304,7 +331,6 @@ void Node::flush_outbox(NodeId dst) {
   stats.bytes_sent += out.size_bytes();
   ++stats.outbox_flushes;
   stats.record_bundle(n);
-  if (metrics_) metrics_->flush_size.record(n);
   if (n > 1) {
     ++stats.bundles_sent;
     stats.msgs_coalesced += n;
@@ -473,23 +499,18 @@ void Node::execute_wave() {
     site.attempts += n;
     site.nb_hits += n;
   }
-  if (metrics_) metrics_->wave_size.record(n);
-  {
-    // One latency bracket for the whole run (the per-message path records one
-    // per invocation; the wave's single record is the amortization at work).
-    ScopedInvokeLatency lat(metrics_.get(), method);
-    // Under verify the members run one at a time (stride 1), each after
-    // joining its sender's clock, so the sanitizer observes the same
-    // interleaving of delivery joins and reply stamps as one-by-one
-    // delivery. Verification is outside the cost model; the charges above
-    // are untouched.
-    const std::size_t stride = verifier.enabled() ? 1 : n;
-    for (std::size_t i = 0; i < n; i += stride) {
-      verify_delivery(*wave_msgs_[i]);
-      de.wave(*this, InvokeWave{method, stride, wave_targets_.data() + i, wave_args_.data() + i,
-                                wave_nargs_.data() + i, wave_replies_.data() + i});
-    }
+  // Under verify the members run one at a time (stride 1), each after
+  // joining its sender's clock, so the sanitizer observes the same
+  // interleaving of delivery joins and reply stamps as one-by-one delivery.
+  // Verification is outside the cost model; the charges above are untouched.
+  const std::size_t stride = verifier.enabled() ? 1 : n;
+  for (std::size_t i = 0; i < n; i += stride) {
+    verify_delivery(*wave_msgs_[i]);
+    de.wave(*this, InvokeWave{method, stride, wave_targets_.data() + i, wave_args_.data() + i,
+                              wave_nargs_.data() + i, wave_replies_.data() + i});
   }
+  // One latency record for the whole run (the per-message path records one
+  // per invocation; the wave's single record is the amortization at work).
   trace<TraceKind::RunEnd>(method);
   for (Message* m : wave_msgs_) recycle_payload(m->args);
 }
@@ -544,7 +565,6 @@ std::size_t Node::drain_inbox(std::vector<Message>& out, std::size_t max) {
 void Node::note_inbox_batch(std::size_t n) {
   stats.record_inbox_batch(n);
   trace<TraceKind::InboxDrain>(kInvalidMethod, static_cast<std::uint32_t>(n));
-  if (metrics_) metrics_->inbox_depth.record(n);
 }
 
 void Node::park_inbox(std::chrono::microseconds timeout) {

@@ -43,11 +43,12 @@ namespace concert {
 class Machine;
 
 /// Per-node histogram recorders (concert-scope), allocated only when
-/// MachineConfig::metrics is on — the disabled cost at every recording site
-/// is a single null check. Touched only by the owning node's thread; merged
-/// across nodes at export time (export_metrics).
+/// MachineConfig::metrics is on. A sink of Node::trace: every metered event
+/// reaches note(), so the disabled cost at each site is the one null check
+/// in trace(). Touched only by the owning node's thread; merged across nodes
+/// at export time (export_metrics).
 struct NodeMetrics {
-  Histogram invoke_latency_ns;  ///< Every timed invocation (dispatch steps + stack runs).
+  Histogram invoke_latency_ns;  ///< Every closed run: dispatch steps, stack runs and waves.
   Histogram inbox_depth;        ///< Messages drained per non-empty inbox batch.
   Histogram ctx_lifetime_ns;    ///< Context allocation -> free wall time.
   Histogram flush_size;         ///< Staged messages per outbox flush.
@@ -58,6 +59,23 @@ struct NodeMetrics {
     return per_method[m];
   }
   std::vector<Histogram> per_method;
+  /// The runs open on this node, innermost last. A run's end closes the
+  /// innermost and records its latency.
+  struct OpenRun {
+    MethodId method;
+    std::chrono::steady_clock::time_point t0;
+  };
+  std::vector<OpenRun> open_runs;
+
+  /// The trace kinds note() consumes.
+  static constexpr bool meters(TraceKind k) {
+    return k == TraceKind::DispatchBegin || k == TraceKind::DispatchEnd ||
+           k == TraceKind::StackRun || k == TraceKind::WaveRun || k == TraceKind::RunEnd ||
+           k == TraceKind::InboxDrain || k == TraceKind::OutboxFlush;
+  }
+  /// Node::trace's sink: a run begin opens a run, a dispatch end or run end
+  /// closes the innermost, and a drain, flush or wave records its size `arg`.
+  void note(TraceKind kind, MethodId method, std::uint32_t arg);
 };
 
 /// Periodic queue-depth samples for one node (concert-insight). Engines call
@@ -77,32 +95,6 @@ struct HealthStats {
     outbox_depth.record(outbox);
     live_ctx.record(live);
   }
-};
-
-/// RAII invocation-latency probe: stamps steady_clock on entry and records
-/// the inclusive wall time under the method's histogram on scope exit. A
-/// null `metrics` makes both ends a single branch.
-class ScopedInvokeLatency {
- public:
-  ScopedInvokeLatency(NodeMetrics* metrics, MethodId method) : mx_(metrics), method_(method) {
-    if (mx_ != nullptr) t0_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedInvokeLatency() {
-    if (mx_ == nullptr) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0_)
-                        .count();
-    const std::uint64_t v = static_cast<std::uint64_t>(ns);
-    mx_->invoke_latency_ns.record(v);
-    mx_->method_latency(method_).record(v);
-  }
-  ScopedInvokeLatency(const ScopedInvokeLatency&) = delete;
-  ScopedInvokeLatency& operator=(const ScopedInvokeLatency&) = delete;
-
- private:
-  NodeMetrics* mx_;
-  MethodId method_;
-  std::chrono::steady_clock::time_point t0_{};
 };
 
 class Node {
@@ -170,6 +162,11 @@ class Node {
   void free_context(Context& ctx);
   ContextArena& arena() { return arena_; }
   const ContextArena& arena() const { return arena_; }
+  /// The live contexts suspended on futures (Waiting with join > 0), in id
+  /// order: what POSTMORTEM.json, the stall report and the conformance
+  /// sanitizer list. Read only while the node is not running; contexts
+  /// quarantined by run_one have join 0 and are not listed.
+  std::vector<const Context*> suspended_contexts() const;
 
   // ---- payload buffers ----
   /// Builds the payload of an outgoing message from `n` values; every send
@@ -368,9 +365,13 @@ class Node {
   /// only when MachineConfig::trace is on (trace.hpp). The kind is a template
   /// argument so that test folds away at compile time. `arg` is the kind's
   /// payload; `cause` links flow pairs (send/recv, suspend/resume) and is
-  /// nonzero only when tracing. Never charges the cost model.
+  /// nonzero only when tracing. The metered kinds also reach the metrics
+  /// sink when MachineConfig::metrics is on. Never charges the cost model.
   template <TraceKind K>
   void trace(MethodId method, std::uint32_t arg = 0, std::uint64_t cause = 0) {
+    if constexpr (NodeMetrics::meters(K)) {
+      if (metrics_ != nullptr) [[unlikely]] metrics_->note(K, method, arg);
+    }
     if constexpr (!trace_kind_coarse(K)) {
       if (!tracer.enabled()) return;
     }

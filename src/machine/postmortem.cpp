@@ -5,15 +5,15 @@
 // to anything that wants to *parse* the failure. write_postmortem serializes
 // the same state, plus the newest events of each node's ring and its health
 // aggregates, as a structured JSON document: per-node queue depths, the last
-// 256 scheduler events, suspended-context tables with their local
-// continuation chains, and the vclock frontier. Both engines dump it (at most
-// once per run) when the watchdog fires or a protocol panic unwinds the run,
-// then rethrow; `concert_trace postmortem` renders the file.
+// 256 scheduler events, the suspended contexts read from each node's arena
+// (in every run, verify or not) with their local continuation chains, and
+// the vclock frontier. Both engines dump it (at most once per run) when the
+// watchdog fires or a protocol panic unwinds the run, then rethrow;
+// `concert_trace postmortem` renders the file.
 //
 // Thread-safety: the dump reads node-private state (rings, queues, arenas),
 // so it runs only from single-threaded positions — the deterministic engine's
 // scheduling loop, or the threaded engine after its node threads joined.
-#include <algorithm>
 #include <fstream>
 #include <ostream>
 #include <string>
@@ -46,10 +46,9 @@ void write_hist(std::ostream& os, const char* key, const Histogram& h) {
 /// Walks a suspended context's local continuation chain upward (the method
 /// each reply unwinds into), hop-capped; remote hops end the walk — the rest
 /// of the chain lives on another node's postmortem entry.
-std::vector<std::string> continuation_chain(const Machine& m, const Node& nd, ContextId id) {
+std::vector<std::string> continuation_chain(const Machine& m, const Node& nd,
+                                            const Context* ctx) {
   std::vector<std::string> chain;
-  const Context* ctx = nd.arena().try_resolve_any_gen(id);
-  if (ctx == nullptr) return chain;
   constexpr int kMaxHops = 16;
   Continuation k = ctx->ret;
   for (int hop = 0; hop < kMaxHops && k.valid(); ++hop) {
@@ -118,34 +117,26 @@ void Machine::write_postmortem(std::ostream& os, const std::string& reason) cons
     }
     os << (ring.empty() ? "]" : "\n     ]") << ",\n";
 
-    // Suspended contexts + continuation chains (verifier-sourced; empty when
-    // MachineConfig::verify is off). Sorted for deterministic output.
+    // Suspended contexts, in id order, with their continuation chains.
     os << "     \"suspended\": [";
-    const verify::VerifyRecorder& rec = nd.verifier;
-    bool first_susp = true;
-    if (rec.enabled()) {
-      std::vector<std::pair<ContextId, verify::VerifyRecorder::SuspendedCtx>> susp(
-          rec.suspended().begin(), rec.suspended().end());
-      std::sort(susp.begin(), susp.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (const auto& [id, sc] : susp) {
-        os << (first_susp ? "\n" : ",\n");
-        first_susp = false;
-        os << "       {\"ctx\": " << id << ", \"method\": \""
-           << json_escape(method_name(*this, sc.method)) << "\", \"flow\": " << sc.flow
-           << ", \"chain\": [";
-        const std::vector<std::string> chain = continuation_chain(*this, nd, id);
-        for (std::size_t i = 0; i < chain.size(); ++i) {
-          if (i > 0) os << ", ";
-          os << "\"" << json_escape(chain[i]) << "\"";
-        }
-        os << "]}";
+    const std::vector<const Context*> susp = nd.suspended_contexts();
+    for (std::size_t s = 0; s < susp.size(); ++s) {
+      os << (s == 0 ? "\n" : ",\n");
+      os << "       {\"ctx\": " << susp[s]->id << ", \"method\": \""
+         << json_escape(method_name(*this, susp[s]->method)) << "\", \"flow\": "
+         << susp[s]->trace_flow << ", \"chain\": [";
+      const std::vector<std::string> chain = continuation_chain(*this, nd, susp[s]);
+      for (std::size_t i = 0; i < chain.size(); ++i) {
+        if (i > 0) os << ", ";
+        os << "\"" << json_escape(chain[i]) << "\"";
       }
+      os << "]}";
     }
-    os << (first_susp ? "]" : "\n     ]") << ",\n";
+    os << (susp.empty() ? "]" : "\n     ]") << ",\n";
 
     // Vclock frontier (delivery-order sanitizer; empty when verify is off).
     os << "     \"vclock\": [";
+    const verify::VerifyRecorder& rec = nd.verifier;
     if (rec.enabled()) {
       const std::vector<std::uint32_t>& vc = rec.vclock();
       for (std::size_t i = 0; i < vc.size(); ++i) {

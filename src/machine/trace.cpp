@@ -189,20 +189,46 @@ bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err) {
 // Chrome trace-event JSON with Perfetto flow events.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// JSON-escaped method name; "(root)" for kInvalidMethod and unknown ids.
-std::string method_name_of(const TraceDump& dump, MethodId m) {
-  if (m == kInvalidMethod || m >= dump.method_names.size()) return "(root)";
-  return json_escape(dump.method_names[m]);
+const std::string& TraceDump::method_name(MethodId m) const {
+  static const std::string root = "(root)";
+  return m < method_names.size() ? method_names[m] : root;
 }
 
-double display_ts(const TraceDump& dump, const TraceRecord& r) {
-  return dump.wall_time ? static_cast<double>(r.wall_ns) / 1e3
-                        : static_cast<double>(r.clock) * dump.us_per_insn;
+std::vector<TraceRun> trace_runs(const TraceDump& dump) {
+  std::vector<TraceRun> runs;
+  std::vector<std::vector<TraceRun>> open(dump.node_count);  // per node, innermost last
+  const auto is_dispatch = [&dump](const TraceRun& run) {
+    return dump.events[run.begin].rec.kind == TraceKind::DispatchBegin;
+  };
+  for (std::size_t i = 0; i < dump.events.size(); ++i) {
+    const TraceEvent& e = dump.events[i];
+    if (e.node >= open.size()) open.resize(e.node + 1);
+    std::vector<TraceRun>& stack = open[e.node];
+    switch (e.rec.kind) {
+      case TraceKind::DispatchBegin:
+      case TraceKind::StackRun:
+      case TraceKind::WaveRun:
+        stack.push_back(TraceRun{i, 0, 0.0});
+        break;
+      case TraceKind::DispatchEnd:
+        while (!stack.empty() && !is_dispatch(stack.back())) stack.pop_back();
+        [[fallthrough]];
+      case TraceKind::RunEnd: {
+        const bool dispatch_end = e.rec.kind == TraceKind::DispatchEnd;
+        if (stack.empty() || is_dispatch(stack.back()) != dispatch_end) break;
+        TraceRun run = stack.back();
+        stack.pop_back();
+        run.end = i;
+        const double us = dump.display_us(e.rec) - dump.display_us(dump.events[run.begin].rec);
+        if (!stack.empty()) stack.back().nested_us += us;
+        runs.push_back(run);
+        break;
+      }
+      default: break;
+    }
+  }
+  return runs;
 }
-
-}  // namespace
 
 std::uint64_t count_incomplete_flows(const TraceDump& dump) {
   std::unordered_set<std::uint64_t> sends;
@@ -243,36 +269,30 @@ void write_chrome_trace(const TraceDump& dump, std::ostream& os,
     os << "}";
   };
 
-  // Dispatches cannot nest within one node (run-to-completion steps), so a
-  // linear scan with one open begin per node pairs begin/end; a ring that
-  // dropped a begin leaves an unmatched end (skipped), a dropped end leaves
-  // a zero-duration begin.
-  std::vector<double> open_ts(dump.node_count, -1.0);
-  // Stack and wave runs can nest (a run may invoke a local method through
-  // the wrapper path), so each node keeps a stack of open runs; a run_end
-  // closes the innermost.
-  std::vector<std::vector<double>> open_runs(dump.node_count);
-
-  for (const TraceEvent& e : dump.events) {
+  // Each run closes at its end record, in dump order: the slice is emitted
+  // there. A stack or wave run is a "run" slice.
+  const std::vector<TraceRun> runs = trace_runs(dump);
+  std::size_t next_run = 0;
+  for (std::size_t i = 0; i < dump.events.size(); ++i) {
+    const TraceEvent& e = dump.events[i];
     const TraceRecord& r = e.rec;
-    const double ts = display_ts(dump, r);
+    const double ts = dump.display_us(r);
     switch (r.kind) {
       case TraceKind::DispatchBegin:
-        open_ts[e.node] = ts;
         break;
-      case TraceKind::DispatchEnd: {
-        const double begin = open_ts[e.node];
-        if (begin >= 0) {
-          emit_head(e.node, "X", method_name_of(dump, r.method), begin);
+      case TraceKind::DispatchEnd:
+      case TraceKind::RunEnd:
+        if (next_run < runs.size() && runs[next_run].end == i) {
+          const double begin = dump.display_us(dump.events[runs[next_run++].begin].rec);
+          emit_head(e.node, "X", json_escape(dump.method_name(r.method)), begin);
+          if (r.kind == TraceKind::RunEnd) os << ",\"cat\":\"run\"";
           os << ",\"dur\":" << (ts - begin) << "}";
-          open_ts[e.node] = -1.0;
         }
         break;
-      }
       case TraceKind::MsgSend:
       case TraceKind::Suspend: {
         emit_head(e.node, "i", trace_kind_name(r.kind), ts);
-        os << ",\"s\":\"t\",\"args\":{\"method\":\"" << method_name_of(dump, r.method)
+        os << ",\"s\":\"t\",\"args\":{\"method\":\"" << json_escape(dump.method_name(r.method))
            << "\",\"cause\":" << r.cause << "}}";
         if (r.cause != 0) {
           emit_flow(e.node, true, r.kind == TraceKind::MsgSend ? "msg" : "ctx", ts, r.cause);
@@ -285,26 +305,18 @@ void write_chrome_trace(const TraceDump& dump, std::ostream& os,
           emit_flow(e.node, false, r.kind == TraceKind::MsgRecv ? "msg" : "ctx", ts, r.cause);
         }
         emit_head(e.node, "i", trace_kind_name(r.kind), ts);
-        os << ",\"s\":\"t\",\"args\":{\"method\":\"" << method_name_of(dump, r.method)
+        os << ",\"s\":\"t\",\"args\":{\"method\":\"" << json_escape(dump.method_name(r.method))
            << "\",\"cause\":" << r.cause << "}}";
         break;
       }
       case TraceKind::StackRun:
       case TraceKind::WaveRun:
-        open_runs[e.node].push_back(ts);
-        [[fallthrough]];
       case TraceKind::OutboxFlush:
       case TraceKind::InboxDrain:
       case TraceKind::Park:
         emit_head(e.node, "i", trace_kind_name(r.kind), ts);
-        os << ",\"s\":\"t\",\"args\":{\"method\":\"" << method_name_of(dump, r.method) << "\"}}";
-        break;
-      case TraceKind::RunEnd:
-        if (!open_runs[e.node].empty()) {
-          emit_head(e.node, "X", method_name_of(dump, r.method), open_runs[e.node].back());
-          os << ",\"cat\":\"run\",\"dur\":" << (ts - open_runs[e.node].back()) << "}";
-          open_runs[e.node].pop_back();
-        }
+        os << ",\"s\":\"t\",\"args\":{\"method\":\"" << json_escape(dump.method_name(r.method))
+           << "\"}}";
         break;
     }
   }

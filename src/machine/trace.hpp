@@ -176,7 +176,31 @@ struct TraceDump {
   double us_per_insn = 1.0;    ///< sim-time conversion (1e6 / clock_hz)
   std::vector<std::string> method_names;  ///< MethodId-indexed
   std::vector<TraceEvent> events;
+
+  /// `m`'s name; "(root)" for kInvalidMethod and ids outside the table.
+  const std::string& method_name(MethodId m) const;
+  /// `r`'s timestamp in the display domain, in microseconds (wall ns / 1e3,
+  /// or sim instructions * us_per_insn).
+  double display_us(const TraceRecord& r) const {
+    return wall_time ? static_cast<double>(r.wall_ns) / 1e3
+                     : static_cast<double>(r.clock) * us_per_insn;
+  }
 };
+
+/// One closed run: a dispatch step (DispatchBegin to DispatchEnd), or a
+/// wrapper stack run or merged wave (StackRun or WaveRun to RunEnd).
+struct TraceRun {
+  std::size_t begin;  ///< index of the opening record in TraceDump::events
+  std::size_t end;    ///< index of the closing record
+  double nested_us;   ///< display time of the runs closed directly inside it
+};
+
+/// Pairs run begins with run ends, the one pairing every trace reader uses.
+/// Runs nest per node. An end record closes the innermost open run of its
+/// kind; an end with no such run open closes nothing; a stack or wave run
+/// still open at a dispatch_end is dropped. Runs are listed in the order
+/// they close, which is their end records' order in the dump.
+std::vector<TraceRun> trace_runs(const TraceDump& dump);
 
 /// Snapshots every node's ring plus the registry's method names.
 /// `wall_time` selects the display domain for subsequent Chrome export
@@ -198,10 +222,9 @@ constexpr std::uint32_t kTraceMaxNodes = 1u << 16;
 bool read_binary_trace(std::istream& is, TraceDump& out, std::string* err = nullptr);
 
 /// Chrome trace-event JSON (object form): {"traceEvents": [...],
-/// "metadata": {...}}. Dispatch begin/end pairs, and stack or wave runs
-/// closed by a run_end, become duration events; send/recv and
-/// suspend/resume pairs become Perfetto flow events bound to their causal
-/// ids; everything else becomes instants. Timestamps come from
+/// "metadata": {...}}. Every run trace_runs pairs becomes a duration event;
+/// send/recv and suspend/resume pairs become Perfetto flow events bound to
+/// their causal ids; everything else becomes instants. Timestamps come from
 /// the dump's display domain (wall ns -> us, or sim instructions -> us).
 /// The metadata block surfaces the dropped-record and incomplete-flow counts.
 void write_chrome_trace(const TraceDump& dump, std::ostream& os);

@@ -13,13 +13,6 @@ namespace concert::verify {
 
 namespace {
 
-std::string name_of(const MethodRegistry& reg, MethodId m) {
-  if (m < reg.size()) return reg.info(m).name;
-  std::ostringstream os;
-  os << "#" << m;
-  return os.str();
-}
-
 bool declared(const std::vector<MethodId>& edges, MethodId target) {
   return std::find(edges.begin(), edges.end(), target) != edges.end();
 }
@@ -62,6 +55,7 @@ std::string ConformanceReport::to_string() const {
 
 ConformanceReport check_conformance(const Machine& mach) {
   const MethodRegistry& reg = mach.registry();
+  const std::vector<MethodInfo>& methods = reg.methods();
   CONCERT_CHECK(reg.finalized(), "conformance check before finalize");
   const ExecMode mode = mach.config().mode;
 
@@ -93,7 +87,7 @@ ConformanceReport check_conformance(const Machine& mach) {
         if (fields.empty()) continue;  // Disjoint, read-only, or effects undeclared.
         if (commutes_declared(ia, b) || commutes_declared(ib, a)) continue;
         std::ostringstream os;
-        os << name_of(reg, a) << " and " << name_of(reg, b)
+        os << method_name_or_id(methods, a) << " and " << method_name_or_id(methods, b)
            << " were delivered to one object from concurrent sends (vector clocks "
            << "incomparable), and their effects conflict on ";
         for (std::size_t i = 0; i < fields.size(); ++i) os << (i ? ", " : "") << fields[i];
@@ -115,7 +109,7 @@ ConformanceReport check_conformance(const Machine& mach) {
       const MethodId callee = VerifyRecorder::key_callee(k);
       if (caller < reg.size() && declared(reg.info(caller).callees, callee)) continue;
       std::ostringstream os;
-      os << name_of(reg, caller) << " called " << name_of(reg, callee)
+      os << method_name_or_id(methods, caller) << " called " << method_name_or_id(methods, callee)
          << " but never declared the edge (the blocking analysis ran without it)";
       report.violations.push_back(
           Violation{ViolationKind::UndeclaredEdge, n, caller, callee, os.str()});
@@ -126,8 +120,8 @@ ConformanceReport check_conformance(const Machine& mach) {
       const MethodId target = VerifyRecorder::key_callee(k);
       if (caller < reg.size() && declared(reg.info(caller).forwards_to, target)) continue;
       std::ostringstream os;
-      os << name_of(reg, caller) << " forwarded its continuation to " << name_of(reg, target)
-         << " but never declared the forwarding edge";
+      os << method_name_or_id(methods, caller) << " forwarded its continuation to "
+         << method_name_or_id(methods, target) << " but never declared the forwarding edge";
       report.violations.push_back(
           Violation{ViolationKind::UndeclaredForward, n, caller, target, os.str()});
     }
@@ -142,7 +136,7 @@ ConformanceReport check_conformance(const Machine& mach) {
       if (mode == ExecMode::ParallelOnly) break;
       if (m < reg.size() && reg.info(m).schema != Schema::NonBlocking) continue;
       std::ostringstream os;
-      os << name_of(reg, m) << " was committed NonBlocking but blocked at runtime";
+      os << method_name_or_id(methods, m) << " was committed NonBlocking but blocked at runtime";
       report.violations.push_back(
           Violation{ViolationKind::NonBlockingBlocked, n, m, kInvalidMethod, os.str()});
     }
@@ -159,8 +153,9 @@ ConformanceReport check_conformance(const Machine& mach) {
         const MethodId holder = VerifyRecorder::key_caller(k);
         const MethodId deferred = VerifyRecorder::key_callee(k);
         std::ostringstream os;
-        os << name_of(reg, deferred) << " was deferred on an implicit lock held by its own "
-           << "ancestor " << name_of(reg, holder)
+        os << method_name_or_id(methods, deferred)
+           << " was deferred on an implicit lock held by its own ancestor "
+           << method_name_or_id(methods, holder)
            << " (observed self-deadlock; the invocation was quarantined)";
         report.violations.push_back(
             Violation{ViolationKind::ReentrantAcquire, n, holder, deferred, os.str()});
@@ -173,7 +168,7 @@ ConformanceReport check_conformance(const Machine& mach) {
       std::sort(held.begin(), held.end());
       for (const auto& [obj, m] : held) {
         std::ostringstream os;
-        os << name_of(reg, m) << " still holds the implicit lock of object "
+        os << method_name_or_id(methods, m) << " still holds the implicit lock of object "
            << GlobalRef::unpack(obj).node << ":" << GlobalRef::unpack(obj).index
            << " at quiescence (leaked bracket or quarantined deadlock)";
         report.violations.push_back(
@@ -192,7 +187,7 @@ ConformanceReport check_conformance(const Machine& mach) {
       for (MethodId m : rec.observed_blocked()) {
         if (m >= reg.size() || !reg.info(m).site_nonblocking) continue;
         std::ostringstream os;
-        os << name_of(reg, m)
+        os << method_name_or_id(methods, m)
            << " was classified non-blocking at-site but blocked at runtime; a specialized "
            << "edge into it would have stranded its caller";
         report.violations.push_back(
@@ -208,7 +203,7 @@ ConformanceReport check_conformance(const Machine& mach) {
         continue;
       }
       std::ostringstream os;
-      os << name_of(reg, m) << " manipulated a continuation but runs the "
+      os << method_name_or_id(methods, m) << " manipulated a continuation but runs the "
          << schema_name(m < reg.size() ? reg.effective_schema(m, mode) : Schema::NonBlocking)
          << " interface, not CP";
       report.violations.push_back(
@@ -217,37 +212,32 @@ ConformanceReport check_conformance(const Machine& mach) {
 
     // Quiescence-time liveness sanitizer (concert-progress). The machine just
     // declared quiescence — no messages in flight, no ready work — so any
-    // context still in the suspended table is waiting for a reply that can no
-    // longer arrive: an orphaned continuation, the dynamic twin of lint's
+    // context still suspended is waiting for a reply that can no longer
+    // arrive: an orphaned continuation, the dynamic twin of lint's
     // lost-reply. Dump each with its continuation-ancestor chain (where its
     // own reply would have gone) and trace flow id so the blame reads like
     // the static witness.
-    {
-      std::vector<std::pair<ContextId, VerifyRecorder::SuspendedCtx>> orphans(
-          rec.suspended().begin(), rec.suspended().end());
-      std::sort(orphans.begin(), orphans.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (const auto& [id, sc] : orphans) {
-        std::ostringstream os;
-        os << name_of(reg, sc.method) << " (context " << n << ":" << id << ", flow " << sc.flow
-           << ") is still suspended at quiescence; the reply it awaits can no longer arrive";
-        const Context* cur = mach.node(n).arena().try_resolve_any_gen(id);
-        std::string chain;
-        // Cap the walk: a corrupted ret chain must not hang the reporter.
-        for (int hops = 0; cur != nullptr && hops < 16; ++hops) {
-          const ContextRef up = cur->ret.target;
-          if (!up.valid() || up.node >= mach.node_count()) break;
-          const Context* parent = mach.node(up.node).arena().try_resolve(up);
-          if (parent == nullptr) break;
-          chain += " <- ";
-          chain += parent->method == kInvalidMethod ? std::string("<root>")
-                                                    : name_of(reg, parent->method);
-          cur = parent;
-        }
-        if (!chain.empty()) os << " (continuation ancestors:" << chain << ")";
-        report.violations.push_back(
-            Violation{ViolationKind::OrphanedContinuation, n, sc.method, kInvalidMethod, os.str()});
+    for (const Context* orphan : mach.node(n).suspended_contexts()) {
+      std::ostringstream os;
+      os << method_name_or_id(methods, orphan->method) << " (context " << n << ":" << orphan->id
+         << ", flow " << orphan->trace_flow
+         << ") is still suspended at quiescence; the reply it awaits can no longer arrive";
+      const Context* cur = orphan;
+      std::string chain;
+      // Cap the walk: a corrupted ret chain must not hang the reporter.
+      for (int hops = 0; hops < 16; ++hops) {
+        const ContextRef up = cur->ret.target;
+        if (!up.valid() || up.node >= mach.node_count()) break;
+        const Context* parent = mach.node(up.node).arena().try_resolve(up);
+        if (parent == nullptr) break;
+        chain += " <- ";
+        chain += parent->method == kInvalidMethod ? std::string("<root>")
+                                                  : method_name_or_id(methods, parent->method);
+        cur = parent;
       }
+      if (!chain.empty()) os << " (continuation ancestors:" << chain << ")";
+      report.violations.push_back(Violation{ViolationKind::OrphanedContinuation, n,
+                                            orphan->method, kInvalidMethod, os.str()});
     }
 
     // Reply-balance cross-check: every observed parallel completion must
@@ -263,8 +253,9 @@ ConformanceReport check_conformance(const Machine& mach) {
         const std::uint8_t budget = reg.info(m).multi_return;
         if (w.min_width == budget && w.max_width == budget) continue;
         std::ostringstream os;
-        os << name_of(reg, m) << " completed " << w.count << " time(s) delivering between "
-           << static_cast<unsigned>(w.min_width) << " and " << static_cast<unsigned>(w.max_width)
+        os << method_name_or_id(methods, m) << " completed " << w.count
+           << " time(s) delivering between " << static_cast<unsigned>(w.min_width) << " and "
+           << static_cast<unsigned>(w.max_width)
            << " value(s) per discharge against a declared multi_return budget of "
            << static_cast<unsigned>(budget);
         report.violations.push_back(

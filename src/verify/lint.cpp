@@ -15,18 +15,11 @@ namespace concert::verify {
 
 namespace {
 
-std::string name_of(const std::vector<MethodInfo>& methods, MethodId m) {
-  if (m < methods.size() && !methods[m].name.empty()) return methods[m].name;
-  std::ostringstream os;
-  os << "#" << m;
-  return os.str();
-}
-
 std::string join_path(const std::vector<MethodInfo>& methods, const std::vector<MethodId>& path) {
   std::ostringstream os;
   for (std::size_t i = 0; i < path.size(); ++i) {
     if (i) os << " -> ";
-    os << name_of(methods, path[i]);
+    os << method_name_or_id(methods, path[i]);
   }
   return os.str();
 }
@@ -170,7 +163,8 @@ LintReport lint_methods(const std::vector<MethodInfo>& methods) {
       }
       if (!seen.insert(c).second && duplicated.insert(c).second) {
         std::ostringstream os;
-        os << m.name << ": call edge to " << name_of(methods, c) << " declared more than once";
+        os << m.name << ": call edge to " << method_name_or_id(methods, c)
+           << " declared more than once";
         add(report, LintCode::DuplicateCallee, Severity::Warning, mi, c, os.str());
       }
     }
@@ -184,7 +178,7 @@ LintReport lint_methods(const std::vector<MethodInfo>& methods) {
       }
       if (seen.find(c) == seen.end()) {
         std::ostringstream os;
-        os << m.name << ": forwards to " << name_of(methods, c)
+        os << m.name << ": forwards to " << method_name_or_id(methods, c)
            << " without a matching call edge";
         add(report, LintCode::ForwardNotInCallees, Severity::Error, mi, c, os.str());
       }
@@ -193,13 +187,13 @@ LintReport lint_methods(const std::vector<MethodInfo>& methods) {
       // continuation it may manipulate (paper Sec. 3.2.3).
       if (m.schema != Schema::ContinuationPassing) {
         std::ostringstream os;
-        os << m.name << ": forwards its continuation to " << name_of(methods, c)
+        os << m.name << ": forwards its continuation to " << method_name_or_id(methods, c)
            << " but is classified " << schema_name(m.schema) << ", not CP";
         add(report, LintCode::ForwarderNotCP, Severity::Error, mi, c, os.str());
       }
       if (methods[c].schema != Schema::ContinuationPassing) {
         std::ostringstream os;
-        os << m.name << ": forwarding edge targets " << name_of(methods, c)
+        os << m.name << ": forwarding edge targets " << method_name_or_id(methods, c)
            << " which is classified " << schema_name(methods[c].schema) << ", not CP";
         add(report, LintCode::ForwardTargetNotCP, Severity::Error, mi, c, os.str());
       }
@@ -287,14 +281,14 @@ LintReport lint_methods(const std::vector<MethodInfo>& methods) {
       }
       if (std::find(m.callees.begin(), m.callees.end(), c) == m.callees.end()) {
         std::ostringstream os;
-        os << m.name << ": site-specialized edge to " << name_of(methods, c)
+        os << m.name << ": site-specialized edge to " << method_name_or_id(methods, c)
            << " without a matching call edge";
         add(report, LintCode::SpecEdgeInvalid, Severity::Error, mi, c, os.str());
         continue;
       }
       if (std::find(m.forwards_to.begin(), m.forwards_to.end(), c) != m.forwards_to.end()) {
         std::ostringstream os;
-        os << m.name << ": site-specialized edge to " << name_of(methods, c)
+        os << m.name << ": site-specialized edge to " << method_name_or_id(methods, c)
            << " is a forwarding edge (handing the continuation over needs the CP convention)";
         add(report, LintCode::SpecEdgeInvalid, Severity::Error, mi, c, os.str());
         continue;
@@ -302,7 +296,7 @@ LintReport lint_methods(const std::vector<MethodInfo>& methods) {
       if (facts.site_may_block[c] != 0) {
         const SiteBlame blame = explain_site_blocking(methods, facts, c);
         std::ostringstream os;
-        os << m.name << " -> " << name_of(methods, c)
+        os << m.name << " -> " << method_name_or_id(methods, c)
            << ": site-specialized edge can reach a blocking path: "
            << join_path(methods, blame.path) << " (" << blame.reason << ")";
         add(report, LintCode::SpecUnsound, Severity::Error, mi, c, os.str());
@@ -440,19 +434,20 @@ std::vector<LockCycle> find_lock_cycles(const std::vector<MethodInfo>& methods) 
 
 std::string format_lock_cycle(const std::vector<MethodInfo>& methods, const LockCycle& cycle) {
   std::ostringstream os;
-  os << name_of(methods, cycle.holder) << " [locks]: " << join_path(methods, cycle.path);
+  os << method_name_or_id(methods, cycle.holder) << " [locks]: " << join_path(methods, cycle.path);
   if (cycle.holder == cycle.reacquirer) {
     os << " (re-invokes itself while its target's implicit lock is still held"
        << " — the re-acquisition defers forever)";
   } else {
     const MethodInfo& re = methods[cycle.reacquirer];
-    os << " (" << name_of(methods, cycle.reacquirer) << " re-acquires the implicit lock of ";
+    os << " (" << method_name_or_id(methods, cycle.reacquirer)
+       << " re-acquires the implicit lock of ";
     if (re.class_id == 0 || methods[cycle.holder].class_id == 0) {
       os << "a possibly-aliasing class";
     } else {
       os << "class " << re.class_id;
     }
-    os << " while " << name_of(methods, cycle.holder) << " still holds it)";
+    os << " while " << method_name_or_id(methods, cycle.holder) << " still holds it)";
   }
   return os.str();
 }
@@ -484,7 +479,7 @@ BlameChain explain_schema(const std::vector<MethodInfo>& methods, MethodId m) {
     for (MethodId t : methods[m].forwards_to) {
       if (t < n) {
         chain.path = {m, t};
-        chain.reason = "forwards its continuation to " + name_of(methods, t);
+        chain.reason = "forwards its continuation to " + method_name_or_id(methods, t);
         return chain;
       }
     }
@@ -492,8 +487,8 @@ BlameChain explain_schema(const std::vector<MethodInfo>& methods, MethodId m) {
       for (MethodId t : methods[f].forwards_to) {
         if (t == m) {
           chain.path = {m};
-          chain.reason =
-              "receives a forwarded continuation from " + name_of(methods, static_cast<MethodId>(f));
+          chain.reason = "receives a forwarded continuation from " +
+                         method_name_or_id(methods, static_cast<MethodId>(f));
           return chain;
         }
       }
@@ -545,7 +540,7 @@ BlameChain explain_schema(const std::vector<MethodInfo>& methods, MethodId m) {
 
 std::string format_blame(const std::vector<MethodInfo>& methods, const BlameChain& chain) {
   std::ostringstream os;
-  os << name_of(methods, chain.method) << " [" << schema_name(chain.schema) << "]: ";
+  os << method_name_or_id(methods, chain.method) << " [" << schema_name(chain.schema) << "]: ";
   if (!chain.path.empty() && !(chain.path.size() == 1 && chain.path[0] == chain.method)) {
     os << join_path(methods, chain.path) << " (" << chain.reason << ")";
   } else {

@@ -9,13 +9,6 @@
 namespace concert::verify {
 namespace {
 
-std::string name_of(const std::vector<MethodInfo>& methods, MethodId m) {
-  if (m < methods.size() && !methods[m].name.empty()) return methods[m].name;
-  std::ostringstream os;
-  os << "method#" << m;
-  return os.str();
-}
-
 std::uint64_t pair_key(MethodId a, MethodId b) {
   const std::uint64_t lo = std::min(a, b);
   const std::uint64_t hi = std::max(a, b);
@@ -211,7 +204,8 @@ RaceAnalysis analyze_races(const std::vector<MethodInfo>& methods) {
 
 std::string format_race(const std::vector<MethodInfo>& methods, const RacePair& race) {
   std::ostringstream os;
-  os << name_of(methods, race.a) << " ~ " << name_of(methods, race.b) << " [races on ";
+  os << method_name_or_id(methods, race.a) << " ~ " << method_name_or_id(methods, race.b)
+     << " [races on ";
   for (std::size_t i = 0; i < race.fields.size(); ++i) {
     if (i) os << ", ";
     os << race.fields[i];
@@ -220,7 +214,7 @@ std::string format_race(const std::vector<MethodInfo>& methods, const RacePair& 
   auto emit = [&](const std::vector<MethodId>& path) {
     for (std::size_t i = 0; i < path.size(); ++i) {
       if (i) os << " -> ";
-      os << name_of(methods, path[i]);
+      os << method_name_or_id(methods, path[i]);
     }
   };
   emit(race.witness_a);

@@ -36,7 +36,6 @@ struct VerifyStats {
   std::uint64_t vclock_sends = 0;          ///< Messages stamped at send.
   std::uint64_t object_deliveries = 0;     ///< Invoke deliveries probed per object.
   std::uint64_t unordered_deliveries = 0;  ///< Probes whose stamps were incomparable.
-  std::uint64_t suspends_tracked = 0;      ///< record_suspend events (concert-progress).
   std::uint64_t replies_recorded = 0;      ///< record_reply events (concert-progress).
 
   VerifyStats& operator+=(const VerifyStats& o) {
@@ -50,7 +49,6 @@ struct VerifyStats {
     vclock_sends += o.vclock_sends;
     object_deliveries += o.object_deliveries;
     unordered_deliveries += o.unordered_deliveries;
-    suspends_tracked += o.suspends_tracked;
     replies_recorded += o.replies_recorded;
     return *this;
   }
@@ -175,21 +173,10 @@ class VerifyRecorder {
     last.stamp = stamp;
   }
 
-  // ---- suspended-context & reply-width tracking (concert-progress) ----
-  // The scheduler brackets every real suspension (Node::suspend's fall-back
-  // branch) with record_suspend and every wake-up with record_resume; freeing
-  // a context drops any leftover entry. Whatever is still in the table at
-  // quiescence is a context that suspended waiting for values that never
-  // arrived — an orphaned continuation, the dynamic twin of lint's
-  // lost-reply. Reply widths feed the reply-balance cross-check against the
-  // static multi_return budget.
-
-  /// A live suspended activation: what it runs and which trace flow it
-  /// belongs to (for correlating with concert_trace output).
-  struct SuspendedCtx {
-    MethodId method = kInvalidMethod;
-    std::uint64_t flow = 0;
-  };
+  // ---- reply-width tracking (concert-progress) ----
+  // Reply widths feed the reply-balance cross-check against the static
+  // multi_return budget. Suspended contexts need no shadow here: the arena
+  // holds them (Node::suspended_contexts).
 
   /// Observed completion widths of hand-written parallel bodies, per method.
   struct ReplyWidths {
@@ -197,27 +184,6 @@ class VerifyRecorder {
     std::uint8_t min_width = 255;
     std::uint8_t max_width = 0;
   };
-
-  /// Context `ctx` suspended running `method` (heap fall-back, not the
-  /// run_one deadlock-quarantine path — that one is already reported).
-  void record_suspend(ContextId ctx, MethodId method, std::uint64_t flow) {
-    if (!enabled_) return;
-    ++stats_.suspends_tracked;
-    suspended_[ctx] = SuspendedCtx{method, flow};
-  }
-
-  /// Context `ctx` got its last awaited value and re-entered the ready queue.
-  void record_resume(ContextId ctx) {
-    if (!enabled_) return;
-    suspended_.erase(ctx);
-  }
-
-  /// Context `ctx` was freed; drop any stale suspension entry (a reverted or
-  /// quarantined activation can be freed without ever resuming).
-  void record_ctx_free(ContextId ctx) {
-    if (!enabled_) return;
-    suspended_.erase(ctx);
-  }
 
   /// A parallel body of `method` completed, delivering `width` values to its
   /// continuation in one discharge.
@@ -230,8 +196,6 @@ class VerifyRecorder {
     w.max_width = std::max(w.max_width, width);
   }
 
-  /// Live suspended contexts (empty at quiescence on a progress-clean run).
-  const std::unordered_map<ContextId, SuspendedCtx>& suspended() const { return suspended_; }
   /// Observed parallel-completion widths per method.
   const std::unordered_map<MethodId, ReplyWidths>& reply_widths() const { return reply_widths_; }
 
@@ -290,7 +254,6 @@ class VerifyRecorder {
   std::unordered_map<std::uint64_t, LastDelivery> last_delivery_;
   std::unordered_set<std::uint64_t> unordered_pairs_;
   // Progress sanitizer state (concert-progress).
-  std::unordered_map<ContextId, SuspendedCtx> suspended_;
   std::unordered_map<MethodId, ReplyWidths> reply_widths_;
 };
 

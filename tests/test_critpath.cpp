@@ -2,7 +2,9 @@
 // handcrafted causal graphs, the telescoping bucket audit (buckets + untraced
 // sum to the traced span), the >=95% attribution requirement on a real traced
 // SOR run, robustness to truncated graphs (recv without send), and the JSON /
-// Perfetto emitters parsing cleanly.
+// Perfetto emitters parsing cleanly. Also trace_runs, the run pairing the
+// analysis shares with the Chrome export and `concert_trace --summary`, on
+// handcrafted dumps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,6 +38,79 @@ struct DumpBuilder {
     return *this;
   }
 };
+
+// -- trace_runs: the one run pairing of every trace reader ------------------
+
+TEST(TraceRuns, NestedRunsCloseInnermostFirst) {
+  DumpBuilder b(1);
+  b.ev(0, 10, TraceKind::DispatchBegin, 0)
+      .ev(0, 20, TraceKind::StackRun, 1)
+      .ev(0, 22, TraceKind::WaveRun, 1)
+      .ev(0, 26, TraceKind::RunEnd, 1)
+      .ev(0, 30, TraceKind::RunEnd, 1)
+      .ev(0, 50, TraceKind::DispatchEnd, 0);
+  const std::vector<TraceRun> runs = trace_runs(b.d);
+  ASSERT_EQ(runs.size(), 3u);
+  EXPECT_EQ(runs[0].begin, 2u);
+  EXPECT_EQ(runs[0].end, 3u);
+  EXPECT_EQ(runs[0].nested_us, 0.0);
+  EXPECT_EQ(runs[1].begin, 1u);
+  EXPECT_EQ(runs[1].end, 4u);
+  EXPECT_EQ(runs[1].nested_us, 4.0);  // the wave, 22..26
+  EXPECT_EQ(runs[2].begin, 0u);
+  EXPECT_EQ(runs[2].end, 5u);
+  EXPECT_EQ(runs[2].nested_us, 10.0);  // the stack run, 20..30; the wave is inside it
+}
+
+TEST(TraceRuns, EndWhoseBeginWasDroppedClosesNothing) {
+  // The ring dropped the first run's begin, and a run_end never closes a
+  // dispatch (nor a dispatch_end a stack run).
+  DumpBuilder b(1);
+  b.ev(0, 5, TraceKind::RunEnd, 1)
+      .ev(0, 6, TraceKind::DispatchEnd, 0)
+      .ev(0, 10, TraceKind::DispatchBegin, 0)
+      .ev(0, 12, TraceKind::RunEnd, 0)
+      .ev(0, 20, TraceKind::DispatchEnd, 0);
+  const std::vector<TraceRun> runs = trace_runs(b.d);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].begin, 2u);
+  EXPECT_EQ(runs[0].end, 4u);
+  EXPECT_EQ(runs[0].nested_us, 0.0);
+}
+
+TEST(TraceRuns, StackRunOpenAtDispatchEndIsDropped) {
+  DumpBuilder b(1);
+  b.ev(0, 0, TraceKind::DispatchBegin, 0)
+      .ev(0, 5, TraceKind::StackRun, 1)
+      .ev(0, 10, TraceKind::DispatchEnd, 0)
+      .ev(0, 15, TraceKind::RunEnd, 1);
+  const std::vector<TraceRun> runs = trace_runs(b.d);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].begin, 0u);
+  EXPECT_EQ(runs[0].end, 2u);
+  EXPECT_EQ(runs[0].nested_us, 0.0);  // the dropped run never closed inside it
+}
+
+TEST(TraceRuns, NodesInterleavedInTheDumpPairPerNode) {
+  DumpBuilder b(2);
+  b.ev(0, 10, TraceKind::DispatchBegin, 0)
+      .ev(1, 12, TraceKind::StackRun, 1)
+      .ev(0, 15, TraceKind::StackRun, 1)
+      .ev(1, 20, TraceKind::RunEnd, 1)
+      .ev(0, 25, TraceKind::RunEnd, 1)
+      .ev(1, 26, TraceKind::DispatchEnd, 0)
+      .ev(0, 30, TraceKind::DispatchEnd, 0);
+  const std::vector<TraceRun> runs = trace_runs(b.d);
+  ASSERT_EQ(runs.size(), 3u);
+  // Listed in the order they close.
+  EXPECT_EQ(runs[0].begin, 1u);  // node 1's stack run
+  EXPECT_EQ(runs[0].end, 3u);
+  EXPECT_EQ(runs[1].begin, 2u);  // node 0's stack run
+  EXPECT_EQ(runs[1].end, 4u);
+  EXPECT_EQ(runs[2].begin, 0u);  // node 0's dispatch holds only node 0's run
+  EXPECT_EQ(runs[2].end, 6u);
+  EXPECT_EQ(runs[2].nested_us, 10.0);
+}
 
 TEST(CritPath, EmptyDumpYieldsEmptyReport) {
   const CritPathReport r = analyze_critical_path(TraceDump{});

@@ -2,8 +2,9 @@
 // must produce bit-identical values to the serial reference, in every mode,
 // at every locality level. Also the containers' flat layout: nodes are views
 // into per-container arrays, consumer lists are in forward-chain order, a
-// foreign id or a bad slot is a ProtocolError, and building a world
-// allocates a number of blocks independent of the graph's size.
+// foreign id or a bad slot is a ProtocolError, building a world allocates a
+// number of blocks independent of the graph's size, and a warm forward run
+// allocates less than once per two forwarded continuations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -397,6 +398,32 @@ std::size_t build_allocations(std::size_t graph_nodes) {
   const em3d::World w = em3d::build(m, ids, p);
   t_counting = false;
   return t_allocs;
+}
+
+// Each forward hop builds its remainder in the container's reused buffer,
+// so a warm run allocates far less than once per forwarded continuation.
+TEST(Em3dForward, WarmHopsReuseTheRemainderBuffer) {
+  em3d::Params p;
+  p.graph_nodes = 4096;
+  p.degree = 8;
+  p.iters = 2;
+  MachineConfig cfg;
+  cfg.verify = false;  // a verify run boxes every message for its vector-clock stamp
+  SimMachine m(4, cfg);
+  const em3d::Ids ids = em3d::register_em3d(m.registry(), p, 4);
+  m.registry().finalize();
+  em3d::World w = em3d::build(m, ids, p);
+  ASSERT_TRUE(em3d::run(m, ids, w, em3d::Version::Forward));  // warm-up
+  const std::uint64_t forwarded_before = m.total_stats().continuations_forwarded;
+  t_allocs = 0;
+  t_counting = true;
+  const bool ok = em3d::run(m, ids, w, em3d::Version::Forward);
+  t_counting = false;
+  ASSERT_TRUE(ok);
+  const std::uint64_t forwarded = m.total_stats().continuations_forwarded - forwarded_before;
+  ASSERT_GT(forwarded, 0u);
+  EXPECT_LT(t_allocs, forwarded / 2) << t_allocs << " allocations for " << forwarded
+                                     << " forwarded continuations";
 }
 
 TEST(Em3dLayout, BuildAllocationsDoNotGrowWithTheGraph) {

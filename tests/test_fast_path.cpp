@@ -369,7 +369,7 @@ class NbFallbackPanic : public ::testing::TestWithParam<bool> {
 TEST_P(NbFallbackPanic, FromSequentialCaller) {
   auto m = liar_machine(config());
   ASSERT_EQ(m->registry().schema(g_liar), Schema::NonBlocking);
-  Frame f(m->node(0), kInvalidMethod, kNoObject, CallerInfo::none(), nullptr, 0);
+  Frame f(m->node(0), kInvalidMethod, kNoObject, kNoCaller, nullptr, 0);
   Value out;
   expect_protocol_error([&] { f.call(g_liar, kNoObject, {}, 0, &out); },
                         "non-blocking callee liar returned a fallback context");

@@ -2,8 +2,9 @@
 // POSTMORTEM.json when the stall watchdog fires, the panic path
 // (quiescence-verifier throw) dumps with reason "panic", per-node
 // ready/outbox/live-context depths round-trip through the JSON, dumps happen
-// at most once per run and never with an empty path, and each node's
-// `flight` array is the newest <= 256 records of its event ring.
+// at most once per run and never with an empty path, each node's `flight`
+// array is the newest <= 256 records of its event ring, and suspended
+// contexts are listed whether or not the run verifies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -186,13 +187,9 @@ void pm_driver_par(Node& nd, Context& ctx) {
   }
 }
 
-TEST(Postmortem, QuiescencePanicDumpsWithReasonPanic) {
-  const std::string path = "PM_test_panic.json";
-  std::remove(path.c_str());
-  MachineConfig cfg = test_config(ExecMode::Hybrid3);
-  cfg.verify = true;
-  cfg.postmortem_path = path;
-  SimMachine mach(1, cfg);
+/// pm_driver calls pm_stuck, whose future never fills: with pm_stuck forced
+/// onto the heap path, both contexts stay suspended at quiescence.
+void register_pm_stuck_program(SimMachine& mach) {
   auto& reg = mach.registry();
   MethodDecl d;
   d.name = "pm_stuck";
@@ -210,6 +207,16 @@ TEST(Postmortem, QuiescencePanicDumpsWithReasonPanic) {
   reg.add_callee(g_pm_driver, g_pm_stuck);
   reg.finalize();
   mach.node(0).injector().inject_at(g_pm_stuck, 0);  // force the heap path
+}
+
+TEST(Postmortem, QuiescencePanicDumpsWithReasonPanic) {
+  const std::string path = "PM_test_panic.json";
+  std::remove(path.c_str());
+  MachineConfig cfg = test_config(ExecMode::Hybrid3);
+  cfg.verify = true;
+  cfg.postmortem_path = path;
+  SimMachine mach(1, cfg);
+  register_pm_stuck_program(mach);
   EXPECT_THROW(mach.run_main(0, g_pm_driver, kNoObject, {}), ProtocolError);
 
   const JsonValue doc = read_postmortem(path);
@@ -226,6 +233,39 @@ TEST(Postmortem, QuiescencePanicDumpsWithReasonPanic) {
   }
   EXPECT_TRUE(named);
   std::remove(path.c_str());
+}
+
+TEST(Postmortem, SuspendedContextsListedWithVerifyOff) {
+  // The suspended contexts are read from the arena, so a run without the
+  // conformance sanitizer lists them too, in the postmortem and the stall
+  // report alike.
+  MachineConfig cfg = test_config(ExecMode::Hybrid3);
+  cfg.verify = false;
+  SimMachine mach(1, cfg);
+  register_pm_stuck_program(mach);
+  EXPECT_TRUE(mach.run_main(0, g_pm_driver, kNoObject, {}).is_nil());
+  std::ostringstream os;
+  mach.write_postmortem(os, "inspect");
+  JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(json_parse(os.str(), doc, &err)) << err;
+  check_node_reports(doc, 1);
+  const JsonValue* susp = doc.find("node_reports")->arr[0].find("suspended");
+  ASSERT_NE(susp, nullptr);
+  ASSERT_EQ(susp->arr.size(), 2u);
+  std::vector<std::string> methods;
+  for (const JsonValue& sc : susp->arr) methods.push_back(sc.str_or("method", ""));
+  std::sort(methods.begin(), methods.end());
+  EXPECT_EQ(methods, (std::vector<std::string>{"pm_driver", "pm_stuck"}));
+  // pm_stuck's reply goes to pm_driver's context.
+  for (const JsonValue& sc : susp->arr) {
+    if (sc.str_or("method", "") != "pm_stuck") continue;
+    ASSERT_FALSE(sc.find("chain")->arr.empty());
+    EXPECT_EQ(sc.find("chain")->arr[0].str, "pm_driver");
+  }
+  const std::string report = mach.stall_report();
+  EXPECT_NE(report.find("suspended=2"), std::string::npos) << report;
+  EXPECT_NE(report.find(" in pm_stuck"), std::string::npos) << report;
 }
 
 // -- dump mechanics --------------------------------------------------------

@@ -2,10 +2,13 @@
 // full-detail recording, causal flow-id pairing across nodes and engines,
 // every stack or wave run closed by a run_end, chrome-trace export well
 // formed, binary round-trip, and the binary
-// reader's rejection of corrupt dumps. Simulated-time identity lives in
+// reader's rejection of corrupt dumps. Also the Chrome export's slices and
+// the metrics sink, both engines, against trace_runs (handcrafted cases in
+// test_critpath.cpp). Simulated-time identity lives in
 // test_observability.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <sstream>
@@ -14,6 +17,7 @@
 
 #include "apps/sor/sor.hpp"
 #include "machine/trace.hpp"
+#include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "test_util.hpp"
 
@@ -416,6 +420,111 @@ TEST(Trace, ChromeExportIsBalancedJsonWithFlows) {
   EXPECT_NE(s.find("msg_send"), std::string::npos);
   EXPECT_NE(s.find("qsort"), std::string::npos);  // method names resolved
   EXPECT_NE(s.find("\"dropped_events\""), std::string::npos);
+}
+
+// -- trace_runs against the Chrome export and the metrics sink ------------
+
+/// SOR on 2x2 nodes in 1x1 tiles: dispatches, wrapper stack runs and (with
+/// merge_waves) waves.
+sor::Params small_sor() {
+  sor::Params p;
+  p.n = 8;
+  p.pgrid = 2;
+  p.block = 1;
+  p.iters = 1;
+  return p;
+}
+
+void run_sor(Machine& m, const sor::Params& p) {
+  const sor::Ids ids = sor::register_sor(m.registry(), p);
+  m.registry().finalize();
+  sor::World world = sor::build(m, ids, p);
+  ASSERT_TRUE(sor::run(m, ids, world));
+}
+
+TEST(TraceRuns, ChromeSlicesAreTheRunsOneForOne) {
+  const sor::Params p = small_sor();
+  MachineConfig cfg = test_config();
+  cfg.trace = true;
+  cfg.merge_waves = true;
+  SimMachine m(p.nodes(), cfg);
+  ASSERT_NO_FATAL_FAILURE(run_sor(m, p));
+  const TraceDump d = dump_trace(m);
+  const std::vector<TraceRun> runs = trace_runs(d);
+  std::ostringstream os;
+  write_chrome_trace(d, os);
+  JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(json_parse(os.str(), doc, &err)) << err;
+  std::vector<double> slices;
+  for (const JsonValue& e : doc.find("traceEvents")->arr) {
+    if (e.num_or("pid", -1) == 0 && e.str_or("ph", "") == "X") {
+      slices.push_back(e.num_or("dur", -1));
+    }
+  }
+  ASSERT_EQ(slices.size(), runs.size());
+  ASSERT_FALSE(runs.empty());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const double dur = d.display_us(d.events[runs[i].end].rec) -
+                       d.display_us(d.events[runs[i].begin].rec);
+    EXPECT_NEAR(slices[i], dur, 1e-5 * std::max(1.0, dur)) << "run " << i;
+  }
+}
+
+/// Per node: the metrics sink saw every closed run and every sized record.
+void expect_metrics_match_trace(const Machine& m) {
+  const TraceDump d = dump_trace(m);
+  ASSERT_EQ(d.dropped, 0u);
+  const std::vector<TraceRun> runs = trace_runs(d);
+  std::uint64_t total_runs = 0;
+  for (NodeId n = 0; n < m.node_count(); ++n) {
+    std::uint64_t closed = 0, drains = 0, flushes = 0, waves = 0;
+    for (const TraceRun& run : runs) closed += d.events[run.begin].node == n;
+    for (const TraceEvent& e : d.events) {
+      if (e.node != n) continue;
+      drains += e.rec.kind == TraceKind::InboxDrain;
+      flushes += e.rec.kind == TraceKind::OutboxFlush;
+      waves += e.rec.kind == TraceKind::WaveRun;
+    }
+    const NodeMetrics* mx = m.node(n).metrics();
+    ASSERT_NE(mx, nullptr);
+    EXPECT_EQ(mx->invoke_latency_ns.count(), closed) << "node " << n;
+    EXPECT_EQ(mx->inbox_depth.count(), drains) << "node " << n;
+    EXPECT_EQ(mx->flush_size.count(), flushes) << "node " << n;
+    EXPECT_EQ(mx->wave_size.count(), waves) << "node " << n;
+    EXPECT_TRUE(mx->open_runs.empty()) << "node " << n;
+    total_runs += closed;
+  }
+  EXPECT_GT(total_runs, 0u);
+}
+
+TEST(TraceRuns, MetricsSinkCountsTheTracedRunsOnSimEngine) {
+  const sor::Params p = small_sor();
+  MachineConfig cfg = test_config();
+  cfg.trace = true;
+  cfg.metrics = true;
+  cfg.merge_waves = true;
+  cfg.flush_policy = FlushPolicy::size_threshold(4);
+  SimMachine m(p.nodes(), cfg);
+  ASSERT_NO_FATAL_FAILURE(run_sor(m, p));
+  expect_metrics_match_trace(m);
+  EXPECT_GT(m.total_stats().outbox_flushes, 0u);
+  std::uint64_t waves = 0;
+  for (NodeId n = 0; n < m.node_count(); ++n) waves += m.node(n).metrics()->wave_size.count();
+  EXPECT_GT(waves, 0u);
+}
+
+TEST(TraceRuns, MetricsSinkCountsTheTracedRunsOnThreadedEngine) {
+  const sor::Params p = small_sor();
+  MachineConfig cfg = test_config();
+  cfg.trace = true;
+  cfg.metrics = true;
+  ThreadedMachine m(p.nodes(), cfg);
+  ASSERT_NO_FATAL_FAILURE(run_sor(m, p));
+  expect_metrics_match_trace(m);
+  std::uint64_t drains = 0;
+  for (NodeId n = 0; n < m.node_count(); ++n) drains += m.node(n).metrics()->inbox_depth.count();
+  EXPECT_GT(drains, 0u);
 }
 
 TEST(Trace, KindNamesAreDistinctAndRoundTrip) {

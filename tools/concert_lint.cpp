@@ -243,10 +243,6 @@ unsigned pass_of(LintCode c) {
   }
 }
 
-std::string method_name(const MethodRegistry& reg, concert::MethodId m) {
-  return m < reg.size() ? reg.info(m).name : std::string("?");
-}
-
 struct AppResult {
   std::string name;
   std::size_t methods = 0;
@@ -281,7 +277,7 @@ AppResult lint_app(const App& app, unsigned passes, bool want_spec_edges, bool w
     for (std::size_t i = 0; i < reg.size(); ++i) {
       const concert::MethodInfo& mi = reg.methods()[i];
       for (concert::MethodId c : mi.nb_site_callees) {
-        r.spec_edges.emplace_back(mi.name, method_name(reg, c));
+        r.spec_edges.emplace_back(mi.name, concert::method_name_or_id(reg.methods(), c));
       }
     }
   }

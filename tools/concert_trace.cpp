@@ -93,16 +93,6 @@ bool parse_top(const char* text, std::size_t& out) {
   return true;
 }
 
-const char* method_name_of(const TraceDump& d, MethodId m) {
-  if (m == kInvalidMethod || m >= d.method_names.size()) return "(root)";
-  return d.method_names[m].c_str();
-}
-
-double display_us(const TraceDump& d, const TraceRecord& r) {
-  return d.wall_time ? static_cast<double>(r.wall_ns) / 1e3
-                     : static_cast<double>(r.clock) * d.us_per_insn;
-}
-
 void apply_filters(TraceDump& d, const Options& opt) {
   if (!opt.have_node && !opt.have_kind && opt.method.empty()) return;
   MethodId wanted_method = kInvalidMethod;
@@ -174,54 +164,22 @@ struct MethodSelf {
 };
 
 std::vector<MethodSelf> method_self_times(const TraceDump& d) {
-  // One stack of open runs per node: a dispatch closes at its dispatch_end,
-  // a stack or wave run at its run_end, and a run may nest inside another
-  // (a local invocation through the wrapper path).
-  struct Open {
-    double ts;
-    MethodId method;
-    bool dispatch;
-    double nested_us = 0.0;
-  };
-  std::vector<std::vector<Open>> open(d.node_count + 1);
   std::unordered_map<MethodId, MethodSelf> by_method;
   for (const TraceEvent& e : d.events) {
-    std::vector<Open>& runs = open[std::min<std::size_t>(e.node, d.node_count)];
-    MethodSelf& ms = by_method[e.rec.method];
-    if (ms.name.empty()) ms.name = method_name_of(d, e.rec.method);
-    switch (e.rec.kind) {
-      case TraceKind::DispatchBegin:
-        ++ms.dispatches;
-        runs.push_back(Open{display_us(d, e.rec), e.rec.method, true});
-        break;
-      case TraceKind::StackRun:
-      case TraceKind::WaveRun:
-        ++ms.stack_runs;
-        runs.push_back(Open{display_us(d, e.rec), e.rec.method, false});
-        break;
-      case TraceKind::DispatchEnd:
-      case TraceKind::RunEnd: {
-        const bool dispatch = e.rec.kind == TraceKind::DispatchEnd;
-        // A stack or wave run still open inside a dispatch was never closed
-        // (a trace written before run_end existed).
-        while (dispatch && !runs.empty() && !runs.back().dispatch) runs.pop_back();
-        if (runs.empty() || runs.back().dispatch != dispatch ||
-            runs.back().method != e.rec.method) {
-          break;
-        }
-        const Open run = runs.back();
-        runs.pop_back();
-        const double us = display_us(d, e.rec) - run.ts;
-        ms.self_us += us - run.nested_us;
-        if (!runs.empty()) runs.back().nested_us += us;
-        break;
-      }
-      default: break;
+    if (e.rec.kind == TraceKind::DispatchBegin) ++by_method[e.rec.method].dispatches;
+    if (e.rec.kind == TraceKind::StackRun || e.rec.kind == TraceKind::WaveRun) {
+      ++by_method[e.rec.method].stack_runs;
     }
+  }
+  for (const TraceRun& run : trace_runs(d)) {
+    const TraceRecord& begin = d.events[run.begin].rec;
+    by_method[begin.method].self_us +=
+        d.display_us(d.events[run.end].rec) - d.display_us(begin) - run.nested_us;
   }
   std::vector<MethodSelf> out;
   for (auto& [m, ms] : by_method) {
-    if (ms.dispatches || ms.stack_runs) out.push_back(std::move(ms));
+    ms.name = d.method_name(m);
+    out.push_back(std::move(ms));
   }
   std::sort(out.begin(), out.end(), [](const MethodSelf& a, const MethodSelf& b) {
     return a.self_us != b.self_us ? a.self_us > b.self_us : a.name < b.name;
@@ -255,7 +213,7 @@ int run_summary(const TraceDump& d, const Options& opt) {
   double t_min = 0.0, t_max = 0.0;
   for (std::size_t i = 0; i < d.events.size(); ++i) {
     ++kind_counts[static_cast<std::size_t>(d.events[i].rec.kind)];
-    const double ts = display_us(d, d.events[i].rec);
+    const double ts = d.display_us(d.events[i].rec);
     if (i == 0) {
       t_min = t_max = ts;
     } else {
