@@ -1,6 +1,6 @@
 #!/bin/sh
-# wallclock_suite_cli: malformed --reps counts exit 2 with the usage line,
-# before any workload runs.
+# wallclock_suite_cli: malformed --reps counts and unknown flags exit 2 with
+# the usage line, before any workload runs.
 #   sh wallclock_cli_test.sh <wallclock_suite binary>
 bin=$1
 status=0
@@ -25,4 +25,5 @@ expect_usage --reps 99999999999999999999
 expect_usage --smoke --reps abc
 expect_usage --reps
 expect_usage --bogus
+expect_usage --merge
 exit $status

@@ -9,17 +9,19 @@
 // so successive PRs can compare like against like.
 //
 //   wallclock_suite [--smoke] [--reps N] [--json PATH] [--metrics] [--trace]
-//                   [--sites] [--postmortem-demo]
+//                   [--pin] [--sites] [--postmortem-demo]
 //
-// --smoke shrinks every workload to a few hundred milliseconds total (the CI
-// configuration); --json chooses the output path (default
-// BENCH_wallclock.json in the working directory). --metrics runs every kernel
-// with MachineConfig::metrics on and adds per-kernel invocation-latency
-// p50/p99 to the table and the JSON. --trace runs one extra traced SOR
-// iteration and writes TRACE_sor.ctrc (binary), TRACE_sor.json (Perfetto),
-// CRITPATH_sor.json (concert-insight critical path; its bucket fractions
-// also land in BENCH_wallclock.json as "critpath"), and — with --metrics —
-// METRICS_sor.json / METRICS_sor.prom. --sites runs one extra SOR iteration
+// Every kernel runs on the threaded engine under Hybrid3, for --reps measured
+// repetitions (default 3) after one warm-up. --smoke shrinks every workload
+// to a few hundred milliseconds total (the CI configuration); --json chooses
+// the output path (default BENCH_wallclock.json in the working directory).
+// --pin pins each node's thread to a CPU (MachineConfig::pin_threads).
+// --metrics runs every kernel with MachineConfig::metrics on and adds
+// per-kernel invocation-latency p50/p99 to the table and the JSON. --trace
+// runs one extra traced SOR iteration and writes TRACE_sor.ctrc (binary),
+// TRACE_sor.json (Perfetto), CRITPATH_sor.json (concert-insight critical
+// path; its bucket fractions also land in BENCH_wallclock.json as
+// "critpath"), and — with --metrics — METRICS_sor.json / METRICS_sor.prom. --sites runs one extra SOR iteration
 // with per-call-site profiling and writes SITES_sor.json.
 // --postmortem-demo deliberately stalls a small run (a phantom work credit
 // the watchdog then reports) and leaves POSTMORTEM_demo.json behind — the CI
@@ -29,7 +31,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -41,7 +42,6 @@
 #include "core/invoke.hpp"
 #include "core/wrapper.hpp"
 #include "machine/critpath.hpp"
-#include "machine/sim_machine.hpp"
 #include "machine/threaded_machine.hpp"
 #include "machine/trace.hpp"
 #include "objects/migration.hpp"
@@ -152,16 +152,11 @@ struct WorkloadResult {
   double mean_inbox_batch = 0.0;
   std::uint64_t loc_cache_hits = 0;
   std::uint64_t loc_cache_misses = 0;
-  std::uint64_t spec_nb_calls = 0;  ///< Call sites bound NB by edge specialization.
   // Memory subsystem (per measured rep, summed over nodes).
   std::uint64_t heap_allocs = 0;        ///< Global operator-new calls.
   double allocs_per_invocation = 0.0;   ///< heap_allocs / invocations.
   double arena_recycle_frac = 0.0;      ///< ctx_recycled / (ctx_fresh + ctx_recycled).
   double payload_hit_frac = 0.0;        ///< payload_pool_hits / payload_acquires.
-  // Merged-wave dispatch (per measured rep; zero unless merge_waves is on).
-  std::uint64_t wave_runs = 0;
-  std::uint64_t wave_msgs = 0;
-  double mean_wave = 0.0;  ///< wave_msgs / wave_runs.
   // Invocation wall latency, merged over nodes and reps (--metrics only).
   bool have_latency = false;
   std::uint64_t lat_p50_ns = 0;
@@ -186,7 +181,6 @@ WorkloadResult measure(const std::string& name, Machine& m, int warmup, int reps
   for (int i = 0; i < warmup; ++i) body();
   double sum = 0.0;
   double best = -1.0;
-  NodeStats first_delta;
   for (int i = 0; i < reps; ++i) {
     const NodeStats before = m.total_stats();
     const std::uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
@@ -194,7 +188,7 @@ WorkloadResult measure(const std::string& name, Machine& m, int warmup, int reps
     body();
     const double s = t.seconds();
     const std::uint64_t allocs_after = g_heap_allocs.load(std::memory_order_relaxed);
-    NodeStats after = m.total_stats();
+    const NodeStats after = m.total_stats();
     sum += s;
     if (best < 0 || s < best) best = s;
     // Counters come from the LAST rep: invocation/message counts are
@@ -202,7 +196,6 @@ WorkloadResult measure(const std::string& name, Machine& m, int warmup, int reps
     // arenas warm up over the first reps, and the number that should gate
     // regressions is the steady-state allocation rate, not the warm-up cost.
     if (i == reps - 1) {
-      first_delta = after;
       // Only the per-rep counter deltas matter; the subtraction is done
       // field-by-field below for the handful we report.
       r.invocations = (after.local_invokes + after.remote_invokes) -
@@ -210,7 +203,6 @@ WorkloadResult measure(const std::string& name, Machine& m, int warmup, int reps
       r.msgs = after.msgs_sent - before.msgs_sent;
       r.loc_cache_hits = after.loc_cache_hits - before.loc_cache_hits;
       r.loc_cache_misses = after.loc_cache_misses - before.loc_cache_misses;
-      r.spec_nb_calls = after.spec_stack_calls - before.spec_stack_calls;
       const std::uint64_t batches = after.inbox_batches - before.inbox_batches;
       const std::uint64_t drained = after.inbox_batched_msgs - before.inbox_batched_msgs;
       r.mean_inbox_batch = batches ? static_cast<double>(drained) / static_cast<double>(batches)
@@ -230,11 +222,6 @@ WorkloadResult measure(const std::string& name, Machine& m, int warmup, int reps
           acq ? static_cast<double>(after.payload_pool_hits - before.payload_pool_hits) /
                     static_cast<double>(acq)
               : 0.0;
-      r.wave_runs = after.wave_runs - before.wave_runs;
-      r.wave_msgs = after.wave_msgs - before.wave_msgs;
-      r.mean_wave = r.wave_runs ? static_cast<double>(r.wave_msgs) /
-                                      static_cast<double>(r.wave_runs)
-                                : 0.0;
     }
   }
   r.best_wall_s = best;
@@ -351,152 +338,52 @@ WorkloadResult run_ping_churn(bool smoke, int reps, const MachineConfig& cfg) {
   return r;
 }
 
-/// Engine selector for the kernel runners. The threaded engine is the
-/// default (the "real time" half of DESIGN §3); the sequential sim engine is
-/// used by the merge comparison to isolate dispatch amortization from thread
-/// scheduling — on oversubscribed hosts the threaded off/on ratio measures
-/// the scheduler, not the runtime.
-std::unique_ptr<Machine> make_engine(bool sim, std::size_t nodes, const MachineConfig& cfg) {
-  if (sim) return std::make_unique<SimMachine>(nodes, cfg);
-  return std::make_unique<ThreadedMachine>(nodes, cfg);
-}
-
-WorkloadResult run_sor(bool smoke, int reps, const MachineConfig& cfg, bool sim = false) {
+WorkloadResult run_sor(bool smoke, int reps, const MachineConfig& cfg) {
   sor::Params p;
   p.n = smoke ? 32 : 64;
   p.pgrid = 2;
   p.block = 8;
   p.iters = smoke ? 2 : 4;
-  auto m = make_engine(sim, p.nodes(), cfg);
-  auto ids = sor::register_sor(m->registry(), p);
-  m->registry().finalize();
-  auto world = sor::build(*m, ids, p);
+  ThreadedMachine m(p.nodes(), cfg);
+  auto ids = sor::register_sor(m.registry(), p);
+  m.registry().finalize();
+  auto world = sor::build(m, ids, p);
   auto body = [&] {
-    CONCERT_CHECK(sor::run(*m, ids, world), "SOR driver failed");
+    CONCERT_CHECK(sor::run(m, ids, world), "SOR driver failed");
   };
-  return measure("sor", *m, /*warmup=*/1, reps, body);
+  return measure("sor", m, /*warmup=*/1, reps, body);
 }
 
-WorkloadResult run_em3d(bool smoke, int reps, const MachineConfig& cfg, bool sim = false) {
+WorkloadResult run_em3d(bool smoke, int reps, const MachineConfig& cfg) {
   em3d::Params p;
   p.graph_nodes = smoke ? 128 : 384;
   p.degree = 8;
   p.iters = smoke ? 2 : 4;
   p.local_fraction = 0.5;
   const std::size_t nodes = 4;
-  auto m = make_engine(sim, nodes, cfg);
-  auto ids = em3d::register_em3d(m->registry(), p, nodes);
-  m->registry().finalize();
-  auto world = em3d::build(*m, ids, p);
+  ThreadedMachine m(nodes, cfg);
+  auto ids = em3d::register_em3d(m.registry(), p, nodes);
+  m.registry().finalize();
+  auto world = em3d::build(m, ids, p);
   auto body = [&] {
-    CONCERT_CHECK(em3d::run(*m, ids, world, em3d::Version::Push), "EM3D driver failed");
+    CONCERT_CHECK(em3d::run(m, ids, world, em3d::Version::Push), "EM3D driver failed");
   };
-  return measure("em3d", *m, /*warmup=*/1, reps, body);
+  return measure("em3d", m, /*warmup=*/1, reps, body);
 }
 
-WorkloadResult run_md(bool smoke, int reps, const MachineConfig& cfg, bool sim = false) {
+WorkloadResult run_md(bool smoke, int reps, const MachineConfig& cfg) {
   md::Params p;
   p.atoms = smoke ? 128 : 320;
   p.spatial = true;
   const std::size_t nodes = 4;
-  auto m = make_engine(sim, nodes, cfg);
-  auto ids = md::register_md(m->registry(), p, nodes);
-  m->registry().finalize();
-  auto world = md::build(*m, ids, p);
+  ThreadedMachine m(nodes, cfg);
+  auto ids = md::register_md(m.registry(), p, nodes);
+  m.registry().finalize();
+  auto world = md::build(m, ids, p);
   auto body = [&] {
-    CONCERT_CHECK(md::run(*m, ids, world), "MD-Force driver failed");
+    CONCERT_CHECK(md::run(m, ids, world), "MD-Force driver failed");
   };
-  return measure("mdforce", *m, /*warmup=*/1, reps, body);
-}
-
-// ---------------------------------------------------------------------------
-// Edge-specialization comparison (concert-analyze): each kernel under Hybrid1
-// with call-site specialization off vs on, same workload and engine. Hybrid1
-// degrades every unlocked method to the CP interface, so this isolates what
-// winning the NB stack convention back on refined edges is worth in real time.
-// ---------------------------------------------------------------------------
-
-struct SpecDelta {
-  std::string name;
-  double off_best_s = 0.0;
-  double on_best_s = 0.0;
-  std::uint64_t spec_nb_calls = 0;  ///< per rep, from the specialized run
-  /// Positive = specialization made the kernel faster by this fraction.
-  double delta() const {
-    return off_best_s > 0 ? (off_best_s - on_best_s) / off_best_s : 0.0;
-  }
-};
-
-std::vector<SpecDelta> run_spec_comparison(bool smoke, int reps) {
-  MachineConfig off = wallclock_config();
-  off.mode = ExecMode::Hybrid1;
-  MachineConfig on = off;
-  on.specialize_edges = true;
-
-  using Runner = WorkloadResult (*)(bool, int, const MachineConfig&, bool);
-  const std::pair<const char*, Runner> kernels[] = {
-      {"sor", run_sor}, {"em3d", run_em3d}, {"mdforce", run_md}};
-  std::vector<SpecDelta> deltas;
-  for (const auto& [name, runner] : kernels) {
-    SpecDelta d;
-    d.name = name;
-    d.off_best_s = runner(smoke, reps, off, /*sim=*/false).best_wall_s;
-    const WorkloadResult r_on = runner(smoke, reps, on, /*sim=*/false);
-    d.on_best_s = r_on.best_wall_s;
-    d.spec_nb_calls = r_on.spec_nb_calls;
-    deltas.push_back(d);
-  }
-  return deltas;
-}
-
-// ---------------------------------------------------------------------------
-// Merged-wave comparison: each kernel under Hybrid3 with merge_waves off vs
-// on, same workload and engine. This isolates what batching homogeneous
-// invocation runs into one dispatch (plus bundled replies) is worth in real
-// time — the headline claim of the merged-wave PR.
-// ---------------------------------------------------------------------------
-
-struct MergeDelta {
-  std::string name;
-  double off_best_s = 0.0;
-  double on_best_s = 0.0;
-  double off_inv_per_s = 0.0;
-  double on_inv_per_s = 0.0;
-  double mean_wave = 0.0;  ///< from the merged run
-  /// Throughput ratio: >1 means the merged path is faster.
-  double speedup() const { return off_best_s > 0 && on_best_s > 0 ? off_best_s / on_best_s : 0.0; }
-};
-
-std::vector<MergeDelta> run_merge_comparison(bool smoke, int reps, const MachineConfig& base) {
-  MachineConfig off = base;
-  off.merge_waves = false;
-  MachineConfig on = base;
-  on.merge_waves = true;
-
-  using Runner = WorkloadResult (*)(bool, int, const MachineConfig&, bool);
-  const std::pair<const char*, Runner> kernels[] = {
-      {"sor", run_sor}, {"em3d", run_em3d}, {"mdforce", run_md}};
-  std::vector<MergeDelta> deltas;
-  // Both engines per kernel: the threaded rows measure the production path
-  // (noisy on oversubscribed hosts — wall time there is mostly thread
-  // scheduling); the sim rows run the identical merged partitioner on the
-  // deterministic single-threaded engine, so their off/on ratio is the
-  // runtime's own dispatch amortization and nothing else.
-  for (const bool sim : {false, true}) {
-    for (const auto& [name, runner] : kernels) {
-      MergeDelta d;
-      d.name = sim ? std::string(name) + "/sim" : std::string(name);
-      const WorkloadResult r_off = runner(smoke, reps, off, sim);
-      const WorkloadResult r_on = runner(smoke, reps, on, sim);
-      d.off_best_s = r_off.best_wall_s;
-      d.on_best_s = r_on.best_wall_s;
-      d.off_inv_per_s = r_off.inv_per_s;
-      d.on_inv_per_s = r_on.inv_per_s;
-      d.mean_wave = r_on.mean_wave;
-      deltas.push_back(d);
-    }
-  }
-  return deltas;
+  return measure("mdforce", m, /*warmup=*/1, reps, body);
 }
 
 /// Critical-path bucket fractions from the traced SOR run (concert-insight),
@@ -511,8 +398,7 @@ struct CritFracs {
 };
 
 void write_json(const std::string& path, const std::vector<WorkloadResult>& results,
-                const std::vector<SpecDelta>& spec, const std::vector<MergeDelta>& merge,
-                bool smoke, int reps, bool merged_main, const CritFracs& crit) {
+                bool smoke, int reps, const CritFracs& crit) {
   std::ofstream os(path);
   CONCERT_CHECK(os.good(), "cannot write " << path);
   os << "{\n"
@@ -520,7 +406,6 @@ void write_json(const std::string& path, const std::vector<WorkloadResult>& resu
      << "  \"engine\": \"threaded\",\n"
      << "  \"mode\": \"Hybrid3\",\n"
      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-     << "  \"merge_waves\": " << (merged_main ? "true" : "false") << ",\n"
      << "  \"repetitions\": " << reps << ",\n"
      << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -541,33 +426,11 @@ void write_json(const std::string& path, const std::vector<WorkloadResult>& resu
        << ", \"allocs_per_invocation\": " << r.allocs_per_invocation
        << ", \"arena_recycle_frac\": " << r.arena_recycle_frac
        << ", \"payload_hit_frac\": " << r.payload_hit_frac;
-    if (r.wave_runs > 0) {
-      os << ", \"wave_runs\": " << r.wave_runs << ", \"wave_msgs\": " << r.wave_msgs
-         << ", \"mean_wave\": " << r.mean_wave;
-    }
     if (r.have_latency) {
       os << ", \"invoke_latency_p50_ns\": " << r.lat_p50_ns
          << ", \"invoke_latency_p99_ns\": " << r.lat_p99_ns;
     }
     os << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"spec_comparison\": [\n";
-  for (std::size_t i = 0; i < spec.size(); ++i) {
-    const SpecDelta& d = spec[i];
-    os << "    {\"name\": \"" << d.name << "\", \"mode\": \"Hybrid1\""
-       << ", \"off_best_wall_s\": " << d.off_best_s << ", \"on_best_wall_s\": " << d.on_best_s
-       << ", \"spec_nb_calls\": " << d.spec_nb_calls
-       << ", \"speedup_frac\": " << d.delta() << "}" << (i + 1 < spec.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"merge_comparison\": [\n";
-  for (std::size_t i = 0; i < merge.size(); ++i) {
-    const MergeDelta& d = merge[i];
-    os << "    {\"name\": \"" << d.name << "\", \"mode\": \"Hybrid3\""
-       << ", \"off_best_wall_s\": " << d.off_best_s << ", \"on_best_wall_s\": " << d.on_best_s
-       << ", \"off_invocations_per_sec\": " << static_cast<std::uint64_t>(d.off_inv_per_s)
-       << ", \"on_invocations_per_sec\": " << static_cast<std::uint64_t>(d.on_inv_per_s)
-       << ", \"mean_wave\": " << d.mean_wave << ", \"speedup\": " << d.speedup() << "}"
-       << (i + 1 < merge.size() ? "," : "") << "\n";
   }
   os << "  ]";
   if (crit.valid) {
@@ -722,14 +585,13 @@ int main(int argc, char** argv) {
   bool metrics = false;
   bool trace = false;
   bool pin = false;
-  bool merge = false;
   bool sites = false;
   bool postmortem_demo = false;
   int reps = 3;
   std::string json_path = "BENCH_wallclock.json";
   auto usage = [] {
     std::cerr << "usage: wallclock_suite [--smoke] [--reps N] [--json PATH] "
-                 "[--metrics] [--trace] [--pin] [--merge] [--sites] "
+                 "[--metrics] [--trace] [--pin] [--sites] "
                  "[--postmortem-demo]\n";
     return 2;
   };
@@ -742,8 +604,6 @@ int main(int argc, char** argv) {
       trace = true;
     } else if (std::strcmp(argv[i], "--pin") == 0) {
       pin = true;
-    } else if (std::strcmp(argv[i], "--merge") == 0) {
-      merge = true;
     } else if (std::strcmp(argv[i], "--sites") == 0) {
       sites = true;
     } else if (std::strcmp(argv[i], "--postmortem-demo") == 0) {
@@ -770,11 +630,10 @@ int main(int argc, char** argv) {
   MachineConfig cfg = wallclock_config();
   cfg.metrics = metrics;
   cfg.pin_threads = pin;
-  cfg.merge_waves = merge;
 
   bench::print_caption(std::string("Wall-clock suite — threaded engine") +
                        (smoke ? " (smoke)" : "") + (metrics ? " [metrics]" : "") +
-                       (pin ? " [pinned]" : "") + (merge ? " [merged waves]" : ""));
+                       (pin ? " [pinned]" : ""));
   std::vector<WorkloadResult> results;
   results.push_back(run_ping(smoke, reps, cfg));
   results.push_back(run_ping_churn(smoke, reps, cfg));
@@ -785,7 +644,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> cols = {"workload", "best (s)", "mean (s)", "invocations", "msgs",
                                    "inv/s", "msg/s", "avg inbox batch", "allocs/inv",
                                    "arena recycle", "loc cache hit"};
-  if (merge) cols.push_back("avg wave");
   if (metrics) {
     cols.push_back("lat p50 (ns)");
     cols.push_back("lat p99 (ns)");
@@ -807,7 +665,6 @@ int main(int argc, char** argv) {
                                                static_cast<double>(loc_traffic),
                                            1) + "%"
                               : "-");
-    if (merge) row.push_back(r.wave_runs ? fmt_double(r.mean_wave, 2) : "-");
     if (metrics) {
       row.push_back(r.have_latency ? fmt_count(r.lat_p50_ns) : "-");
       row.push_back(r.have_latency ? fmt_count(r.lat_p99_ns) : "-");
@@ -816,33 +673,11 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  const std::vector<SpecDelta> spec = run_spec_comparison(smoke, reps);
-  bench::print_caption("Edge specialization under Hybrid1 (off vs on)");
-  TablePrinter st({"kernel", "off best (s)", "on best (s)", "spec-NB calls", "speedup"});
-  for (const SpecDelta& d : spec) {
-    st.add_row({d.name, fmt_double(d.off_best_s, 4), fmt_double(d.on_best_s, 4),
-                std::to_string(d.spec_nb_calls),
-                fmt_double(d.delta() * 100.0, 1) + "%"});
-  }
-  st.print(std::cout);
-
-  const std::vector<MergeDelta> merged = run_merge_comparison(smoke, reps, cfg);
-  bench::print_caption("Merged-wave dispatch under Hybrid3 (off vs on)");
-  TablePrinter mt({"kernel", "off best (s)", "on best (s)", "off inv/s", "on inv/s", "avg wave",
-                   "speedup"});
-  for (const MergeDelta& d : merged) {
-    mt.add_row({d.name, fmt_double(d.off_best_s, 4), fmt_double(d.on_best_s, 4),
-                fmt_count(static_cast<std::uint64_t>(d.off_inv_per_s)),
-                fmt_count(static_cast<std::uint64_t>(d.on_inv_per_s)),
-                fmt_double(d.mean_wave, 2), fmt_double(d.speedup(), 2) + "x"});
-  }
-  mt.print(std::cout);
-
   // The traced run comes before the JSON is written so its critical-path
   // bucket fractions land in the same BENCH_wallclock.json.
   CritFracs crit;
   if (trace) crit = run_traced_sor(metrics);
-  write_json(json_path, results, spec, merged, smoke, reps, merge, crit);
+  write_json(json_path, results, smoke, reps, crit);
   std::cout << "\nwrote " << json_path << "\n";
 
   if (sites) run_sites_sor();

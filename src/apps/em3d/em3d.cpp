@@ -145,39 +145,6 @@ void combine_par(Node& nd, Context& ctx) {
   ParFrame(nd, ctx).complete(v);
 }
 
-// --- merged-wave bodies (MachineConfig::merge_waves) --------------------------
-// A push/pull superstep delivers hundreds of same-method invocations per
-// container; the wave bodies run them as struct-of-arrays loops, gathering
-// the graph-node reads into a plain double chunk before the reply loop.
-
-void get_wave(Node& nd, const InvokeWave& w) {
-  ObjectSpace& os = nd.objects();
-  constexpr std::size_t kChunk = 64;
-  double v[kChunk];
-  for (std::size_t base = 0; base < w.count; base += kChunk) {
-    const std::size_t m = std::min(kChunk, w.count - base);
-    for (std::size_t i = 0; i < m; ++i) {
-      auto& c = os.get<NodeContainer>(w.targets[base + i]);
-      v[i] = c.values[c.nodes.local(static_cast<std::uint32_t>(w.args[base + i][0].as_i64()))];
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      const Value rv(v[i]);
-      nd.reply_to_multi(w.replies[base + i], &rv, 1);
-    }
-  }
-}
-
-void recv_wave(Node& nd, const InvokeWave& w) {
-  ObjectSpace& os = nd.objects();
-  for (std::size_t i = 0; i < w.count; ++i) {
-    const Value* a = w.args[i];
-    os.get<NodeContainer>(w.targets[i]).inbox_slot(static_cast<std::uint32_t>(a[0].as_i64()),
-                                                   a[1].as_i64()) = a[2].as_f64();
-  }
-  const Value ack(1);
-  for (std::size_t i = 0; i < w.count; ++i) nd.reply_to_multi(w.replies[i], &ack, 1);
-}
-
 // --- compute_pull: MB -----------------------------------------------------------
 
 Context* pull_seq(Node& nd, Value* ret, const CallerInfo& ci, GlobalRef self, const Value* args,
@@ -476,7 +443,6 @@ Ids register_em3d(MethodRegistry& reg, const Params& params, std::size_t nodes) 
   d.name = "em3d.get_value";
   d.seq = get_seq;
   d.par = get_par;
-  d.wave = get_wave;
   d.frame_slots = 0;
   d.arg_count = 1;
   d.class_id = 1;  // NodeContainer
@@ -487,7 +453,6 @@ Ids register_em3d(MethodRegistry& reg, const Params& params, std::size_t nodes) 
   d.name = "em3d.recv_value";
   d.seq = recv_seq;
   d.par = recv_par;
-  d.wave = recv_wave;
   d.frame_slots = 0;
   d.arg_count = 3;
   d.class_id = 1;

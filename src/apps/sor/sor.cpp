@@ -60,37 +60,6 @@ void update_par(Node& nd, Context& ctx) {
   f.complete(Value(1));
 }
 
-// --- merged-wave bodies (MachineConfig::merge_waves) -------------------------
-// Hand-written struct-of-arrays loops for the two NB methods. The object
-// reads are gathered into a plain double array in chunks, separating the
-// pointer-chasing loads from the (vectorizable) value traffic, and the reply
-// loop runs over the chunk afterwards — the shape the merged-group code
-// generators emit.
-
-void get_wave(Node& nd, const InvokeWave& w) {
-  ObjectSpace& os = nd.objects();
-  constexpr std::size_t kChunk = 64;
-  double v[kChunk];
-  for (std::size_t base = 0; base < w.count; base += kChunk) {
-    const std::size_t m = std::min(kChunk, w.count - base);
-    for (std::size_t i = 0; i < m; ++i) v[i] = os.get<Cell>(w.targets[base + i]).value;
-    for (std::size_t i = 0; i < m; ++i) {
-      const Value rv(v[i]);
-      nd.reply_to_multi(w.replies[base + i], &rv, 1);
-    }
-  }
-}
-
-void update_wave(Node& nd, const InvokeWave& w) {
-  ObjectSpace& os = nd.objects();
-  for (std::size_t i = 0; i < w.count; ++i) {
-    Cell& c = os.get<Cell>(w.targets[i]);
-    c.value = c.next;
-  }
-  const Value ack(1);
-  for (std::size_t i = 0; i < w.count; ++i) nd.reply_to_multi(w.replies[i], &ack, 1);
-}
-
 // --- compute_cell: MB (neighbors may be remote) ------------------------------
 
 Context* compute_seq(Node& nd, Value* ret, const CallerInfo& ci, GlobalRef self,
@@ -233,7 +202,6 @@ Ids register_sor(MethodRegistry& reg, const Params& params) {
   d.name = "sor.get_value";
   d.seq = get_seq;
   d.par = get_par;
-  d.wave = get_wave;
   d.frame_slots = 0;
   d.arg_count = 0;
   d.class_id = 1;  // Cell
@@ -244,7 +212,6 @@ Ids register_sor(MethodRegistry& reg, const Params& params) {
   d.name = "sor.update_cell";
   d.seq = update_seq;
   d.par = update_par;
-  d.wave = update_wave;
   d.frame_slots = 0;
   d.arg_count = 0;
   d.class_id = 1;  // Cell

@@ -1,7 +1,5 @@
 #include "core/analysis.hpp"
 
-#include <algorithm>
-
 #include "support/panic.hpp"
 
 namespace concert {
@@ -11,20 +9,9 @@ FlowFacts compute_flow_facts(const std::vector<MethodInfo>& methods) {
   FlowFacts f;
   f.may_block.assign(n, 0);
   f.needs_continuation.assign(n, 0);
-  f.site_may_block.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     f.may_block[i] = methods[i].blocks_locally ? 1 : 0;
     f.needs_continuation[i] = methods[i].uses_continuation ? 1 : 0;
-    // The site-sensitive seed keeps every behaviour the method *itself* can
-    // exhibit when plainly called: blocking, storing its continuation
-    // (defers the reply), forwarding it (ditto), and implicit locking
-    // (conservative — lock contention diverts the call before the stack
-    // convention is entered, but a locking activation's completion is what
-    // releases the lock, so we never claim NB-at-site for it).
-    f.site_may_block[i] = (methods[i].blocks_locally || methods[i].uses_continuation ||
-                           !methods[i].forwards_to.empty() || methods[i].locks_self)
-                              ? 1
-                              : 0;
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (MethodId c : methods[i].forwards_to) {
@@ -44,24 +31,17 @@ FlowFacts compute_flow_facts(const std::vector<MethodInfo>& methods) {
   }
 
   // Least fixpoint; the graph is small (a program's method count), so simple
-  // iteration to convergence is fine and obviously correct. may_block and
-  // site_may_block propagate over the same call edges; only their seeds
-  // differ (site_may_block never inherits forward-target CP-ness, so a
-  // method whose only sin is calling a forward target stays site-NB).
+  // iteration to convergence is fine and obviously correct.
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t i = 0; i < n; ++i) {
-      if (f.may_block[i] && f.site_may_block[i]) continue;
+      if (f.may_block[i]) continue;
       for (MethodId c : methods[i].callees) {
-        if (c >= n) continue;
-        if (!f.may_block[i] && f.may_block[c]) {
+        if (c < n && f.may_block[c]) {
           f.may_block[i] = 1;
           changed = true;
-        }
-        if (!f.site_may_block[i] && f.site_may_block[c]) {
-          f.site_may_block[i] = 1;
-          changed = true;
+          break;
         }
       }
       // (needs_continuation is not transitive over plain calls: a method that
@@ -97,7 +77,6 @@ void analyze_schemas(std::vector<MethodInfo>& methods) {
     m.may_block = f.may_block[i] != 0;
     m.needs_continuation = f.needs_continuation[i] != 0;
     m.schema = schema_from_facts(m.may_block, m.needs_continuation);
-    m.site_nonblocking = f.site_may_block[i] == 0;
     // Implicit locking releases at activation completion, which for a CP
     // method may be delegated through its continuation — undecidable at the
     // call site. The compiler would reject such a class; so do we.
@@ -107,27 +86,6 @@ void analyze_schemas(std::vector<MethodInfo>& methods) {
                   m.name << ": multi_return out of range");
     CONCERT_CHECK(!(m.multi_return > 1 && m.schema == Schema::ContinuationPassing),
                   m.name << ": multiple return values are not supported on CP methods");
-  }
-
-  // Per-edge refinement (concert-analyze): a plain call edge i -> c can bind
-  // the NB convention at the site when c provably completes on the caller's
-  // stack (site-NB) — forwarding edges are excluded, since handing the
-  // continuation over *is* the CP convention. Sorted + deduplicated so the
-  // dispatch tables' per-caller spans can be probed deterministically.
-  for (std::size_t i = 0; i < n; ++i) {
-    MethodInfo& m = methods[i];
-    m.nb_site_callees.clear();
-    for (MethodId c : m.callees) {
-      if (c >= n) continue;
-      if (f.site_may_block[c] != 0) continue;
-      if (std::find(m.forwards_to.begin(), m.forwards_to.end(), c) != m.forwards_to.end()) {
-        continue;
-      }
-      m.nb_site_callees.push_back(c);
-    }
-    std::sort(m.nb_site_callees.begin(), m.nb_site_callees.end());
-    m.nb_site_callees.erase(std::unique(m.nb_site_callees.begin(), m.nb_site_callees.end()),
-                            m.nb_site_callees.end());
   }
 }
 

@@ -15,20 +15,6 @@
 //   schema(m) = CP  if needs_cont(m)
 //             = MB  if may_block(m)
 //             = NB  otherwise
-//
-// concert-analyze adds a *call-site-sensitive* refinement on top of the
-// method-level classification: site_may_block(m) asks whether an invocation
-// of m arriving through a declared plain-call edge — where the caller builds
-// the convention at the call site, as opposed to the exported interface a
-// wrapper or forwarded continuation arrives through — can fail to complete on
-// the caller's stack. The two fixpoints differ in exactly one seed:
-// may_block includes needs_continuation (a CP method *as an interface* can
-// defer its reply arbitrarily), while site_may_block only includes the
-// method's *own* continuation behaviour (uses_continuation / forwards_to).
-// A method that is CP purely because some other caller forwards into it
-// still runs to completion when plainly called, so the edge can bind the
-// cheap NB convention — recorded per call edge as
-// MethodInfo::nb_site_callees and consumed by the dispatch tables at seal().
 #pragma once
 
 #include <vector>
@@ -38,15 +24,10 @@
 namespace concert {
 
 /// The analysis result before it is committed into MethodInfo: one
-/// may-block / needs-continuation / site-may-block bit per method.
+/// may-block / needs-continuation bit per method.
 struct FlowFacts {
   std::vector<std::uint8_t> may_block;
   std::vector<std::uint8_t> needs_continuation;
-  /// Can an invocation arriving through a declared plain-call edge fail to
-  /// complete on the caller's stack? Excludes inherited forward-target
-  /// CP-ness (the whole point of the refinement) but keeps everything the
-  /// method does itself: blocking, continuation use, forwarding, locking.
-  std::vector<std::uint8_t> site_may_block;
 };
 
 /// Pure recomputation of the flow analysis from the declared facts. Does not
@@ -62,8 +43,7 @@ FlowFacts compute_flow_facts(const std::vector<MethodInfo>& methods);
 Schema schema_from_facts(bool may_block, bool needs_continuation);
 
 /// Runs the analysis in place, filling MethodInfo::{may_block,
-/// needs_continuation, schema, site_nonblocking, nb_site_callees} for every
-/// method.
+/// needs_continuation, schema} for every method.
 void analyze_schemas(std::vector<MethodInfo>& methods);
 
 }  // namespace concert

@@ -149,17 +149,7 @@ bool Frame::call_general(const DispatchEntry& de, MethodId callee, GlobalRef tar
     return false;
   }
 
-  Schema schema = de.schema;
-  // Call-site specialization (concert-analyze): this specific edge was proved
-  // site-NB by the registry's per-edge refinement, so the site binds the NB
-  // convention even though the callee's global interface is more general —
-  // no CallerInfo setup, NB call cost, no fallback linkage. The locality /
-  // lock divert below is unaffected (it precedes the convention in both the
-  // specialized and general code paths).
-  if (schema != Schema::NonBlocking && nd_.site_specialized(method_, callee)) {
-    schema = Schema::NonBlocking;
-    ++nd_.stats.spec_stack_calls;
-  }
+  const Schema schema = de.schema;
   charge_seq_call(nd_, schema);
 
   if (!stack_attempt_here(nd_, callee, target)) {

@@ -192,10 +192,10 @@ class Frame {
   Frame(Node& nd, Context& running)
       : nd_(nd), ctx_(&running), method_(running.method), self_(running.self), ci_(kNoCaller) {}
 
-  /// call() for everything nb_fast_path rejects: MB and CP linkage, edge
-  /// specialization, implicit locks, site profiling, verification, block
-  /// injection and the parallel-only mode (which runs no stack version, so
-  /// only a ParFrame reaches that divert).
+  /// call() for everything nb_fast_path rejects: MB and CP linkage,
+  /// implicit locks, site profiling, verification, block injection and the
+  /// parallel-only mode (which runs no stack version, so only a ParFrame
+  /// reaches that divert).
   bool call_general(const DispatchEntry& de, MethodId callee, GlobalRef target,
                     const Value* args, std::size_t nargs, SlotId slot, Value* out);
   /// Common "the callee must run in parallel" path: expect_reply, then

@@ -93,40 +93,13 @@ void MethodRegistry::seal() {
       e.seq = mi.seq;
       e.par = mi.par;
       e.schema = effective_schema(static_cast<MethodId>(i), mode);
-      // Wave eligibility is a pure function of the effective schema: only a
-      // method that always completes on the stack (NB) without taking its
-      // target's lock can run as one member of a merged loop. Hybrid1's CP
-      // degradation naturally drops methods out of the wave set, and
-      // ParallelOnly never runs stack versions at all.
-      if (e.schema == Schema::NonBlocking && !mi.locks_self && mode != ExecMode::ParallelOnly) {
-        e.wave = mi.wave != nullptr ? mi.wave : generic_nb_wave;
-      }
       e.locks_self = mi.locks_self;
       e.variadic = mi.variadic;
       e.multi_return = mi.multi_return;
       e.arg_count = mi.arg_count;
       e.frame_slots = mi.frame_slots;
-      // Call-site specialization spans. Only edges whose callee is *not*
-      // already NB under this mode need an entry — the invoke fast path only
-      // consults the span after seeing a non-NB callee schema. ParallelOnly
-      // never runs stack conventions, so its spans stay empty.
-      if (specialize_ && mode != ExecMode::ParallelOnly) {
-        std::vector<MethodId>& spec = spec_callees_[m];
-        e.spec_begin = static_cast<std::uint32_t>(spec.size());
-        for (MethodId c : mi.nb_site_callees) {
-          if (effective_schema(c, mode) != Schema::NonBlocking) spec.push_back(c);
-        }
-        e.spec_count = static_cast<std::uint16_t>(spec.size() - e.spec_begin);
-      }
     }
   }
-}
-
-const MethodId* MethodRegistry::spec_table(ExecMode mode) const {
-  CONCERT_CHECK(finalized_, "spec_table before seal()");
-  const std::size_t m = static_cast<std::size_t>(mode);
-  CONCERT_CHECK(m < kExecModeCount, "bad exec mode " << m);
-  return spec_callees_[m].empty() ? nullptr : spec_callees_[m].data();
 }
 
 const DispatchEntry* MethodRegistry::dispatch_table(ExecMode mode) const {

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/caller_info.hpp"
-#include "core/continuation.hpp"
 #include "core/global_ref.hpp"
 #include "core/ids.hpp"
 #include "core/schema.hpp"
@@ -54,33 +53,6 @@ using SeqFn = Context* (*)(Node& nd, Value* ret, const CallerInfo& ci, GlobalRef
 /// (expect future slots, set ctx.pc, call nd.suspend(ctx)).
 using ParStep = void (*)(Node& nd, Context& ctx);
 
-/// Struct-of-arrays view over a run of same-method invocation messages
-/// (MachineConfig::merge_waves). Column i describes the i-th message of the
-/// run, in delivery order: its target object, its argument span (pointer +
-/// count into the message's payload, no copies), and its reply
-/// continuation. The view borrows the drained messages' storage — it is valid
-/// only for the duration of the wave call.
-struct InvokeWave {
-  MethodId method = kInvalidMethod;
-  std::size_t count = 0;
-  const GlobalRef* targets = nullptr;
-  const Value* const* args = nullptr;
-  const std::uint32_t* nargs = nullptr;
-  const Continuation* replies = nullptr;
-};
-
-/// Wave body: executes every member of the run and replies per member
-/// (Node::reply_to_multi). Only non-blocking, non-locking methods get one —
-/// the body must complete every member on the stack, never suspend, and never
-/// return a fallback context. Apps may register a hand-written body
-/// (MethodDecl::wave) with a vectorizable inner loop; every other eligible
-/// method falls back to generic_nb_wave, a plain loop over the seq version.
-using WaveFn = void (*)(Node& nd, const InvokeWave& w);
-
-/// Default wave body: loops the method's sequential version over the run
-/// members and replies per member. Defined in core/wrapper.cpp.
-void generic_nb_wave(Node& nd, const InvokeWave& w);
-
 /// Widest multi_return a method may declare (seal() rejects more): every
 /// buffer a call's values land in holds this many.
 inline constexpr std::size_t kMaxReturns = 8;
@@ -90,10 +62,6 @@ struct MethodDecl {
   std::string name;
   SeqFn seq = nullptr;
   ParStep par = nullptr;
-  /// Optional hand-written merged-wave body (see WaveFn). Ignored unless the
-  /// method turns out non-blocking and non-locking under the table's mode;
-  /// eligible methods without one get generic_nb_wave.
-  WaveFn wave = nullptr;
   std::uint16_t frame_slots = 0;  ///< Context size (futures + saved locals).
   std::uint16_t arg_count = 0;    ///< Declared arity (wrappers check it).
   bool variadic = false;          ///< Takes >= arg_count args (forwarding chains).
@@ -163,15 +131,6 @@ struct MethodInfo : MethodDecl {
   Schema schema = Schema::NonBlocking;
   bool may_block = false;
   bool needs_continuation = false;
-  /// Site-sensitive refinement (concert-analyze): an invocation arriving
-  /// through a declared plain-call edge provably completes on the caller's
-  /// stack. Differs from !may_block exactly when the method's only blocking
-  /// cause is inherited forward-target CP-ness.
-  bool site_nonblocking = true;
-  /// Plain call edges of this method that can bind the NB convention at the
-  /// site: callees that are site_nonblocking and not forwarding targets of
-  /// this method. Sorted, deduplicated; filled by analyze_schemas.
-  std::vector<MethodId> nb_site_callees;
 };
 
 /// Number of ExecMode values (dispatch tables are built per mode).
@@ -186,24 +145,12 @@ inline constexpr std::size_t kExecModeCount = 4;
 struct DispatchEntry {
   SeqFn seq = nullptr;
   ParStep par = nullptr;
-  /// Merged-wave body (MachineConfig::merge_waves): non-null exactly when the
-  /// method is wave-eligible under this table's mode — effective schema
-  /// NonBlocking, no implicit lock, and a mode that runs stack versions at
-  /// all. nullptr sends every delivery through the per-message path.
-  WaveFn wave = nullptr;
   Schema schema = Schema::NonBlocking;  ///< Effective schema under the table's mode.
   bool locks_self = false;
   bool variadic = false;
   std::uint8_t multi_return = 1;
   std::uint16_t arg_count = 0;
   std::uint16_t frame_slots = 0;
-  /// Call-site specialization span: this method's site-specializable callees
-  /// occupy [spec_begin, spec_begin + spec_count) of the mode's spec-callee
-  /// array (MethodRegistry::spec_table). Zero when specialization is off or
-  /// no edge of this caller qualifies, so the invoke fast path pays exactly
-  /// one branch for the feature's existence.
-  std::uint32_t spec_begin = 0;
-  std::uint16_t spec_count = 0;
 };
 
 class MethodRegistry {
@@ -241,22 +188,6 @@ class MethodRegistry {
   /// Stable for the registry's lifetime once sealed.
   const DispatchEntry* dispatch_table(ExecMode mode) const;
 
-  /// Enables call-site-sensitive schema specialization (concert-analyze):
-  /// seal() then materializes, per mode, the flat array of site-specializable
-  /// callees that DispatchEntry::{spec_begin, spec_count} index into, and
-  /// invoke binds the NB convention on those edges. Must be called before
-  /// seal(); off by default so every pre-existing run is bit-identical.
-  void set_site_specialization(bool on) {
-    CONCERT_CHECK(!finalized_, "set_site_specialization after seal()");
-    specialize_ = on;
-  }
-  bool site_specialization() const { return specialize_; }
-
-  /// The flat spec-callee array for `mode` (see set_site_specialization), or
-  /// nullptr when specialization is disabled or the mode has no specializable
-  /// edge (ParallelOnly never consults schemas and always gets nullptr).
-  const MethodId* spec_table(ExecMode mode) const;
-
   const MethodInfo& info(MethodId m) const;
   std::size_t size() const { return methods_.size(); }
 
@@ -284,9 +215,7 @@ class MethodRegistry {
  private:
   std::vector<MethodInfo> methods_;
   std::vector<DispatchEntry> dispatch_[kExecModeCount];  ///< Built by seal().
-  std::vector<MethodId> spec_callees_[kExecModeCount];   ///< Spec spans (seal()).
   bool finalized_ = false;
-  bool specialize_ = false;
 };
 
 /// `methods[m].name`, or "#m" when `m` is out of range or unnamed: the one

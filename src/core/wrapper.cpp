@@ -105,11 +105,6 @@ void invoke_with_continuation(Node& nd, MethodId method, GlobalRef target, const
     return;
   }
 
-  // The exported interface deliberately keeps the *global* effective schema:
-  // an invocation arriving here (a wrapper, a message handler) carries no
-  // caller identity, so there is no declared edge to specialize — which is
-  // exactly what makes the per-edge refinement in Frame::call *call-site*
-  // sensitive rather than a blanket schema downgrade.
   const Schema schema = de.schema;
   charge_seq_call(nd, schema);
   ++nd.stats.stack_calls;
@@ -153,21 +148,6 @@ void invoke_with_continuation(Node& nd, MethodId method, GlobalRef target, const
   // suspended (Fig. 8, May-block row).
   nd.charge(nd.costs().linkage_install);
   fbk->ret = k;
-}
-
-void generic_nb_wave(Node& nd, const InvokeWave& w) {
-  // One dispatch lookup for the whole run; the per-member loop carries only
-  // the seq call and the reply. Wave eligibility (checked at seal() and again
-  // at run-partition time) guarantees every member is non-blocking, unlocked
-  // and local, so there is no fallback path and no implicit-lock bracket.
-  const DispatchEntry& de = nd.dispatch(w.method);
-  Value rv[kMaxReturns];
-  for (std::size_t i = 0; i < w.count; ++i) {
-    Context* fbk = de.seq(nd, rv, kNoCaller, w.targets[i], w.args[i], w.nargs[i]);
-    CONCERT_CHECK(fbk == nullptr, "non-blocking method " << nd.registry().info(w.method).name
-                                                         << " fell back inside a wave");
-    nd.reply_to_multi(w.replies[i], rv, de.multi_return);
-  }
 }
 
 void handle_invoke_message(Node& nd, Message& msg) {

@@ -76,13 +76,6 @@ struct CostModel {
   std::uint64_t bundle_marshal = 4;  ///< Per-element marshalling when a flush combines >1.
   std::uint64_t bundle_demux = 6;    ///< Per-element dispatch when unpacking a bundle.
 
-  // --- merged-wave dispatch (MachineConfig::merge_waves) ---
-  /// Per-element loop overhead inside a merged wave: the dispatch lookup,
-  /// schema branch and receive bookkeeping are hoisted to one charge per run,
-  /// leaving only the loop-carried work (load target, advance arg span) per
-  /// member.
-  std::uint64_t wave_member = 4;
-
   /// Number of packets a message of `bytes` occupies (at least one).
   std::uint64_t packets(std::uint32_t bytes) const {
     return 1 + (bytes > 0 ? (bytes - 1) / packet_bytes : 0);

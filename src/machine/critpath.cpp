@@ -21,7 +21,7 @@ const char* crit_kind_name(CritKind k) {
 
 namespace {
 
-/// Batch-level annotations (drains, parks, and waves no run_end closes) mark
+/// Batch-level annotations (drains, parks, and an older dump's waves) mark
 /// no causal step of their own. Walking through them would let a drain
 /// recorded between a send and its receive outrank the send as the
 /// receive's predecessor, hiding every network hop, so the analysis skips

@@ -14,9 +14,6 @@ namespace concert {
 Machine::Machine(std::size_t nodes, MachineConfig config)
     : config_(config), trace_epoch_(Tracer::Clock::now()) {
   CONCERT_CHECK(nodes > 0, "machine needs at least one node");
-  // The registry must know before seal() whether to materialize spec spans
-  // (apps declare + finalize against this machine's registry afterwards).
-  registry_.set_site_specialization(config_.specialize_edges);
   nodes_.reserve(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(static_cast<NodeId>(i), *this));
@@ -244,7 +241,7 @@ void export_metrics(const Machine& machine, MetricsRegistry& out) {
 
   // Histograms: per-node recorders merged machine-wide; per-method latency
   // labeled by method name.
-  Histogram invoke_lat, inbox_depth, ctx_life, flush_size, wave_size;
+  Histogram invoke_lat, inbox_depth, ctx_life, flush_size;
   std::vector<Histogram> per_method;
   bool any = false;
   for (NodeId nid = 0; nid < machine.node_count(); ++nid) {
@@ -255,7 +252,6 @@ void export_metrics(const Machine& machine, MetricsRegistry& out) {
     inbox_depth += mx->inbox_depth;
     ctx_life += mx->ctx_lifetime_ns;
     flush_size += mx->flush_size;
-    wave_size += mx->wave_size;
     if (mx->per_method.size() > per_method.size()) per_method.resize(mx->per_method.size());
     for (std::size_t m = 0; m < mx->per_method.size(); ++m) per_method[m] += mx->per_method[m];
   }
@@ -265,9 +261,6 @@ void export_metrics(const Machine& machine, MetricsRegistry& out) {
   out.add_histogram("concert_inbox_depth", "Messages drained per inbox batch", inbox_depth);
   out.add_histogram("concert_ctx_lifetime_ns", "Context allocation-to-free wall time", ctx_life);
   out.add_histogram("concert_flush_size", "Staged messages per outbox flush", flush_size);
-  if (wave_size.count() > 0) {
-    out.add_histogram("concert_wave_size", "Messages per merged wave", wave_size);
-  }
   for (std::size_t m = 0; m < per_method.size(); ++m) {
     if (per_method[m].count() == 0) continue;
     const std::string& name = m < machine.registry().size()

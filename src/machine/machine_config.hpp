@@ -36,8 +36,8 @@ struct MachineConfig {
   /// bound.
   std::size_t trace_capacity = std::size_t{1} << 20;
   /// concert-scope latency/queue-depth histograms: per-method invocation
-  /// latency, inbox depth at drain, context lifetime, outbox flush and wave
-  /// size. NodeMetrics is a sink of Node::trace: each run the trace pairs is
+  /// latency, inbox depth at drain, context lifetime and outbox flush size.
+  /// NodeMetrics is a sink of Node::trace: each run the trace pairs is
   /// one latency record, whether or not `trace` is on. One branch per
   /// metered trace site when off; steady_clock stamps when on. Recording is
   /// outside the cost model either way, so simulated clocks, message counts
@@ -64,12 +64,6 @@ struct MachineConfig {
   /// computer-on-a-multicomputer placement. Off by default; a no-op on
   /// platforms without affinity support and in the deterministic engine.
   bool pin_threads = false;
-  /// Call-site-sensitive schema specialization (concert-analyze): seal() also
-  /// materializes per-edge NB-at-site annotations and the invoke fast path
-  /// binds the NB convention on edges the site fixpoint proved cannot leave
-  /// the caller's stack. Off by default — with it off, dispatch tables, spec
-  /// spans and therefore every simulated clock are bit-identical to the seed.
-  bool specialize_edges = false;
   /// Delivery-order shuffle (concert-race; deterministic engine only): when
   /// nonzero, SimNetwork picks a seeded pseudo-random message among all
   /// channel-FIFO-eligible deliveries (deliver_at within the receiver's
@@ -79,16 +73,6 @@ struct MachineConfig {
   /// fully deterministic. 0 (default) keeps the strict order, bit-identical
   /// to every pre-existing run; per-channel FIFO holds either way.
   std::uint64_t shuffle_seed = 0;
-  /// Merged-wave dispatch: after an inbox drain, maximal contiguous runs of
-  /// same-method non-blocking invocations execute as ONE loop over a
-  /// struct-of-arrays view of the drained messages (one dispatch lookup, one
-  /// receive charge, one wave_run record and latency sample per run; per-element costs
-  /// collapse to CostModel::wave_member). Delivery order inside a run is the
-  /// drain order, so per-channel FIFO and per-object order are untouched.
-  /// Off by default — with it off, the merged path is never entered and every
-  /// simulated clock, message count and paper table is bit-identical to the
-  /// per-message runtime.
-  bool merge_waves = false;
   /// Stall watchdog (concert-progress): when nonzero, a run that makes no
   /// scheduling progress for this many milliseconds panics with a full
   /// stall_report() — per-node queue depths, suspended-context tables and the

@@ -9,9 +9,6 @@ namespace concert {
 
 void NodeMetrics::note(TraceKind kind, MethodId method, std::uint32_t arg) {
   switch (kind) {
-    case TraceKind::WaveRun:
-      wave_size.record(arg);
-      [[fallthrough]];
     case TraceKind::DispatchBegin:
     case TraceKind::StackRun:
       open_runs.push_back(OpenRun{method, std::chrono::steady_clock::now()});
@@ -57,7 +54,6 @@ void Node::bind_dispatch() {
   CONCERT_CHECK(reg.finalized(), "dispatch before registry seal()");
   dispatch_ = reg.dispatch_table(mode());
   dispatch_size_ = reg.size();
-  spec_ = reg.site_specialization() ? reg.spec_table(mode()) : nullptr;
 }
 
 static_assert(Context::kInlineArgs == Payload::kInline,
@@ -96,15 +92,6 @@ Payload Node::spill_payload(const Value* vs, std::size_t n) {
 }
 
 std::vector<Value> Node::acquire_payload(std::size_t reserve) {
-  // A zero reserve requests nothing: it takes a buffer from the smallest
-  // populated class, if any, and is kept out of payload_acquires and
-  // payload_pool_hits. No send path makes one — short payloads travel inline
-  // (make_payload).
-  if (reserve == 0) {
-    std::vector<Value> buf;
-    payload_pool_.try_acquire(buf, 0);
-    return buf;
-  }
   ++stats.payload_acquires;
   std::vector<Value> buf;
   if (payload_pool_.try_acquire(buf, reserve)) {
@@ -283,7 +270,7 @@ void Node::send(Message&& msg) {
   // staged message carries its staging-time causality and flush_outbox never
   // re-stamps. No-op (and no allocation) unless verification is on.
   if (verifier.enabled()) verifier.stamp_send(msg.box().vclock);
-  if (!comms_policy().buffered() && !wave_staging_) {
+  if (!comms_policy().buffered()) {
     // Immediate: fixed software overhead plus processor-driven injection of
     // each packet (on the CM-5 every extra packet costs nearly another
     // active message).
@@ -355,18 +342,11 @@ std::size_t Node::flush_all_outboxes() {
 void Node::deliver(std::span<Message> batch) {
   for (Message& msg : batch) {
     if (!msg.is_bundle()) {
-      if (cfg_.merge_waves) {
-        feed(msg, /*accounted=*/false);
-      } else {
-        deliver_element(msg, /*accounted=*/false);  // no run ever forms
-      }
+      deliver_element(msg, /*accounted=*/false);
       continue;
     }
     // Bundle arrival, paid once: the amortized receive overhead here, each
-    // member's receive stats as it is fed. Runs never span a bundle
-    // boundary, so the pending run retires first, and the bundle's last run
-    // before the next message.
-    flush_run();
+    // member's receive stats as it is delivered.
     const std::uint64_t c = costs().bundle_recv_cost(msg.any_invoke(), msg.bundle().size());
     charge(c);
     stats.comm_instructions += c;
@@ -374,65 +354,9 @@ void Node::deliver(std::span<Message> batch) {
     for (Message& e : msg.bundle()) {
       ++stats.msgs_received;
       trace<TraceKind::MsgRecv>(e.method, e.src, e.cause);
-      feed(e, /*accounted=*/true);
+      deliver_element(e, /*accounted=*/true);
     }
-    flush_run();
   }
-  if (cfg_.merge_waves) flush_run();
-}
-
-void Node::feed(Message& msg, bool accounted) {
-  // A message may join the pending run only if executing it inline is
-  // guaranteed equivalent to delivering it alone: a plain Invoke of a
-  // wave-eligible method (NB, non-locking — see seal()) on a local,
-  // unforwarded, unlocked object. Nothing executes between this check and
-  // the run's execution except earlier members of the same run, and a
-  // wave-eligible body can neither lock nor migrate objects, so the check
-  // cannot go stale. Everything else — and every run-key change — retires
-  // the pending run first, preserving delivery order exactly.
-  const bool joins = cfg_.merge_waves && msg.kind == MsgKind::Invoke && msg.target.valid() &&
-                     msg.target.node == id_ && dispatch(msg.method).wave != nullptr &&
-                     !objects_.is_forwarded(msg.target) && !objects_.locked(msg.target);
-  if (!joins) {
-    flush_run();
-    deliver_element(msg, accounted);
-    return;
-  }
-  if (!wave_msgs_.empty() &&
-      (msg.method != wave_msgs_.front()->method || wave_msgs_.size() >= kWaveCap)) {
-    flush_run();
-  }
-  run_accounted_ = accounted;
-  wave_targets_.push_back(msg.target);
-  wave_args_.push_back(msg.args.data());
-  wave_nargs_.push_back(static_cast<std::uint32_t>(msg.args.size()));
-  wave_replies_.push_back(msg.reply_to);
-  wave_msgs_.push_back(&msg);
-}
-
-void Node::flush_run() {
-  if (wave_msgs_.empty()) return;
-  // Every send made while a run executes is staged in the outbox — even
-  // under FlushPolicy::Immediate — and leaves as one flush per destination
-  // when the run retires, so a wave's replies travel as bundles without a
-  // policy change. Flushing per *run* (not per delivered batch) and capping
-  // run length keeps requesters supplied while this node works through a
-  // long drain: with one flush per 128-message batch, SOR's boundary
-  // exchange serializes into idle ping-pong bubbles and the merged path
-  // loses more to lost overlap than it wins in amortized dispatch.
-  wave_staging_ = true;
-  if (wave_msgs_.size() == 1) {
-    deliver_element(*wave_msgs_.front(), run_accounted_);
-  } else {
-    execute_wave();
-  }
-  wave_staging_ = false;
-  flush_all_outboxes();
-  wave_targets_.clear();
-  wave_args_.clear();
-  wave_nargs_.clear();
-  wave_replies_.clear();
-  wave_msgs_.clear();
 }
 
 void Node::deliver_element(Message& msg, bool accounted) {
@@ -467,52 +391,6 @@ void Node::verify_delivery(const Message& msg) {
   if (msg.kind == MsgKind::Invoke && msg.target.valid()) {
     verifier.record_object_delivery(msg.target.pack(), msg.method, msg.vclock());
   }
-}
-
-void Node::execute_wave() {
-  const std::size_t n = wave_msgs_.size();
-  const MethodId method = wave_msgs_.front()->method;
-  const DispatchEntry& de = dispatch(method);
-  // Amortized accounting: ONE receive overhead and ONE sequential-call setup
-  // for the run, then the residual per-member loop cost plus the lock probe
-  // each member would have paid anyway. A run of bundle members paid its
-  // receive costs at bundle arrival.
-  if (!run_accounted_) {
-    const std::uint64_t recv = costs().recv_cost(/*is_reply=*/false);
-    charge(recv);
-    stats.comm_instructions += recv;
-    stats.msgs_received += n;
-    for (const Message* m : wave_msgs_) trace<TraceKind::MsgRecv>(method, m->src, m->cause);
-  }
-  charge_seq_call(*this, Schema::NonBlocking);
-  charge((costs().wave_member + costs().lock_check) * n);
-  stats.stack_calls += n;
-  stats.stack_completions += n;
-  stats.record_wave(n);
-  trace<TraceKind::WaveRun>(method, static_cast<std::uint32_t>(n));
-  if (sites_.enabled()) {
-    // Wave members are wrapper-path executions: no declared caller, so they
-    // aggregate under the "(message)" pseudo-caller. A wave only ever runs
-    // NB members, so every attempt is a hit; the sender already counted the
-    // invocation (invokes/remote stay untouched, mirroring NodeStats).
-    SiteRecord& site = sites_.at(kInvalidMethod, method);
-    site.attempts += n;
-    site.nb_hits += n;
-  }
-  // Under verify the members run one at a time (stride 1), each after
-  // joining its sender's clock, so the sanitizer observes the same
-  // interleaving of delivery joins and reply stamps as one-by-one delivery.
-  // Verification is outside the cost model; the charges above are untouched.
-  const std::size_t stride = verifier.enabled() ? 1 : n;
-  for (std::size_t i = 0; i < n; i += stride) {
-    verify_delivery(*wave_msgs_[i]);
-    de.wave(*this, InvokeWave{method, stride, wave_targets_.data() + i, wave_args_.data() + i,
-                              wave_nargs_.data() + i, wave_replies_.data() + i});
-  }
-  // One latency record for the whole run (the per-message path records one
-  // per invocation; the wave's single record is the amortization at work).
-  trace<TraceKind::RunEnd>(method);
-  for (Message* m : wave_msgs_) recycle_payload(m->args);
 }
 
 void Node::init_inbox(std::size_t sources) {

@@ -48,11 +48,10 @@ class Machine;
 /// in trace(). Touched only by the owning node's thread; merged across nodes
 /// at export time (export_metrics).
 struct NodeMetrics {
-  Histogram invoke_latency_ns;  ///< Every closed run: dispatch steps, stack runs and waves.
+  Histogram invoke_latency_ns;  ///< Every closed run: dispatch steps and stack runs.
   Histogram inbox_depth;        ///< Messages drained per non-empty inbox batch.
   Histogram ctx_lifetime_ns;    ///< Context allocation -> free wall time.
   Histogram flush_size;         ///< Staged messages per outbox flush.
-  Histogram wave_size;          ///< Messages per merged wave (merge_waves runs only).
   /// Per-method invocation latency, MethodId-indexed (grown on first use).
   Histogram& method_latency(MethodId m) {
     if (m >= per_method.size()) per_method.resize(m + 1);
@@ -70,11 +69,11 @@ struct NodeMetrics {
   /// The trace kinds note() consumes.
   static constexpr bool meters(TraceKind k) {
     return k == TraceKind::DispatchBegin || k == TraceKind::DispatchEnd ||
-           k == TraceKind::StackRun || k == TraceKind::WaveRun || k == TraceKind::RunEnd ||
+           k == TraceKind::StackRun || k == TraceKind::RunEnd ||
            k == TraceKind::InboxDrain || k == TraceKind::OutboxFlush;
   }
   /// Node::trace's sink: a run begin opens a run, a dispatch end or run end
-  /// closes the innermost, and a drain, flush or wave records its size `arg`.
+  /// closes the innermost, and a drain or flush records its size `arg`.
   void note(TraceKind kind, MethodId method, std::uint32_t arg);
 };
 
@@ -119,23 +118,6 @@ class Node {
     return dispatch_[m];
   }
 
-  /// Call-site specialization probe (concert-analyze): true when the declared
-  /// edge caller -> callee may bind the NB convention at the site under this
-  /// machine's mode. One null check when the feature is off; a short scan of
-  /// the caller's spec span when on. Disabled wholesale while the block
-  /// injector is active — injected blocks would force a "provably
-  /// non-blocking" callee through the fallback path a specialized site no
-  /// longer compiles in.
-  bool site_specialized(MethodId caller, MethodId callee) {
-    if (spec_ == nullptr || caller == kInvalidMethod) return false;
-    if (injector_.enabled()) return false;
-    const DispatchEntry& ce = dispatch(caller);
-    const MethodId* p = spec_ + ce.spec_begin;
-    for (const MethodId* e = p + ce.spec_count; p != e; ++p) {
-      if (*p == callee) return true;
-    }
-    return false;
-  }
   /// The machine's immutable config, bound once at construction: these
   /// accessors are inline loads on the invoke fast path.
   const CostModel& costs() const { return cfg_.costs; }
@@ -225,28 +207,16 @@ class Node {
   /// the outbox or the engine's queue.
   void send(Message&& msg);
   /// The one way messages enter a node: processes a delivered batch in
-  /// order, in place. A bundle pays its receive overhead once on arrival and
-  /// its members are then processed like loose messages. Every message runs
-  /// through the wrapper / reply-routing path (with merge_waves off, each
-  /// plain message goes there directly), except that with
-  /// MachineConfig::merge_waves on, contiguous same-method wave-eligible
-  /// invocations (see DispatchEntry::wave) join a run of up to kWaveCap
-  /// that executes as one loop; every send made while a run executes is
-  /// staged and flushed when the run retires (replies leave as
-  /// per-destination bundles). Batch order is delivery order throughout,
-  /// so per-channel FIFO and per-object delivery order are those of a
+  /// order, in place. Each plain message runs through the wrapper /
+  /// reply-routing path; a bundle pays its receive overhead once on arrival
+  /// and its members are then delivered in order. Batch order is delivery
+  /// order, so per-channel FIFO and per-object delivery order are those of a
   /// message-at-a-time walk. Retires no work credit: each delivered message
   /// holds one, and the threaded engine retires the batch's credits after
   /// this returns, once every product of the delivery has counted its own.
   void deliver(std::span<Message> batch);
   /// One message: a batch of one.
   void deliver(Message& msg) { deliver(std::span<Message>(&msg, 1)); }
-  /// Merged-wave request staging (threaded engine, MachineConfig::merge_waves):
-  /// while on, every send stages in the outbox regardless of flush policy.
-  /// The engine brackets each context slice with it so a burst of spawns —
-  /// e.g. a driver seeding a whole phase — leaves as one bundle per
-  /// destination and arrives as one homogeneous run at the receiver.
-  void set_wave_staging(bool on) { wave_staging_ = on; }
 
   // ---- outbox (comms layer) ----
   /// Called once by the machine after all nodes exist; sizes the outbox.
@@ -411,20 +381,10 @@ class Node {
   /// invocation can never be dispatched — the holder cannot complete until
   /// the chain it spawned (including `ctx`) replies.
   bool deadlocked_on_ancestor(const Context& ctx);
-  /// deliver()'s step for one message: joins the pending run if it may
-  /// (merge_waves on, same method, wave-eligible, run below kWaveCap), else
-  /// retires the run and delivers the message alone. `accounted` marks a
-  /// bundle member, whose receive was paid at bundle arrival.
-  void feed(Message& msg, bool accounted);
-  /// Executes the pending run, if any, staging every send it makes and
-  /// flushing them when it retires. A run of one takes deliver_element.
-  void flush_run();
-  /// Receive accounting (unless `accounted`), then reply fill / wrapper
-  /// execution, then payload recycling.
+  /// deliver()'s step for one message: receive accounting (unless
+  /// `accounted`, a bundle member whose receive was paid at bundle arrival),
+  /// then reply fill / wrapper execution, then payload recycling.
   void deliver_element(Message& msg, bool accounted);
-  /// Executes the pending run of two or more as one merged loop, charging
-  /// the amortized wave costs (run_accounted_ as for deliver_element).
-  void execute_wave();
   /// Delivery-order sanitizer probe (concert-race): joins the sender's
   /// vector clock and records Invoke deliveries per target object.
   void verify_delivery(const Message& msg);
@@ -475,9 +435,6 @@ class Node {
   // Flat dispatch table for this machine's mode; bound on first dispatch().
   alignas(64) const DispatchEntry* dispatch_ = nullptr;
   std::size_t dispatch_size_ = 0;
-  // Flat spec-callee array the dispatch entries' spec spans index into;
-  // nullptr unless MachineConfig::specialize_edges put entries in it.
-  const MethodId* spec_ = nullptr;
   Outbox outbox_;  ///< Staged outgoing messages; touched only by this node's thread.
   /// Recycler for spilled payload buffers (more than Payload::kInline
   /// values). Acquired by this node's thread on send, refilled with spills
@@ -499,27 +456,6 @@ class Node {
   /// True while this node's threaded-engine thread runs: post() defers
   /// publishing to the end of the loop turn.
   bool defer_publish_ = false;
-  // The pending run: the struct-of-arrays columns an InvokeWave view points
-  // into, rebuilt per run from the delivered messages (capacity cycles, no
-  // per-batch allocation). wave_msgs_ keeps the source messages so their
-  // spilled payloads can be released after the run executes.
-  std::vector<GlobalRef> wave_targets_;
-  std::vector<const Value*> wave_args_;
-  std::vector<std::uint32_t> wave_nargs_;
-  std::vector<Continuation> wave_replies_;
-  std::vector<Message*> wave_msgs_;
-  /// Upper bound on a merged run. Caps the reply bundle a single run emits,
-  /// which bounds how long a requester waits for its first replies while
-  /// this node works through a long drain — past ~32 the amortization gain
-  /// per extra member is negligible but the lost overlap is not.
-  static constexpr std::size_t kWaveCap = 32;
-  /// True while a wave run is executing: Node::send stages every outgoing
-  /// message in the outbox regardless of flush policy, so the run's replies
-  /// leave as one bundle per destination when the run retires.
-  bool wave_staging_ = false;
-  /// True when the pending run's members came out of a bundle. Runs never
-  /// span a bundle boundary, so a run's accounting is uniform.
-  bool run_accounted_ = false;
   std::unique_ptr<NodeMetrics> metrics_;  ///< Null unless MachineConfig::metrics.
   SiteProfiler sites_;  ///< Disabled (and empty) unless MachineConfig::profile_sites.
   ObjectSpace objects_;

@@ -103,35 +103,20 @@ void SimMachine::run_loop() {
     if (best_is_msg) {
       // Shuffle mode (concert-race) may deliver any channel head within the
       // horizon instead of the strict earliest; `best_t` is exactly the time
-      // this delivery happens at, so nothing is delivered early. With
-      // merge_waves on, every further message already deliverable at that
-      // time joins the batch greedily — the analogue of the threaded
-      // engine's inbox drain. Per-channel FIFO holds because pops stay in
-      // network order (or shuffle-eligible order, which preserves it per
-      // channel).
-      const auto pop = [&]() -> Message& {
-        return network_.shuffled() ? network_.pop_slot_shuffled(best_node, best_t)
-                                   : network_.pop_slot(best_node);
-      };
-      if (!config_.merge_waves) {
-        // One message, delivered in place from its ring slot. The receiver's
-        // sends go into its own outgoing channels, so only a self-send can
-        // reuse that slot or regrow that ring meanwhile: it moves out first.
-        Message& msg = pop();
-        nd.advance_clock_to(msg.deliver_at);
-        if (msg.src == best_node) {
-          Message own = std::move(msg);
-          nd.deliver(own);
-        } else {
-          nd.deliver(msg);
-        }
+      // this delivery happens at, so nothing is delivered early. Per-channel
+      // FIFO holds because pops stay in network order (or shuffle-eligible
+      // order, which preserves it per channel). One message is delivered in
+      // place from its ring slot. The receiver's sends go into its own
+      // outgoing channels, so only a self-send can reuse that slot or regrow
+      // that ring meanwhile: it moves out first.
+      Message& msg = network_.shuffled() ? network_.pop_slot_shuffled(best_node, best_t)
+                                         : network_.pop_slot(best_node);
+      nd.advance_clock_to(msg.deliver_at);
+      if (msg.src == best_node) {
+        Message own = std::move(msg);
+        nd.deliver(own);
       } else {
-        batch_.clear();
-        do {
-          batch_.push_back(std::move(pop()));
-        } while (!network_.empty_for(best_node) && network_.earliest_for(best_node) <= best_t);
-        nd.advance_clock_to(batch_.front().deliver_at);
-        nd.deliver(batch_);
+        nd.deliver(msg);
       }
     } else if (best_is_flush) {
       nd.flush_all_outboxes();

@@ -33,10 +33,6 @@ class SimMachine final : public Machine {
 
   SimNetwork network_;
   std::uint64_t actions_ = 0;
-  /// With MachineConfig::merge_waves, the messages one delivery action
-  /// hands to its receiver: every message deliverable at that time. Reused
-  /// across deliveries. Without it a delivery takes one message, in place.
-  std::vector<Message> batch_;
 };
 
 }  // namespace concert

@@ -124,7 +124,6 @@ void ThreadedMachine::node_loop(NodeId id) {
   constexpr std::size_t kInboxBatch = 128;
   constexpr std::size_t kReadyBatch = 32;
   const auto deliver_run = [&nd](std::span<Message> run) { nd.deliver(run); };
-  const bool merge = config_.merge_waves;
   const bool oversubscribed = std::thread::hardware_concurrency() < nodes_.size() + 1;
   unsigned idle = 0;
   unsigned turns = 0;
@@ -145,19 +144,8 @@ void ThreadedMachine::node_loop(NodeId id) {
     }
     // Ready quantum: one publish and one retire for up to kReadyBatch slices
     // (a lock deferral counts as a slice; its re-queue made a fresh credit).
-    // Under merge_waves each slice still stages its own sends — the spawn
-    // burst that seeds a phase, a wrapper's replies — and flushes them as
-    // per-destination bundles when it ends, so the receiver sees the same
-    // contiguous same-method runs to merge as with one slice per turn.
     std::size_t ran = 0;
-    while (ran < kReadyBatch) {
-      nd.set_wave_staging(merge);
-      const bool stepped = nd.run_one();
-      nd.set_wave_staging(false);
-      if (!stepped) break;
-      if (merge) nd.flush_all_outboxes();
-      ++ran;
-    }
+    while (ran < kReadyBatch && nd.run_one()) ++ran;
     if (ran > 0) {
       nd.publish_sends();
       nd.work_retired(ran);  // the dequeued contexts' enqueue credits

@@ -270,7 +270,7 @@ void write_chrome_trace(const TraceDump& dump, std::ostream& os,
   };
 
   // Each run closes at its end record, in dump order: the slice is emitted
-  // there. A stack or wave run is a "run" slice.
+  // there. A stack run (or an older dump's wave) is a "run" slice.
   const std::vector<TraceRun> runs = trace_runs(dump);
   std::size_t next_run = 0;
   for (std::size_t i = 0; i < dump.events.size(); ++i) {

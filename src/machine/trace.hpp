@@ -4,7 +4,7 @@
 // consumed by the `concert_trace` CLI, and to POSTMORTEM.json.
 //
 // Coarse detail is always on. The kinds marked coarse below (dispatches,
-// deliveries, suspend/resume, drains, flushes, waves, parks) go into a fixed
+// deliveries, suspend/resume, drains, flushes, parks) go into a fixed
 // window of the newest kCoarseWindow records per node: two predictable
 // branches and one 32-byte store per event, no wall-clock read, no causal id. When a stall or
 // a panic ends a run, the window is what POSTMORTEM.json's `flight` arrays
@@ -56,9 +56,12 @@ enum class TraceKind : std::uint8_t {
   StackRun,       ///< fine: a wrapper executed a method on the handler stack
   OutboxFlush,    ///< coarse: an outbox destination drained into the network (arg = messages)
   InboxDrain,     ///< coarse: inbox batch pulled, threaded engine (arg = batch size)
-  WaveRun,        ///< coarse: merged wave executed on the stack (arg = run length)
+  /// coarse: a merged wave ran on the stack (arg = run length). Nothing
+  /// records it any more; the number stays so that a CTRACE02 dump from an
+  /// older build still reads, and its readers still open a run at it.
+  WaveRun,
   Park,           ///< coarse: inbox consumer parked idle, threaded engine
-  RunEnd,         ///< fine: the innermost open StackRun or WaveRun on this node returned
+  RunEnd,         ///< fine: the innermost open StackRun (or WaveRun) on this node returned
 };
 
 inline constexpr std::size_t kTraceKindCount = 12;
@@ -188,7 +191,7 @@ struct TraceDump {
 };
 
 /// One closed run: a dispatch step (DispatchBegin to DispatchEnd), or a
-/// wrapper stack run or merged wave (StackRun or WaveRun to RunEnd).
+/// wrapper stack run (StackRun, or an older dump's WaveRun, to RunEnd).
 struct TraceRun {
   std::size_t begin;  ///< index of the opening record in TraceDump::events
   std::size_t end;    ///< index of the closing record

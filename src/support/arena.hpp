@@ -110,22 +110,12 @@ class BufferPool {
   /// keeps its (too-small) buffers for later, smaller requests. Handing back
   /// an undersized buffer would be worse than a miss: the caller's reserve()
   /// reallocates anyway and the pooled capacity is freed, not reused.
-  ///
-  /// `min_capacity == 0` takes the newest buffer from the smallest populated
-  /// class, preserving large capacities for the requests that need them.
-  bool try_acquire(std::vector<T>& out, std::size_t min_capacity = 0) {
+  /// The search starts at the request's own class and climbs, which keeps
+  /// large capacities for the requests that need them.
+  bool try_acquire(std::vector<T>& out, std::size_t min_capacity) {
     ClassStats& cs = class_stats_[class_of(min_capacity)];
     ++cs.acquires;
     if (total_ == 0) return false;
-    if (min_capacity == 0) {
-      for (auto& cls : classes_) {
-        if (!cls.empty()) {
-          ++cs.hits;
-          return take(cls, cls.size() - 1, out);
-        }
-      }
-      return false;
-    }
     // The request's own class spans [2^c, 2^(c+1)), so entries there may or
     // may not fit — scan the newest few. Every class above is all-fits.
     auto& home = classes_[class_of(min_capacity)];

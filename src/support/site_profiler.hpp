@@ -2,13 +2,12 @@
 //
 // ROADMAP open item 3 (profile-guided adaptivity) needs a signal the
 // aggregate NodeStats counters cannot give: *which* call edge falls back.
-// `stack_calls`/`fallbacks` say the SOR specialization run regressed; they
-// cannot say whether the regression lives at relax→get_north or
-// relax→reduce. The SiteProfiler keys every stack speculation by its
-// declared call edge — (caller method, callee method), the same site
-// identity concert-analyze uses for nb_site verdicts — and records
-// invocations, NB-hit/fallback counts, divert counts, and log2 wall-latency
-// histograms for the hit and fallback paths.
+// `stack_calls`/`fallbacks` say a SOR run fell back more often; they cannot
+// say whether that happens at relax→get_north or relax→reduce. The
+// SiteProfiler keys every stack speculation by its declared call edge —
+// (caller method, callee method), the same edges the schema analysis walks —
+// and records invocations, NB-hit/fallback counts, divert counts, and log2
+// wall-latency histograms for the hit and fallback paths.
 //
 // Cost discipline matches NodeMetrics: off by default
 // (MachineConfig::profile_sites), one predictable branch per site when off,
@@ -16,13 +15,11 @@
 // profiler never changes clocks or paper tables (test-guarded).
 //
 // Every invoke entry (Frame::call's general path and ParFrame::spawn,
-// Frame::forward, the wrapper) records through one SiteProbe; merged waves
-// add their whole batch to the record at once (node.cpp).
+// Frame::forward, the wrapper) records through one SiteProbe.
 //
-// Two paths have no declared caller and record under reserved pseudo-callers:
-//   - kInvalidMethod ("(message)"): the wrapper path — a method invoked by an
-//     arriving message runs with no stack caller (core/wrapper.cpp), and
-//     merged waves execute whole batches of such invocations (node.cpp).
+// The wrapper path has no declared caller: a method invoked by an arriving
+// message runs with no stack caller (core/wrapper.cpp), and records under the
+// reserved pseudo-caller kInvalidMethod ("(message)").
 // Accounting invariants (cross-checked against NodeStats in tests):
 //   sum(attempts)            == stats.stack_calls
 //   sum(nb_hits)             == stats.stack_completions

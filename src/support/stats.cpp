@@ -40,8 +40,7 @@ void NodeStats::record_bundle(std::size_t n) {
 std::string NodeStats::summary() const {
   std::ostringstream os;
   os << "invocations: stack=" << stack_calls << " (completed " << stack_completions
-     << ", fell back " << fallbacks << ", spec-NB " << spec_stack_calls
-     << "), heap=" << heap_invokes << ", local=" << local_invokes
+     << ", fell back " << fallbacks << "), heap=" << heap_invokes << ", local=" << local_invokes
      << ", remote=" << remote_invokes << "\n"
      << "contexts: alloc=" << contexts_allocated << " free=" << contexts_freed
      << " suspend=" << suspensions << " resume=" << resumptions << " proxy=" << proxy_contexts
@@ -65,9 +64,7 @@ std::string NodeStats::summary() const {
      << " slab_bytes=" << arena_slab_bytes << " resets=" << arena_resets << "\n"
      << "payloads: acquires=" << payload_acquires << " pool_hits=" << payload_pool_hits
      << " releases=" << payload_releases << " discards=" << payload_discards
-     << " moves=" << payload_moves << "\n"
-     << "waves: runs=" << wave_runs << " msgs=" << wave_msgs
-     << " mean=" << mean_wave_size() << " max=" << wave_max << "\n";
+     << " moves=" << payload_moves << "\n";
   return os.str();
 }
 

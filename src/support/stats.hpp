@@ -13,7 +13,7 @@ namespace concert {
 
 /// Every scalar NodeStats counter, listed once: X(field, merge, metric).
 /// `merge` is how operator+= combines two nodes' values — `sum`, or `max`
-/// for the two high-water marks — and `metric` is the name export_metrics
+/// for the high-water mark — and `metric` is the name export_metrics
 /// gives the machine-wide value (Prometheus style: event counts end in
 /// _total). The struct, operator+= and the export table are generated from
 /// this list; summary() groups the counters by hand.
@@ -23,8 +23,6 @@ namespace concert {
   X(stack_calls, sum, "concert_stack_calls_total")                           \
   /* ... of which ran to completion on the stack. */                         \
   X(stack_completions, sum, "concert_stack_completions_total")               \
-  /* Call sites bound NB by edge specialization. */                          \
-  X(spec_stack_calls, sum, "concert_spec_stack_calls_total")                 \
   /* Stack invocations that unwound into the heap. */                        \
   X(fallbacks, sum, "concert_fallbacks_total")                               \
   /* Invocations that went straight to a heap context. */                    \
@@ -93,13 +91,7 @@ namespace concert {
   X(payload_discards, sum, "concert_payload_discards_total")                 \
   X(payload_moves, sum, "concert_payload_moves_total")                       \
   /* Node threads pinned to a CPU (MachineConfig::pin_threads). */           \
-  X(thread_pins, sum, "concert_thread_pins_total")                           \
-  /* Merged-wave dispatch (MachineConfig::merge_waves): runs of >= 2 */      \
-  /* same-method messages executed as one loop, the messages inside */       \
-  /* them, and the largest run. A run of one is not counted here. */         \
-  X(wave_runs, sum, "concert_wave_runs_total")                               \
-  X(wave_msgs, sum, "concert_wave_msgs_total")                               \
-  X(wave_max, max, "concert_wave_max")
+  X(thread_pins, sum, "concert_thread_pins_total")
 
 /// Per-node counters for runtime events. Plain aggregates so they can be
 /// combined across nodes with operator+=.
@@ -123,17 +115,6 @@ struct NodeStats {
     return inbox_batches ? static_cast<double>(inbox_batched_msgs) /
                                static_cast<double>(inbox_batches)
                          : 0.0;
-  }
-
-  /// Records one merged wave of `n` messages.
-  void record_wave(std::size_t n) {
-    ++wave_runs;
-    wave_msgs += n;
-    if (n > wave_max) wave_max = n;
-  }
-  /// Mean messages per merged wave (0 when none ran).
-  double mean_wave_size() const {
-    return wave_runs ? static_cast<double>(wave_msgs) / static_cast<double>(wave_runs) : 0.0;
   }
 
   /// Records one flush of `n` staged messages into the histogram.

@@ -27,7 +27,6 @@ const char* violation_kind_name(ViolationKind k) {
     case ViolationKind::ContUseOutsideCP: return "cont-use-outside-cp";
     case ViolationKind::ReentrantAcquire: return "reentrant-acquire";
     case ViolationKind::LockHeldAtQuiescence: return "lock-held-at-quiescence";
-    case ViolationKind::SiteSpecBlocked: return "site-spec-blocked";
     case ViolationKind::RacyDelivery: return "racy-delivery";
     case ViolationKind::UnorderedNotFlagged: return "unordered-not-flagged";
     case ViolationKind::OrphanedContinuation: return "orphaned-continuation";
@@ -173,25 +172,6 @@ ConformanceReport check_conformance(const Machine& mach) {
            << " at quiescence (leaked bracket or quarantined deadlock)";
         report.violations.push_back(
             Violation{ViolationKind::LockHeldAtQuiescence, n, m, kInvalidMethod, os.str()});
-      }
-    }
-
-    // Site-specialization soundness: only meaningful when the machine binds
-    // NB on specialized edges — an unspecialized run may legitimately see a
-    // site-NB method block (its own call diverted to a remote or locked
-    // target), which is exactly the fallback the general convention handles.
-    // The block injector artificially blocks provably-NB callees, so injector
-    // nodes are exempt, as is ParallelOnly (everything suspends there).
-    if (mach.config().specialize_edges && mode != ExecMode::ParallelOnly &&
-        !mach.node(n).injector().enabled()) {
-      for (MethodId m : rec.observed_blocked()) {
-        if (m >= reg.size() || !reg.info(m).site_nonblocking) continue;
-        std::ostringstream os;
-        os << method_name_or_id(methods, m)
-           << " was classified non-blocking at-site but blocked at runtime; a specialized "
-           << "edge into it would have stranded its caller";
-        report.violations.push_back(
-            Violation{ViolationKind::SiteSpecBlocked, n, m, kInvalidMethod, os.str()});
       }
     }
 

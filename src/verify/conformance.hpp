@@ -16,9 +16,6 @@
 //     and no deferred invocation ever waited on a lock held by its own
 //     ancestor (an observed self-deadlock — the dynamic counterpart of the
 //     linter's SelfDeadlock/LockOrderCycle analysis)
-//   * under edge specialization, a method the site fixpoint classified
-//     NB-at-site never actually blocked (else a specialized binding of an
-//     edge into it could strand a caller)
 #pragma once
 
 #include <cstdint>
@@ -42,7 +39,6 @@ enum class ViolationKind : std::uint8_t {
   // concert-analyze: implicit-lock tracking.
   ReentrantAcquire,       ///< Deferred invocation whose lock holder is its own ancestor.
   LockHeldAtQuiescence,   ///< Implicit lock never released (leaked bracket / quarantined deadlock).
-  SiteSpecBlocked,        ///< Site-NB-classified method blocked under edge specialization.
   // concert-race: vector-clock delivery-order sanitizer.
   RacyDelivery,           ///< Observed unordered conflicting pair the static pass also flags.
   UnorderedNotFlagged,    ///< Observed unordered conflicting pair the static pass claims ordered.

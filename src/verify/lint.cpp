@@ -29,66 +29,6 @@ void add(LintReport& report, LintCode code, Severity sev, MethodId m, MethodId o
   report.diagnostics.push_back(Diagnostic{code, sev, m, other, std::move(message)});
 }
 
-/// Why can an invocation of a method fail to complete on the caller's stack?
-/// Shortest call-graph path from the method to the nearest site-blocking seed
-/// (the site_may_block analogue of explain_schema's MayBlock branch).
-struct SiteBlame {
-  std::vector<MethodId> path;
-  std::string reason;
-};
-
-std::string site_seed_reason(const MethodInfo& m) {
-  if (m.blocks_locally) return "blocks locally";
-  if (m.uses_continuation) return "stores or uses its continuation";
-  if (!m.forwards_to.empty()) return "forwards its continuation";
-  if (m.locks_self) return "holds its target's implicit lock";
-  return "site-blocking (no declared cause — inconsistent facts)";
-}
-
-SiteBlame explain_site_blocking(const std::vector<MethodInfo>& methods, const FlowFacts& facts,
-                                MethodId from) {
-  const std::size_t n = methods.size();
-  const auto is_seed = [&](MethodId x) {
-    const MethodInfo& m = methods[x];
-    return m.blocks_locally || m.uses_continuation || !m.forwards_to.empty() || m.locks_self;
-  };
-  SiteBlame blame;
-  if (from >= n || facts.site_may_block[from] == 0) {
-    blame.reason = "provably completes on the stack";
-    return blame;
-  }
-  std::vector<MethodId> parent(n, kInvalidMethod);
-  std::vector<std::uint8_t> seen(n, 0);
-  std::deque<MethodId> frontier{from};
-  seen[from] = 1;
-  MethodId cause = is_seed(from) ? from : kInvalidMethod;
-  while (cause == kInvalidMethod && !frontier.empty()) {
-    const MethodId cur = frontier.front();
-    frontier.pop_front();
-    for (MethodId c : methods[cur].callees) {
-      if (c >= n || seen[c]) continue;
-      seen[c] = 1;
-      parent[c] = cur;
-      if (is_seed(c)) {
-        cause = c;
-        break;
-      }
-      frontier.push_back(c);
-    }
-  }
-  if (cause == kInvalidMethod) {
-    blame.reason = "site-blocking (no declared cause — inconsistent facts)";
-    return blame;
-  }
-  for (MethodId cur = cause; cur != kInvalidMethod; cur = parent[cur]) {
-    blame.path.push_back(cur);
-    if (cur == from) break;
-  }
-  std::reverse(blame.path.begin(), blame.path.end());
-  blame.reason = site_seed_reason(methods[cause]);
-  return blame;
-}
-
 }  // namespace
 
 const char* lint_code_name(LintCode c) {
@@ -106,8 +46,6 @@ const char* lint_code_name(LintCode c) {
     case LintCode::DuplicateName: return "duplicate-name";
     case LintCode::SelfDeadlock: return "self-deadlock";
     case LintCode::LockOrderCycle: return "lock-order-cycle";
-    case LintCode::SpecEdgeInvalid: return "spec-edge-invalid";
-    case LintCode::SpecUnsound: return "spec-unsound";
     case LintCode::RacingPair: return "racing-pair";
     case LintCode::NonCommutativeDelivery: return "non-commutative-delivery";
     case LintCode::LostReply: return "lost-reply";
@@ -262,46 +200,6 @@ LintReport lint_methods(const std::vector<MethodInfo>& methods) {
     if (issue.kind == ProgressIssueKind::ForwardLivelock) code = LintCode::ForwardLivelock;
     add(report, code, Severity::Error, issue.method, issue.other,
         format_progress_issue(methods, issue));
-  }
-
-  // --- call-site specialization cross-check (concert-analyze) ----------------
-  // A site-specialized edge binds the NB convention, so it must be a plain
-  // declared call edge to a method the site fixpoint proves cannot leave the
-  // caller's stack. Raw (never-analyzed) tables carry empty nb_site_callees
-  // and skip this section entirely.
-  for (std::size_t i = 0; i < n; ++i) {
-    const MethodInfo& m = methods[i];
-    const MethodId mi = static_cast<MethodId>(i);
-    for (MethodId c : m.nb_site_callees) {
-      if (c >= n) {
-        std::ostringstream os;
-        os << m.name << ": site-specialized edge to unregistered method id " << c;
-        add(report, LintCode::SpecEdgeInvalid, Severity::Error, mi, c, os.str());
-        continue;
-      }
-      if (std::find(m.callees.begin(), m.callees.end(), c) == m.callees.end()) {
-        std::ostringstream os;
-        os << m.name << ": site-specialized edge to " << method_name_or_id(methods, c)
-           << " without a matching call edge";
-        add(report, LintCode::SpecEdgeInvalid, Severity::Error, mi, c, os.str());
-        continue;
-      }
-      if (std::find(m.forwards_to.begin(), m.forwards_to.end(), c) != m.forwards_to.end()) {
-        std::ostringstream os;
-        os << m.name << ": site-specialized edge to " << method_name_or_id(methods, c)
-           << " is a forwarding edge (handing the continuation over needs the CP convention)";
-        add(report, LintCode::SpecEdgeInvalid, Severity::Error, mi, c, os.str());
-        continue;
-      }
-      if (facts.site_may_block[c] != 0) {
-        const SiteBlame blame = explain_site_blocking(methods, facts, c);
-        std::ostringstream os;
-        os << m.name << " -> " << method_name_or_id(methods, c)
-           << ": site-specialized edge can reach a blocking path: "
-           << join_path(methods, blame.path) << " (" << blame.reason << ")";
-        add(report, LintCode::SpecUnsound, Severity::Error, mi, c, os.str());
-      }
-    }
   }
 
   // --- reachability ----------------------------------------------------------

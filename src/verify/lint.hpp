@@ -42,9 +42,6 @@ enum class LintCode : std::uint8_t {
   // concert-analyze: lock-order deadlock detection.
   SelfDeadlock,         ///< locks_self method transitively re-invokes itself.
   LockOrderCycle,       ///< locks_self method reaches another lock of an aliasing class.
-  // concert-analyze: call-site specialization cross-checks.
-  SpecEdgeInvalid,      ///< nb_site_callees entry that is dangling / not a call edge / a forward.
-  SpecUnsound,          ///< Site-specialized edge can reach a blocking path.
   // concert-race: commutativity analysis (verify/race.hpp).
   RacingPair,             ///< Conflicting pair where a suspension can interleave the bodies.
   NonCommutativeDelivery, ///< Atomic bodies whose unordered delivery changes the result.

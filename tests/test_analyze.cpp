@@ -1,11 +1,9 @@
 // concert-analyze tests: lock-order deadlock detection (static witness search
-// + dynamic quarantine on both engines) and call-site-sensitive schema
-// specialization (site fixpoint, lint cross-checks, runtime fast path).
+// + dynamic quarantine on both engines).
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "apps/sor/sor.hpp"
 #include "core/analysis.hpp"
 #include "core/invoke.hpp"
 #include "machine/sim_machine.hpp"
@@ -145,184 +143,6 @@ TEST(LockCycles, UnclassedLockAliasesEveryClass) {
   ASSERT_NE(d, nullptr) << report.to_string();
   EXPECT_EQ(d->method, 0u);
   EXPECT_EQ(d->other, 2u);
-}
-
-// ===========================================================================
-// Site-sensitive refinement (analyze_schemas)
-// ===========================================================================
-
-TEST(SiteSpecialization, ForwardTargetIsSiteNonblockingButGloballyCP) {
-  // sink receives a forwarded continuation, so its *global* classification is
-  // CP — any caller might be handing it a continuation. But an invocation
-  // arriving through caller's plain call edge provably completes on the
-  // stack: that is exactly the refinement the site fixpoint captures.
-  std::vector<MethodInfo> methods = {raw("fwd"), raw("sink"), raw("caller")};
-  methods[0].callees = {1};
-  methods[0].forwards_to = {1};
-  methods[2].callees = {1};
-  analyze_schemas(methods);
-
-  EXPECT_EQ(methods[1].schema, Schema::ContinuationPassing);
-  EXPECT_TRUE(methods[1].site_nonblocking);
-  EXPECT_EQ(methods[2].nb_site_callees, (std::vector<MethodId>{1}));
-  // fwd's own edge to sink is a forwarding edge: never specializable.
-  EXPECT_TRUE(methods[0].nb_site_callees.empty());
-}
-
-TEST(SiteSpecialization, BlockingCalleeIsNotSiteNonblocking) {
-  std::vector<MethodInfo> methods = {raw("caller"), raw("leaf"), raw("blocker", true)};
-  methods[0].callees = {1, 2};
-  analyze_schemas(methods);
-
-  EXPECT_TRUE(methods[1].site_nonblocking);
-  EXPECT_FALSE(methods[2].site_nonblocking);
-  EXPECT_EQ(methods[0].nb_site_callees, (std::vector<MethodId>{1}));
-}
-
-TEST(SiteSpecialization, SiteBlockingPropagatesOverCallEdges) {
-  std::vector<MethodInfo> methods = {raw("caller"), raw("mid"), raw("blocker", true)};
-  methods[0].callees = {1};
-  methods[1].callees = {2};
-  analyze_schemas(methods);
-
-  EXPECT_FALSE(methods[1].site_nonblocking);  // inherits through mid -> blocker
-  EXPECT_TRUE(methods[0].nb_site_callees.empty());
-}
-
-TEST(SiteSpecialization, LockingCalleeIsNotSiteNonblocking) {
-  // A locks_self callee can defer behind a held lock, so its caller cannot
-  // bind the NB convention at the site.
-  std::vector<MethodInfo> methods = {raw("caller"), locked("lk", 1)};
-  methods[0].callees = {1};
-  analyze_schemas(methods);
-
-  EXPECT_FALSE(methods[1].site_nonblocking);
-  EXPECT_TRUE(methods[0].nb_site_callees.empty());
-}
-
-// ===========================================================================
-// Lint cross-checks of the specialization tables
-// ===========================================================================
-
-TEST(LintSpec, DanglingSpecEntry) {
-  std::vector<MethodInfo> methods = {raw("a"), raw("b")};
-  methods[0].callees = {1};
-  analyze_schemas(methods);
-  methods[0].nb_site_callees = {9};
-  const LintReport report = verify::lint_methods(methods);
-  const verify::Diagnostic* d = report.find(LintCode::SpecEdgeInvalid);
-  ASSERT_NE(d, nullptr) << report.to_string();
-  EXPECT_NE(d->message.find("unregistered"), std::string::npos);
-}
-
-TEST(LintSpec, SpecEntryWithoutCallEdge) {
-  std::vector<MethodInfo> methods = {raw("a"), raw("b")};
-  methods[0].callees = {1};
-  analyze_schemas(methods);
-  methods[1].nb_site_callees = {0};  // b never declared a call edge to a
-  const LintReport report = verify::lint_methods(methods);
-  const verify::Diagnostic* d = report.find(LintCode::SpecEdgeInvalid);
-  ASSERT_NE(d, nullptr) << report.to_string();
-  EXPECT_EQ(d->method, 1u);
-  EXPECT_NE(d->message.find("without a matching call edge"), std::string::npos);
-}
-
-TEST(LintSpec, SpecEntryOnForwardingEdge) {
-  std::vector<MethodInfo> methods = {raw("a"), raw("b")};
-  methods[0].callees = {1};
-  analyze_schemas(methods);
-  methods[0].forwards_to = {1};
-  methods[0].nb_site_callees = {1};
-  const LintReport report = verify::lint_methods(methods);
-  const verify::Diagnostic* d = report.find(LintCode::SpecEdgeInvalid);
-  ASSERT_NE(d, nullptr) << report.to_string();
-  EXPECT_NE(d->message.find("forwarding edge"), std::string::npos);
-}
-
-TEST(LintSpec, UnsoundSpecEdgeGetsBlameWitness) {
-  std::vector<MethodInfo> methods = {raw("a"), raw("mid"), raw("blocker", true)};
-  methods[0].callees = {1};
-  methods[1].callees = {2};
-  analyze_schemas(methods);
-  ASSERT_TRUE(methods[0].nb_site_callees.empty());
-  methods[0].nb_site_callees = {1};  // the lie: mid reaches a blocking path
-  const LintReport report = verify::lint_methods(methods);
-  const verify::Diagnostic* d = report.find(LintCode::SpecUnsound);
-  ASSERT_NE(d, nullptr) << report.to_string();
-  EXPECT_EQ(d->method, 0u);
-  EXPECT_EQ(d->other, 1u);
-  EXPECT_NE(d->message.find("mid -> blocker"), std::string::npos) << d->message;
-  EXPECT_NE(d->message.find("blocks locally"), std::string::npos) << d->message;
-}
-
-// ===========================================================================
-// Runtime edge specialization (SOR under Hybrid1)
-// ===========================================================================
-
-struct SorSpecRun {
-  std::unique_ptr<SimMachine> machine;
-  sor::Ids ids;
-  sor::World world;
-  sor::Params params{12, 2, 2, 2};
-
-  SorSpecRun(ExecMode mode, bool specialize, bool verify_on = false) {
-    MachineConfig cfg = test_config(mode, CostModel::cm5());
-    cfg.specialize_edges = specialize;
-    cfg.verify = verify_on;
-    machine = std::make_unique<SimMachine>(params.nodes(), cfg);
-    ids = sor::register_sor(machine->registry(), params);
-    machine->registry().finalize();
-    world = sor::build(*machine, ids, params);
-  }
-};
-
-TEST(EdgeSpecialization, Hybrid1SpecializedRunMatchesReference) {
-  // Under Hybrid1 every unlocked single-return method degrades to the CP
-  // interface, so SOR's provably-NB leaves are exactly where specialized
-  // edges win the stack convention back.
-  SorSpecRun r(ExecMode::Hybrid1, /*specialize=*/true);
-  ASSERT_TRUE(sor::run(*r.machine, r.ids, r.world));
-  const auto got = sor::extract(*r.machine, r.world);
-  const auto want = sor::reference(r.params);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t k = 0; k < got.size(); ++k) {
-    ASSERT_DOUBLE_EQ(got[k], want[k]) << "cell " << k;
-  }
-  EXPECT_GT(r.machine->total_stats().spec_stack_calls, 0u);
-  EXPECT_EQ(r.machine->live_contexts(), 0u);
-}
-
-TEST(EdgeSpecialization, DisabledSpecializationIsInert) {
-  SorSpecRun r(ExecMode::Hybrid1, /*specialize=*/false);
-  EXPECT_EQ(r.machine->registry().spec_table(ExecMode::Hybrid1), nullptr);
-  ASSERT_TRUE(sor::run(*r.machine, r.ids, r.world));
-  EXPECT_EQ(r.machine->total_stats().spec_stack_calls, 0u);
-}
-
-TEST(EdgeSpecialization, SpecializedAndGeneralRunsAgree) {
-  SorSpecRun on(ExecMode::Hybrid1, true);
-  SorSpecRun off(ExecMode::Hybrid1, false);
-  ASSERT_TRUE(sor::run(*on.machine, on.ids, on.world));
-  ASSERT_TRUE(sor::run(*off.machine, off.ids, off.world));
-  const auto got_on = sor::extract(*on.machine, on.world);
-  const auto got_off = sor::extract(*off.machine, off.world);
-  ASSERT_EQ(got_on.size(), got_off.size());
-  for (std::size_t k = 0; k < got_on.size(); ++k) {
-    ASSERT_DOUBLE_EQ(got_on[k], got_off[k]) << "cell " << k;
-  }
-  // The specialized run replaces heap round-trips with stack completions on
-  // the refined edges; it must never be slower under the same cost model.
-  EXPECT_LE(on.machine->max_clock(), off.machine->max_clock());
-}
-
-TEST(EdgeSpecialization, SpecializedRunIsConformant) {
-  // The dynamic sanitizer's SiteSpecBlocked check is live here: a site-NB
-  // method that blocked anyway would fail the run at quiescence.
-  SorSpecRun r(ExecMode::Hybrid1, /*specialize=*/true, /*verify_on=*/true);
-  ASSERT_TRUE(sor::run(*r.machine, r.ids, r.world));
-  const verify::ConformanceReport report = verify::check_conformance(*r.machine);
-  EXPECT_TRUE(report.clean()) << report.to_string();
-  EXPECT_GT(report.totals.calls, 0u);
 }
 
 // ===========================================================================

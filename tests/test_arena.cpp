@@ -31,12 +31,12 @@ using testing::test_config;
 TEST(BufferPool, AcquireReusesReleasedCapacity) {
   BufferPool<Value> pool(8);
   std::vector<Value> buf;
-  EXPECT_FALSE(pool.try_acquire(buf));  // empty pool
+  EXPECT_FALSE(pool.try_acquire(buf, 64));  // empty pool
   buf.reserve(64);
   const std::size_t cap = buf.capacity();
   EXPECT_TRUE(pool.release(std::move(buf)));
   std::vector<Value> again;
-  EXPECT_TRUE(pool.try_acquire(again));
+  EXPECT_TRUE(pool.try_acquire(again, 64));
   EXPECT_TRUE(again.empty());
   EXPECT_GE(again.capacity(), cap);  // capacity survived the round trip
 }

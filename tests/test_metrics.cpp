@@ -340,11 +340,9 @@ TEST(Metrics, EveryNodeStatsCounterMergesAndExports) {
   CONCERT_NODE_STATS(CHECK_COUNTER)
 #undef CHECK_COUNTER
   EXPECT_EQ(names.size(), k);  // one metric per counter
-  // The two high-water marks take the larger node's value.
+  // The high-water mark takes the larger node's value.
   EXPECT_EQ(total.inbox_batch_max, s1.inbox_batch_max);
-  EXPECT_EQ(total.wave_max, s1.wave_max);
   EXPECT_NE(reg.find_counter("concert_inbox_batch_max"), nullptr);
-  EXPECT_NE(reg.find_counter("concert_wave_max"), nullptr);
 }
 
 TEST(Metrics, NodeStatsSumsNewCounters) {

@@ -5,9 +5,8 @@
 // messages or cuts a program short, which shows up here as a result that
 // differs from the serial reference, a leaked context, a send/receive
 // mismatch, or the engine's own work-credit imbalance check. The SOR and
-// EM3D rounds rotate over the delivery paths whose credits retire
-// differently: per-message and merged-wave delivery, each with immediate
-// sends and with every send staged until its node idles.
+// EM3D rounds rotate over the two send paths whose credits retire
+// differently: immediate sends, and every send staged until its node idles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,14 +25,12 @@ using testing::test_config;
 constexpr std::size_t kNodes = 4;
 constexpr int kRounds = 100;  // four programs per round: 400 runs
 
-/// The config for `round`: the default, merge_waves,
-/// FlushPolicy::flush_on_idle, then both, two rounds each, so that every
-/// config runs both of SOR's iteration counts.
+/// The config for `round`: the default (immediate sends), then
+/// FlushPolicy::flush_on_idle, two rounds each, so that each config runs
+/// both of SOR's iteration counts.
 MachineConfig delivery_config(int round) {
-  const int k = (round / 2) % 4;
   MachineConfig cfg = test_config(ExecMode::Hybrid3);
-  cfg.merge_waves = (k & 1) != 0;
-  if ((k & 2) != 0) cfg.flush_policy = FlushPolicy::flush_on_idle();
+  if ((round / 2) % 2 != 0) cfg.flush_policy = FlushPolicy::flush_on_idle();
   return cfg;
 }
 

@@ -440,8 +440,7 @@ TEST(Shuffle, PerChannelFifoSurvivesShuffling) {
 
 using RunResult = std::tuple<std::uint64_t, std::uint64_t, std::vector<double>>;
 
-RunResult sor_run(std::uint64_t seed, bool verify_on, bool merge_waves = false,
-                  std::size_t block = 4) {
+RunResult sor_run(std::uint64_t seed, bool verify_on, std::size_t block = 4) {
   sor::Params p;
   p.n = 16;
   p.pgrid = 2;
@@ -450,7 +449,6 @@ RunResult sor_run(std::uint64_t seed, bool verify_on, bool merge_waves = false,
   MachineConfig cfg = test_config();
   cfg.verify = verify_on;
   cfg.shuffle_seed = seed;
-  cfg.merge_waves = merge_waves;
   SimMachine m(p.nodes(), cfg);
   const sor::Ids ids = sor::register_sor(m.registry(), p);
   m.registry().finalize();
@@ -461,7 +459,7 @@ RunResult sor_run(std::uint64_t seed, bool verify_on, bool merge_waves = false,
 
 /// EM3D push on 8 nodes with 90% remote edges: many channels into every
 /// node, so the shuffle has several heads to draw from.
-RunResult em3d_run(std::uint64_t seed, bool merge_waves = false) {
+RunResult em3d_run(std::uint64_t seed) {
   em3d::Params p;
   p.graph_nodes = 128;
   p.local_fraction = 0.1;
@@ -470,7 +468,6 @@ RunResult em3d_run(std::uint64_t seed, bool merge_waves = false) {
   MachineConfig cfg = test_config();
   cfg.verify = false;
   cfg.shuffle_seed = seed;
-  cfg.merge_waves = merge_waves;
   SimMachine m(nodes, cfg);
   const em3d::Ids ids = em3d::register_em3d(m.registry(), p, nodes);
   m.registry().finalize();
@@ -491,34 +488,26 @@ TEST(Shuffle, OffPathIsBitIdentical) {
   EXPECT_EQ(std::get<2>(a), std::get<2>(b));
 
   // Pinned schedules: the final clock and scheduler action count of strict
-  // (seed 0) and shuffled runs, per-message and merged-wave delivery, on
-  // SOR in 1x1 tiles and remote-heavy EM3D. Both send from several nodes
-  // to one at equal timestamps, so the strict pins also hold the seq
-  // tie-break; the shuffled pins hold the candidate list and the draw.
+  // (seed 0) and shuffled runs on SOR in 1x1 tiles and remote-heavy EM3D.
+  // Both send from several nodes to one at equal timestamps, so the strict
+  // pins also hold the seq tie-break; the shuffled pins hold the candidate
+  // list and the draw.
   struct Pin {
     bool em3d;
     std::uint64_t seed;
-    bool merge_waves;
     std::uint64_t max_clock;
     std::uint64_t actions;
   };
   const Pin pins[] = {
-      {false, 0, false, 540072, 3976}, {false, 7, false, 540072, 3976},
-      {false, 42, false, 540072, 3976}, {false, 0, true, 449857, 1951},
-      {false, 7, true, 452477, 2077},   {false, 42, true, 452908, 2056},
-      {true, 0, false, 353735, 3436},   {true, 7, false, 353290, 3436},
-      {true, 42, false, 353714, 3436},  {true, 0, true, 249847, 382},
-      {true, 7, true, 263684, 420},     {true, 42, true, 255575, 401},
+      {false, 0, 540072, 3976}, {false, 7, 540072, 3976}, {false, 42, 540072, 3976},
+      {true, 0, 353735, 3436},  {true, 7, 353290, 3436},  {true, 42, 353714, 3436},
   };
   for (const Pin& pin : pins) {
     const RunResult got =
-        pin.em3d ? em3d_run(pin.seed, pin.merge_waves)
-                 : sor_run(pin.seed, /*verify_on=*/false, pin.merge_waves, /*block=*/1);
+        pin.em3d ? em3d_run(pin.seed) : sor_run(pin.seed, /*verify_on=*/false, /*block=*/1);
     const char* app = pin.em3d ? "em3d" : "sor";
-    EXPECT_EQ(std::get<0>(got), pin.max_clock)
-        << app << " seed " << pin.seed << " merge_waves " << pin.merge_waves;
-    EXPECT_EQ(std::get<1>(got), pin.actions)
-        << app << " seed " << pin.seed << " merge_waves " << pin.merge_waves;
+    EXPECT_EQ(std::get<0>(got), pin.max_clock) << app << " seed " << pin.seed;
+    EXPECT_EQ(std::get<1>(got), pin.actions) << app << " seed " << pin.seed;
   }
 }
 

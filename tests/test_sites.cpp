@@ -1,6 +1,6 @@
 // Per-call-site profiler (concert-insight): the accounting invariants that
 // reconcile SiteProfiler counts against the aggregate NodeStats on both
-// engines and under merged-wave dispatch, the "(message)" pseudo-caller for
+// engines, the "(message)" pseudo-caller for
 // the wrapper path, and the SITES json round-trip. Simulated-time identity
 // with the profiler on lives in test_observability.cpp.
 #include <gtest/gtest.h>
@@ -91,16 +91,6 @@ TEST(Sites, CountsReconcileWithNodeStatsSim) {
   // The distributed run exercises the wrapper path: methods invoked by
   // arriving messages record under the "(message)" pseudo-caller (slot 0).
   EXPECT_GT(s.message_slot_attempts, 0u);
-}
-
-TEST(Sites, CountsReconcileUnderMergedWaves) {
-  // Wave dispatch executes whole batches of message-invocations at once; the
-  // profiler must still account for every attempt.
-  MachineConfig cfg = test_config(ExecMode::Hybrid3);
-  cfg.profile_sites = true;
-  cfg.merge_waves = true;
-  auto m = run_sor_sim(cfg);
-  check_invariants(*m);
 }
 
 TEST(Sites, CountsReconcileWithNodeStatsThreaded) {

@@ -1,6 +1,6 @@
 // The per-node event ring: the always-on coarse window of untraced runs,
 // full-detail recording, causal flow-id pairing across nodes and engines,
-// every stack or wave run closed by a run_end, chrome-trace export well
+// every stack run closed by a run_end, chrome-trace export well
 // formed, binary round-trip, and the binary
 // reader's rejection of corrupt dumps. Also the Chrome export's slices and
 // the metrics sink, both engines, against trace_runs (handcrafted cases in
@@ -199,9 +199,9 @@ TEST(Trace, StackRunsRecordedInHybridMode) {
   EXPECT_LE(static_cast<std::uint64_t>(stack_runs), w.machine->node(0).stats.stack_calls);
 }
 
-TEST(Trace, EveryStackAndWaveRunIsClosedByRunEnd) {
-  // SOR on 2x2 nodes in 1x1 tiles, merged waves on: remote get_value
-  // invocations run as wrapper stack runs and as waves.
+TEST(Trace, EveryStackRunIsClosedByRunEnd) {
+  // SOR on 2x2 nodes in 1x1 tiles: remote get_value invocations run as
+  // wrapper stack runs.
   sor::Params p;
   p.n = 8;
   p.pgrid = 2;
@@ -209,19 +209,18 @@ TEST(Trace, EveryStackAndWaveRunIsClosedByRunEnd) {
   p.iters = 1;
   MachineConfig cfg = test_config();
   cfg.trace = true;
-  cfg.merge_waves = true;
   SimMachine m(p.nodes(), cfg);
   const sor::Ids ids = sor::register_sor(m.registry(), p);
   m.registry().finalize();
   sor::World world = sor::build(m, ids, p);
   ASSERT_TRUE(sor::run(m, ids, world));
-  std::size_t stack_runs = 0, waves = 0;
+  std::size_t stack_runs = 0;
   for (NodeId n = 0; n < m.node_count(); ++n) {
     std::vector<TraceRecord> open;  // runs nest: a run_end closes the innermost
     for (const TraceRecord& r : m.node(n).tracer.snapshot()) {
-      if (r.kind == TraceKind::StackRun || r.kind == TraceKind::WaveRun) {
-        stack_runs += r.kind == TraceKind::StackRun;
-        waves += r.kind == TraceKind::WaveRun;
+      EXPECT_NE(r.kind, TraceKind::WaveRun) << "node " << n;
+      if (r.kind == TraceKind::StackRun) {
+        ++stack_runs;
         open.push_back(r);
       } else if (r.kind == TraceKind::RunEnd) {
         ASSERT_FALSE(open.empty()) << "run_end with no open run on node " << n;
@@ -233,7 +232,6 @@ TEST(Trace, EveryStackAndWaveRunIsClosedByRunEnd) {
     EXPECT_TRUE(open.empty()) << open.size() << " runs left open on node " << n;
   }
   EXPECT_GT(stack_runs, 0u);
-  EXPECT_GT(waves, 0u);
   // The Chrome export draws each closed run as a duration slice.
   std::ostringstream os;
   write_chrome_trace(m, os);
@@ -424,8 +422,7 @@ TEST(Trace, ChromeExportIsBalancedJsonWithFlows) {
 
 // -- trace_runs against the Chrome export and the metrics sink ------------
 
-/// SOR on 2x2 nodes in 1x1 tiles: dispatches, wrapper stack runs and (with
-/// merge_waves) waves.
+/// SOR on 2x2 nodes in 1x1 tiles: dispatches and wrapper stack runs.
 sor::Params small_sor() {
   sor::Params p;
   p.n = 8;
@@ -446,7 +443,6 @@ TEST(TraceRuns, ChromeSlicesAreTheRunsOneForOne) {
   const sor::Params p = small_sor();
   MachineConfig cfg = test_config();
   cfg.trace = true;
-  cfg.merge_waves = true;
   SimMachine m(p.nodes(), cfg);
   ASSERT_NO_FATAL_FAILURE(run_sor(m, p));
   const TraceDump d = dump_trace(m);
@@ -478,20 +474,18 @@ void expect_metrics_match_trace(const Machine& m) {
   const std::vector<TraceRun> runs = trace_runs(d);
   std::uint64_t total_runs = 0;
   for (NodeId n = 0; n < m.node_count(); ++n) {
-    std::uint64_t closed = 0, drains = 0, flushes = 0, waves = 0;
+    std::uint64_t closed = 0, drains = 0, flushes = 0;
     for (const TraceRun& run : runs) closed += d.events[run.begin].node == n;
     for (const TraceEvent& e : d.events) {
       if (e.node != n) continue;
       drains += e.rec.kind == TraceKind::InboxDrain;
       flushes += e.rec.kind == TraceKind::OutboxFlush;
-      waves += e.rec.kind == TraceKind::WaveRun;
     }
     const NodeMetrics* mx = m.node(n).metrics();
     ASSERT_NE(mx, nullptr);
     EXPECT_EQ(mx->invoke_latency_ns.count(), closed) << "node " << n;
     EXPECT_EQ(mx->inbox_depth.count(), drains) << "node " << n;
     EXPECT_EQ(mx->flush_size.count(), flushes) << "node " << n;
-    EXPECT_EQ(mx->wave_size.count(), waves) << "node " << n;
     EXPECT_TRUE(mx->open_runs.empty()) << "node " << n;
     total_runs += closed;
   }
@@ -503,15 +497,11 @@ TEST(TraceRuns, MetricsSinkCountsTheTracedRunsOnSimEngine) {
   MachineConfig cfg = test_config();
   cfg.trace = true;
   cfg.metrics = true;
-  cfg.merge_waves = true;
   cfg.flush_policy = FlushPolicy::size_threshold(4);
   SimMachine m(p.nodes(), cfg);
   ASSERT_NO_FATAL_FAILURE(run_sor(m, p));
   expect_metrics_match_trace(m);
   EXPECT_GT(m.total_stats().outbox_flushes, 0u);
-  std::uint64_t waves = 0;
-  for (NodeId n = 0; n < m.node_count(); ++n) waves += m.node(n).metrics()->wave_size.count();
-  EXPECT_GT(waves, 0u);
 }
 
 TEST(TraceRuns, MetricsSinkCountsTheTracedRunsOnThreadedEngine) {

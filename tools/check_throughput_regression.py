@@ -6,8 +6,8 @@ committed baseline (bench/throughput_baseline.json) and fails if any guarded
 workload got slower by more than the baseline's max_slowdown_frac. Wall-clock
 numbers on shared CI runners are noisy, so the tolerance is deliberately
 generous (default 40%): the guard exists to catch order-of-magnitude
-regressions — a hot path falling off the merged-wave or NB fast path — not
-single-digit drift. Baselines are floors, not targets.
+regressions — a hot path falling off the NB fast path — not single-digit
+drift. Baselines are floors, not targets.
 
 Usage: check_throughput_regression.py BENCH_wallclock.json [throughput_baseline.json]
 """
